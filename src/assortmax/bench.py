@@ -10,20 +10,20 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import GenSpec, ResultRecord, generate_instance, instance_from_files
 from .mips import LshMips, LshParams, default_lsh_params, embed_collection
-from .model import SolverResult, normalize
+from .model import AssortmentCollection, Instance, SolverResult, normalize
 from .noisy_search import assort_mnl_bz
 from .oracles import brute_force_capacitated, exhaustive_search
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated)
 
-__all__ = ["BenchConfig", "run_bench", "aggregate_records", "GENERAL_ALGOS",
-           "CAPACITATED_ALGOS", "ALL_ALGOS"]
+__all__ = ["BenchConfig", "solve", "run_bench", "aggregate_records",
+           "GENERAL_ALGOS", "CAPACITATED_ALGOS", "ALL_ALGOS"]
 
 GENERAL_ALGOS = ("exact", "approx_simple", "approx", "bz", "exhaustive")
 CAPACITATED_ALGOS = ("capacitated", "brute_cap")
@@ -95,6 +95,47 @@ def _worker_count(config: BenchConfig) -> int:
     return max(1, int(env)) if env else 1
 
 
+def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
+          config: BenchConfig, seed: int) -> tuple[SolverResult, float]:
+    """Solve one instance with the algorithm named ``algo``.
+
+    Returns the result in the instance's price units and the seconds spent
+    embedding and indexing outside the result's ``wall_time``.  ``approx``
+    and ``bz`` read ``config.eps`` on the normalized price scale (top price
+    1), which their approximation bookkeeping assumes.
+    """
+    build_s = 0.0
+    if algo in ("approx_simple", "approx"):
+        target = normalize(inst) if algo == "approx" else inst
+        t0 = time.perf_counter()
+        points = embed_collection(collection, target)
+        engine = LshMips.build(points, target.weights,
+                               config.lsh_params(len(points)), seed)
+        build_s = time.perf_counter() - t0
+    if algo == "exhaustive":
+        res = exhaustive_search(collection, inst)
+    elif algo == "exact":
+        res = assort_mnl(collection, inst, config.eps)
+    elif algo == "approx_simple":
+        res = assort_mnl_approx_simple(collection, inst, config.eps, lsh=engine)
+    elif algo == "approx":
+        res = assort_mnl_approx(collection, target, config.eps, config.nu, lsh=engine)
+        lo, hi = res.revenue_interval
+        res = replace(res, revenue=res.revenue * inst.p1,
+                      revenue_interval=(lo * inst.p1, hi * inst.p1))
+    elif algo == "bz":  # rescales internally; only eps needs mapping
+        res = assort_mnl_bz(collection, inst, config.eps * inst.p1,
+                            config.bz_rounds, config.bz_alpha,
+                            params=config.lsh_params(len(collection)), seed=seed)
+    elif algo == "capacitated":
+        res = assort_mnl_capacitated(inst, config.capacity, config.eps)
+    elif algo == "brute_cap":
+        res = brute_force_capacitated(inst, config.capacity)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return res, build_s
+
+
 def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[ResultRecord]:
     need_collection = any(a in GENERAL_ALGOS for a in config.algorithms)
     if config.itemsets_path is not None:
@@ -109,14 +150,7 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
                        seed=run_seed)
         inst, collection = generate_instance(spec)
 
-    records: list[ResultRecord] = []
-    run_id = f"run{run_index:03d}"
-    N = len(collection) if collection is not None else None
-
-    general_opt: SolverResult | None = None
-    if need_collection and collection is not None:
-        general_opt = exhaustive_search(collection, inst)
-
+    general_opt = exhaustive_search(collection, inst) if need_collection else None
     cap_opt: SolverResult | None = None
     if any(a in CAPACITATED_ALGOS for a in config.algorithms):
         try:
@@ -124,63 +158,18 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
         except ValueError:
             cap_opt = None  # oracle infeasible at this scale; timing still reported
 
-    points = engine = None
-    build_time = 0.0
-    if collection is not None and any(a in ("approx_simple", "approx") for a in config.algorithms):
-        t0 = time.perf_counter()
-        points = embed_collection(collection, inst)
-        engine = LshMips.build(points, inst.weights,
-                               config.lsh_params(len(points)), seed=run_seed)
-        build_time = time.perf_counter() - t0
-
-    extra = build_time if config.report_build_time else 0.0
+    records: list[ResultRecord] = []
+    N = len(collection) if collection is not None else None
     for algo in config.algorithms:
-        if algo == "exhaustive":
-            res, opt = general_opt, general_opt
-        elif algo == "exact":
-            res, opt = assort_mnl(collection, inst, config.eps), general_opt
-        elif algo == "approx_simple":
-            res = assort_mnl_approx_simple(collection, inst, config.eps, lsh=engine)
-            opt = general_opt
-        elif algo == "approx":
-            # the two-threshold solver works on the normalized scale; eps is
-            # interpreted there and the witness re-scored on the original
-            inst_n = normalize(inst)
-            pts_n = embed_collection(collection, inst_n)
-            t0 = time.perf_counter()
-            eng_n = LshMips.build(pts_n, inst_n.weights,
-                                  config.lsh_params(len(pts_n)), seed=run_seed)
-            b = time.perf_counter() - t0
-            res_n = assort_mnl_approx(collection, inst_n, config.eps, config.nu,
-                                      lsh=eng_n)
-            res = SolverResult(res_n.assortment,
-                               res_n.revenue * inst.p1,
-                               (res_n.revenue_interval[0] * inst.p1,
-                                res_n.revenue_interval[1] * inst.p1),
-                               res_n.iterations, res_n.wall_time)
-            opt = general_opt
-            records.append(ResultRecord.from_result(
-                run_id, algo, inst.n, N, config.eps, res, opt,
-                wall_time_s=res.wall_time + (b if config.report_build_time else 0.0)))
+        opt = general_opt if algo in GENERAL_ALGOS else cap_opt
+        res, build_s = ((opt, 0.0) if algo in ("exhaustive", "brute_cap")  # oracle rows
+                        else solve(algo, inst, collection, config, run_seed))
+        if res is None:  # brute force is infeasible at this scale
             continue
-        elif algo == "bz":
-            # eps interpreted on the normalized scale, as for approx
-            res = assort_mnl_bz(collection, inst, config.eps * inst.p1,
-                                config.bz_rounds, config.bz_alpha,
-                                params=config.lsh_params(len(collection)),
-                                seed=run_seed)
-            opt = general_opt
-        elif algo == "capacitated":
-            res, opt = assort_mnl_capacitated(inst, config.capacity, config.eps), cap_opt
-        elif algo == "brute_cap":
-            res, opt = cap_opt, cap_opt
-            if res is None:
-                continue
-        else:  # pragma: no cover - guarded by BenchConfig
-            raise ValueError(algo)
-        wall = res.wall_time + (extra if algo in ("approx_simple",) else 0.0)
+        wall = res.wall_time + (build_s if config.report_build_time else 0.0)
         records.append(ResultRecord.from_result(
-            run_id, algo, inst.n, N, config.eps, res, opt, wall_time_s=wall))
+            f"run{run_index:03d}", algo, inst.n, N, config.eps, res, opt,
+            wall_time_s=wall))
     return records
 
 

@@ -10,16 +10,12 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import ALL_ALGOS, CAPACITATED_ALGOS, GENERAL_ALGOS, BenchConfig, run_bench
+from .bench import (ALL_ALGOS, CAPACITATED_ALGOS, GENERAL_ALGOS, BenchConfig,
+                    run_bench, solve)
 from .data import (GenSpec, generate_instance, instance_from_files,
                    load_instance, load_itemsets, save_instance, save_itemsets,
                    write_results)
-from .mips import LshMips, embed_collection
-from .model import AssortmentCollection, Instance, SolverResult, normalize
-from .noisy_search import assort_mnl_bz
-from .oracles import brute_force_capacitated, exhaustive_search
-from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
-                      assort_mnl_capacitated)
+from .model import AssortmentCollection, Instance, SolverResult
 
 __all__ = ["main"]
 
@@ -43,7 +39,14 @@ def _add_source_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_lsh_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_config` reads, shared by ``solve`` and ``bench``."""
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--capacity", type=int, default=None)
+    p.add_argument("--nu", type=float, default=0.01,
+                   help="retrieval approximation margin for --algo approx")
+    p.add_argument("--bz-rounds", type=int, default=15)
+    p.add_argument("--bz-alpha", type=float, default=0.3)
     p.add_argument("--lsh-bits", type=int, default=None,
                    help="hash key bits (default: sized so the scan budget "
                         "stays the binding knob)")
@@ -51,8 +54,6 @@ def _add_lsh_flags(p: argparse.ArgumentParser) -> None:
                    help="number of hash tables")
     p.add_argument("--lsh-scan-cap", type=int, default=80,
                    help="candidate retrievals scanned per query")
-    p.add_argument("--lsh-rho", type=float, default=0.5,
-                   help="table-count exponent used when --lsh-tables is unset")
 
 
 def _load_source(args, need_collection: bool):
@@ -102,10 +103,13 @@ def _result_payload(algo: str, inst: Instance,
     }
 
 
-def _lsh_params_from(args, num_points: int):
-    cfg = BenchConfig(lsh_bits=args.lsh_bits, lsh_tables=args.lsh_tables,
-                      lsh_scan_cap=args.lsh_scan_cap, lsh_rho=args.lsh_rho)
-    return cfg.lsh_params(num_points)
+def _config(args, algorithms: tuple[str, ...], **fields) -> BenchConfig:
+    """Benchmark settings from the flags ``solve`` and ``bench`` share."""
+    return BenchConfig(
+        algorithms=algorithms, eps=args.eps, capacity=args.capacity, nu=args.nu,
+        bz_rounds=args.bz_rounds, bz_alpha=args.bz_alpha,
+        lsh_bits=args.lsh_bits, lsh_tables=args.lsh_tables,
+        lsh_scan_cap=args.lsh_scan_cap, seed=args.seed, **fields)
 
 
 def _cmd_solve(args) -> int:
@@ -116,40 +120,7 @@ def _cmd_solve(args) -> int:
         raise SystemExit(f"error: --capacity is incompatible with --algo {algo} "
                          "over general collections")
     inst, collection = _load_source(args, need_collection=algo in GENERAL_ALGOS)
-
-    if algo == "exhaustive":
-        res = exhaustive_search(collection, inst)
-    elif algo == "exact":
-        res = assort_mnl(collection, inst, args.eps)
-    elif algo == "approx_simple":
-        points = embed_collection(collection, inst)
-        engine = LshMips.build(points, inst.weights,
-                               _lsh_params_from(args, len(points)),
-                               seed=args.seed)
-        res = assort_mnl_approx_simple(collection, inst, args.eps, lsh=engine)
-    elif algo == "approx":
-        # runs on the normalized scale; --eps is interpreted there
-        inst_n = normalize(inst)
-        res_n = assort_mnl_approx(collection, inst_n, args.eps, args.nu,
-                                  params=_lsh_params_from(args, len(collection)),
-                                  seed=args.seed)
-        res = SolverResult(res_n.assortment, res_n.revenue * inst.p1,
-                           (res_n.revenue_interval[0] * inst.p1,
-                            res_n.revenue_interval[1] * inst.p1),
-                           res_n.iterations, res_n.wall_time)
-    elif algo == "bz":
-        # like approx, --eps is interpreted on the normalized (p1 = 1) scale
-        res = assort_mnl_bz(collection, inst, args.eps * inst.p1,
-                            args.bz_rounds, args.bz_alpha,
-                            params=_lsh_params_from(args, len(collection)),
-                            seed=args.seed)
-    elif algo == "capacitated":
-        res = assort_mnl_capacitated(inst, args.capacity, args.eps)
-    elif algo == "brute_cap":
-        res = brute_force_capacitated(inst, args.capacity)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"error: unknown algorithm {algo!r}")
-
+    res, _ = solve(algo, inst, collection, _config(args, (algo,)), args.seed)
     print(json.dumps(_result_payload(algo, inst, collection, res, args.eps)))
     return 0
 
@@ -162,13 +133,9 @@ def _cmd_bench(args) -> int:
         sweep = [None]
     records, aggregates = [], []
     for num_sets in sweep:  # one aggregate row per collection size
-        config = BenchConfig(
-            algorithms=algos, runs=args.runs, eps=args.eps, n=args.n or 100,
-            num_sets=num_sets, capacity=args.capacity,
+        config = _config(
+            args, algos, runs=args.runs, n=args.n or 100, num_sets=num_sets,
             price_range=tuple(args.price_range), v0=args.v0,
-            lsh_bits=args.lsh_bits, lsh_tables=args.lsh_tables,
-            lsh_scan_cap=args.lsh_scan_cap, lsh_rho=args.lsh_rho, nu=args.nu,
-            bz_rounds=args.bz_rounds, bz_alpha=args.bz_alpha, seed=args.seed,
             itemsets_path=args.itemsets, prices_path=args.prices,
             min_card=args.min_card, max_card=args.max_card,
             report_build_time=args.report_build_time)
@@ -207,14 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance and print JSON")
     solve.add_argument("--algo", required=True, choices=ALL_ALGOS)
-    solve.add_argument("--eps", type=float, default=0.1)
-    solve.add_argument("--capacity", type=int, default=None)
-    solve.add_argument("--nu", type=float, default=0.01,
-                       help="retrieval approximation margin for --algo approx")
-    solve.add_argument("--bz-rounds", type=int, default=15)
-    solve.add_argument("--bz-alpha", type=float, default=0.3)
     _add_source_flags(solve)
-    _add_lsh_flags(solve)
+    _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser(
@@ -223,18 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
                       "overlap = |A & A*|/|A*| per algorithm")
     bench.add_argument("--algo", default="exact,approx_simple",
                        help=f"comma-separated subset of {','.join(ALL_ALGOS)}")
-    bench.add_argument("--eps", type=float, default=0.1)
     bench.add_argument("--runs", type=int, default=50)
-    bench.add_argument("--capacity", type=int, default=None)
-    bench.add_argument("--nu", type=float, default=0.01)
-    bench.add_argument("--bz-rounds", type=int, default=15)
-    bench.add_argument("--bz-alpha", type=float, default=0.3)
     bench.add_argument("--report-build-time", action="store_true",
                        help="include index construction in wall time")
     bench.add_argument("--out", required=True, help="results file path")
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_source_flags(bench, sweep=True)
-    _add_lsh_flags(bench)
+    _add_solver_flags(bench)
     bench.set_defaults(func=_cmd_bench)
 
     gen = sub.add_parser("generate", help="write a reusable random instance")

@@ -25,14 +25,12 @@ __all__ = [
     "EmbeddedPoint",
     "EmbeddedCollection",
     "embed_collection",
-    "query_exact",
     "simple_lsh_transform",
     "LshParams",
     "default_lsh_params",
     "LshIndex",
     "build_lsh_index",
     "hash_key",
-    "query_lsh",
     "save_index",
     "load_index",
     "ExactMips",
@@ -78,9 +76,9 @@ class EmbeddedCollection(Sequence):
     """Order-preserving embeddings of a feasible collection.
 
     Membership is kept sparse; dense vectors are materialized per point on
-    demand.  Scores against structured queries are computed by per-set
-    reduction, which equals the dense inner product exactly up to summation
-    order.
+    demand.  The score of set S against the threshold query q_K = (v, -K v)
+    is A_S - K B_S with A_S = sum_{i in S} v_i p_i and B_S = sum_{i in S} v_i,
+    which equals the dense inner product up to rounding.
     """
 
     def __init__(self, collection: AssortmentCollection, inst: Instance):
@@ -89,12 +87,7 @@ class EmbeddedCollection(Sequence):
         self.prices = inst.prices
         self.n = inst.n
         self.dim = 2 * inst.n
-        flat, starts, lengths = collection.flat_arrays
-        self._flat = flat
-        self._starts = starts
-        self._lengths = lengths
-        sq = np.add.reduceat((inst.prices**2 + 1.0)[flat], starts)
-        self.norms = np.sqrt(sq)
+        self.norms = np.sqrt(collection.set_sums(inst.prices**2 + 1.0))
         self.norms.setflags(write=False)
 
     def __len__(self) -> int:
@@ -110,36 +103,32 @@ class EmbeddedCollection(Sequence):
     def max_norm(self) -> float:
         return float(self.norms.max())
 
+    def margin_sums(self, weights: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """Rows (A, B) per set, or per set ``ids``: A_S = sum v_i p_i, B_S = sum v_i."""
+        return self.source.set_sums(np.stack([weights * self.prices, weights]), ids)
+
     def scores(self, q: QueryVector) -> np.ndarray:
-        """Inner product of the query with every embedded point."""
-        if q.vector.size != self.dim:
-            raise ValueError(f"query has dimension {q.vector.size}, expected {self.dim}")
-        per_item = q.vector[:self.n] * self.prices + q.vector[self.n:]
-        return np.add.reduceat(per_item[self._flat], self._starts)
+        """Inner product of a threshold query with every embedded point."""
+        return self.scores_at(q, None)
 
-    def scores_at(self, q: QueryVector, ids: np.ndarray) -> np.ndarray:
-        """Inner products for a subset of points, in the given order.
+    def scores_at(self, q: QueryVector, ids: np.ndarray | None) -> np.ndarray:
+        """Inner products for the points ``ids`` in the given order (all when None).
 
-        Uses the same per-segment reduction as :meth:`scores`, so a score
-        computed here is bit-identical to the full-scan score of that point.
+        ``q`` is a threshold query from :func:`query_vector`.  Scores come
+        from :meth:`margin_sums`, so a score computed here is bit-identical
+        to the full-scan score of that point and to :class:`ExactMips`.
         """
         if q.vector.size != self.dim:
             raise ValueError(f"query has dimension {q.vector.size}, expected {self.dim}")
-        per_item = q.vector[:self.n] * self.prices + q.vector[self.n:]
-        segments = [self.source.member_indices(int(i)) for i in ids]
-        lengths = np.fromiter((s.size for s in segments), dtype=np.int64,
-                              count=len(segments))
-        starts = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        return np.add.reduceat(per_item[np.concatenate(segments)], starts)
+        A, B = self.margin_sums(q.vector[:self.n], ids)
+        return A - q.threshold * B
 
     def _membership_chunk(self, lo: int, hi: int, dtype=np.float32) -> np.ndarray:
+        flat, starts, lengths = self.source.flat_arrays
         rows = hi - lo
         out = np.zeros((rows, self.n), dtype=dtype)
-        start = self._starts[lo]
-        stop = self._starts[hi - 1] + self._lengths[hi - 1]
-        cols = self._flat[start:stop]
-        row_of = np.repeat(np.arange(rows), self._lengths[lo:hi])
+        cols = flat[starts[lo]:starts[hi - 1] + lengths[hi - 1]]
+        row_of = np.repeat(np.arange(rows), lengths[lo:hi])
         out[row_of, cols] = 1.0
         return out
 
@@ -147,15 +136,6 @@ class EmbeddedCollection(Sequence):
 def embed_collection(collection: AssortmentCollection, inst: Instance) -> EmbeddedCollection:
     """Embed every feasible set; point k corresponds to collection set k."""
     return EmbeddedCollection(collection, inst)
-
-
-def query_exact(q: QueryVector, points: EmbeddedCollection) -> tuple[int, float]:
-    """Full linear scan.  Ties break toward the lowest set id."""
-    if len(points) == 0:
-        raise ValueError("cannot query an empty point set")
-    s = points.scores(q)
-    best = int(np.argmax(s))
-    return best, float(s[best])
 
 
 def simple_lsh_transform(x: np.ndarray, scale: float) -> np.ndarray:
@@ -303,58 +283,6 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     return LshIndex(params, seed, scale, projections, table_keys, table_ids, n_pts)
 
 
-def query_lsh(q: QueryVector, index: LshIndex,
-              points: EmbeddedCollection) -> tuple[int, float] | None:
-    """Probe one bucket per table and return the best retrieved candidate.
-
-    The query is normalized to unit length and padded with a zero before
-    hashing.  Retrieved candidates are scored with their true inner product
-    in the original space; scanning stops once ``scan_cap`` retrievals
-    (duplicates included) have been seen.  Returns None when every probed
-    bucket is empty, meaning no high-scoring set was found.
-    """
-    if q.vector.size != points.dim:
-        raise ValueError(f"query has dimension {q.vector.size}, expected {points.dim}")
-    if index.dim != points.dim + 1:
-        raise ValueError("index was built over points of a different dimension")
-    if index.num_points != len(points):
-        raise ValueError("index size does not match the point set")
-
-    qnorm = float(np.linalg.norm(q.vector))
-    unit = q.vector / qnorm if qnorm > 0 else np.zeros_like(q.vector)
-    xq = np.concatenate([unit, [0.0]])
-
-    flat_proj = index.projections.reshape(-1, index.dim)
-    if flat_proj.shape[0]:
-        raw = flat_proj @ xq
-        qkeys = _pack_bits((raw >= 0.0).reshape(index.params.tables, index.params.bits))
-    else:
-        qkeys = np.zeros(index.params.tables, dtype=np.uint64)
-
-    budget = index.params.scan_cap
-    retrieved: list[np.ndarray] = []
-    count = 0
-    for t in range(index.params.tables):
-        ids = index.bucket(t, int(qkeys[t]))
-        if ids.size == 0:
-            continue
-        take = ids[:budget - count]
-        retrieved.append(take)
-        count += int(take.size)
-        if count >= budget:
-            break
-    if not retrieved:
-        return None
-
-    cand = np.concatenate(retrieved)
-    # dedupe but keep first-retrieval order so ties stay deterministic
-    _, first = np.unique(cand, return_index=True)
-    cand = cand[np.sort(first)]
-    scores = points.scores_at(q, cand)
-    best = int(np.argmax(scores))
-    return int(cand[best]), float(scores[best])
-
-
 _FORMAT_VERSION = 1
 
 
@@ -389,19 +317,26 @@ def load_index(path) -> LshIndex:
 
 
 class ExactMips:
-    """Linear-scan oracle over an embedded collection."""
+    """Linear-scan oracle over an embedded collection.
 
-    def __init__(self, points: EmbeddedCollection, weights: np.ndarray | None = None):
+    The per-set sums (A, B) of :meth:`EmbeddedCollection.margin_sums` are
+    taken once, on the first query, so a solver's wall time includes them;
+    threshold K is then answered by the argmax of A - K B, ties going to
+    the lowest set id.
+    """
+
+    def __init__(self, points: EmbeddedCollection, weights: np.ndarray):
         self.points = points
-        self.weights = np.asarray(weights, dtype=float) if weights is not None else None
-
-    def _weights(self) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("engine needs the instance weights to form queries")
-        return self.weights
+        self.weights = np.asarray(weights, dtype=float)
+        self._sums: np.ndarray | None = None
 
     def query(self, threshold: float) -> tuple[int, float]:
-        return query_exact(query_vector(self._weights(), threshold), self.points)
+        if self._sums is None:
+            self._sums = self.points.margin_sums(self.weights)
+        A, B = self._sums
+        s = A - threshold * B
+        best = int(np.argmax(s))
+        return best, float(s[best])
 
 
 class LshMips:
@@ -409,10 +344,16 @@ class LshMips:
     overstates a candidate's score."""
 
     def __init__(self, index: LshIndex, points: EmbeddedCollection,
-                 weights: np.ndarray | None = None):
+                 weights: np.ndarray):
+        if index.dim != points.dim + 1:
+            raise ValueError("index was built over points of a different dimension")
+        if index.num_points != len(points):
+            raise ValueError("index size does not match the point set")
+        if np.size(weights) != points.n:
+            raise ValueError(f"weights have dimension {np.size(weights)}, expected {points.n}")
         self.index = index
         self.points = points
-        self.weights = np.asarray(weights, dtype=float) if weights is not None else None
+        self.weights = np.asarray(weights, dtype=float)
 
     @classmethod
     def build(cls, points: EmbeddedCollection, weights: np.ndarray,
@@ -420,6 +361,42 @@ class LshMips:
         return cls(build_lsh_index(points, params, seed), points, weights)
 
     def query(self, threshold: float) -> tuple[int, float] | None:
-        if self.weights is None:
-            raise ValueError("engine needs the instance weights to form queries")
-        return query_lsh(query_vector(self.weights, threshold), self.index, self.points)
+        """Probe one bucket per table and return the best retrieved candidate.
+
+        The query is normalized to unit length and padded with a zero before
+        hashing.  Retrieved candidates are scored with their true inner
+        product in the original space; scanning stops once ``scan_cap``
+        retrievals (duplicates included) have been seen.  Returns None when
+        every probed bucket is empty, meaning no high-scoring set was found.
+        """
+        q = query_vector(self.weights, threshold)
+        index = self.index
+        qnorm = float(np.linalg.norm(q.vector))
+        unit = q.vector / qnorm if qnorm > 0 else np.zeros_like(q.vector)
+        xq = np.concatenate([unit, [0.0]])
+
+        raw = index.projections.reshape(-1, index.dim) @ xq
+        qkeys = _pack_bits((raw >= 0.0).reshape(index.params.tables, index.params.bits))
+
+        budget = index.params.scan_cap
+        retrieved: list[np.ndarray] = []
+        count = 0
+        for t in range(index.params.tables):
+            ids = index.bucket(t, int(qkeys[t]))
+            if ids.size == 0:
+                continue
+            take = ids[:budget - count]
+            retrieved.append(take)
+            count += int(take.size)
+            if count >= budget:
+                break
+        if not retrieved:
+            return None
+
+        cand = np.concatenate(retrieved)
+        # dedupe but keep first-retrieval order so ties stay deterministic
+        _, first = np.unique(cand, return_index=True)
+        cand = cand[np.sort(first)]
+        scores = self.points.scores_at(q, cand)
+        best = int(np.argmax(scores))
+        return int(cand[best]), float(scores[best])

@@ -141,21 +141,23 @@ class AssortmentCollection:
     """
 
     def __init__(self, sets: Iterable, n: int):
-        self.n = int(n)
         members: list[np.ndarray] = []
         for s in sets:
             items = s.items if isinstance(s, Assortment) else s
             arr = np.fromiter((int(i) for i in items), dtype=np.int64)
-            if arr.size == 0:
-                raise ValueError("feasible assortments must be non-empty")
             members.append(np.unique(arr) - 1)
-        if not members:
-            raise ValueError("collection must contain at least one assortment")
         lengths = np.fromiter((m.size for m in members), dtype=np.int64, count=len(members))
         flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
-        self._init_arrays(flat, lengths)
+        self._init_arrays(n, flat, lengths)
 
-    def _init_arrays(self, flat: np.ndarray, lengths: np.ndarray) -> None:
+    def _init_arrays(self, n: int, flat: np.ndarray, lengths: np.ndarray) -> None:
+        """Every constructor ends here, so the collection invariants are
+        checked in one place."""
+        if lengths.size == 0:
+            raise ValueError("collection must contain at least one assortment")
+        if np.any(lengths == 0):
+            raise ValueError("feasible assortments must be non-empty")
+        self.n = int(n)
         starts = np.zeros(lengths.size, dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
         self._flat = flat
@@ -168,34 +170,18 @@ class AssortmentCollection:
     def from_membership(cls, mask: np.ndarray, n: int | None = None) -> "AssortmentCollection":
         """Build from a boolean matrix with one row per assortment."""
         mask = np.asarray(mask, dtype=bool)
-        obj = cls.__new__(cls)
-        obj.n = int(n if n is not None else mask.shape[1])
-        lengths = mask.sum(axis=1).astype(np.int64)
-        if mask.shape[0] == 0:
-            raise ValueError("collection must contain at least one assortment")
-        if np.any(lengths == 0):
-            raise ValueError("feasible assortments must be non-empty")
-        obj._init_arrays(np.nonzero(mask)[1].astype(np.int64), lengths)
-        return obj
+        return cls._from_arrays(n if n is not None else mask.shape[1],
+                                np.nonzero(mask)[1], mask.sum(axis=1))
 
     @classmethod
     def _from_arrays(cls, n: int, flat: np.ndarray, lengths: np.ndarray) -> "AssortmentCollection":
         obj = cls.__new__(cls)
-        obj.n = int(n)
-        if lengths.size == 0:
-            raise ValueError("collection must contain at least one assortment")
-        if np.any(lengths == 0):
-            raise ValueError("feasible assortments must be non-empty")
-        obj._init_arrays(np.asarray(flat, dtype=np.int64).copy(),
+        obj._init_arrays(n, np.asarray(flat, dtype=np.int64).copy(),
                          np.asarray(lengths, dtype=np.int64).copy())
         return obj
 
     def __len__(self) -> int:
         return int(self._lengths.size)
-
-    @property
-    def size(self) -> int:
-        return len(self)
 
     def member_indices(self, i: int) -> np.ndarray:
         """0-based item positions of set ``i`` (sorted)."""
@@ -209,15 +195,34 @@ class AssortmentCollection:
         for i in range(len(self)):
             yield self[i]
 
-    @property
-    def sets(self) -> tuple[Assortment, ...]:
-        """All member assortments, materialized (intended for small collections)."""
-        return tuple(self)
-
     @cached_property
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(concatenated 0-based indices, start offsets, lengths) for reductions."""
         return self._flat, self._starts, self._lengths
+
+    def set_sums(self, values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """Per-item ``values`` summed over each set, or over sets ``ids`` in order.
+
+        ``values`` has shape (n,), or (k, n) for k quantities summed over the
+        same sets; the result has shape (sets,) or (k, sets).  Every per-set
+        reduction goes through here.  A set's sum depends only on its own
+        members, so it is bit-identical whether taken over the whole
+        collection or over any selection of ids.  Rows are gathered one at a
+        time, so the peak temporary is one float per membership entry.
+        """
+        values = np.asarray(values)
+        if ids is None:
+            flat, starts = self._flat, self._starts
+        else:
+            lengths = self._lengths[ids]
+            flat = np.concatenate([self._flat[lo:lo + size] for lo, size in
+                                   zip(self._starts[ids].tolist(), lengths.tolist())])
+            starts = np.zeros(lengths.size, dtype=np.int64)
+            np.cumsum(lengths[:-1], out=starts[1:])
+        out = np.empty(values.shape[:-1] + starts.shape)
+        for row in np.ndindex(values.shape[:-1]):
+            out[row] = np.add.reduceat(values[row][flat], starts)
+        return out
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,8 @@ def revenue(a: Assortment, inst: Instance) -> float:
 
 def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:
     """Exact revenue of every set in the collection, vectorized."""
-    flat, starts, _ = c.flat_arrays
-    pv = inst.prices * inst.weights
-    num = np.add.reduceat(pv[flat], starts)
-    den = inst.v0 + np.add.reduceat(inst.weights[flat], starts)
-    return num / den
+    num, den = c.set_sums(np.stack([inst.prices * inst.weights, inst.weights]))
+    return num / (inst.v0 + den)
 
 
 def normalize(inst: Instance) -> Instance:

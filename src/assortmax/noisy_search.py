@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
-                    normalize, revenue)
+from .model import (AssortmentCollection, Instance, SolverResult, normalize,
+                    revenue)
 from .mips import LshMips, LshParams, embed_collection
 
 __all__ = [
@@ -165,42 +165,39 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
 
     The instance is normalized internally so the bin grid spans [0, 1];
     querying an independently seeded index each round keeps comparison
-    errors independent across rounds.  Returns the best witness seen, with
+    errors independent across rounds.  Returns the best witness seen (the
+    first member of the collection when no round retrieves one), with
     ``estimate`` = max(posterior median, witness revenue) mapped back to the
     original price scale.
     """
     _bin_count(inst.p1, eps)  # validates integrality before any work
     scale = inst.p1
     inst_n = normalize(inst)
-    eps_n = eps / scale
 
     points = embed_collection(collection, inst_n)
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(rounds + 1)
-    rng = np.random.default_rng(children[0])
-    engine_seeds = [int(c.generate_state(1)[0]) for c in children[1:]]
+    children = np.random.SeedSequence(seed).spawn(rounds + 1)
+    engine_seeds = iter([int(c.generate_state(1)[0]) for c in children[1:]])
+    best, best_rev = collection[0], revenue(collection[0], inst_n)
 
-    best = Assortment({1})
-    best_rev = revenue(best, inst_n)
-    t0 = time.perf_counter()
-    post = Posterior.uniform(inst_n.p1, eps_n)
-    for j in range(rounds):
-        K, _ = bz_sample_selection(post, rng)
-        engine = LshMips.build(points, inst_n.weights, params, engine_seeds[j])
+    def compare(K: float) -> int:
+        nonlocal best, best_rev
+        engine = LshMips.build(points, inst_n.weights, params, next(engine_seeds))
         ans = engine.query(K)
         if ans is None:
-            h = 0
-        else:
-            set_id, score = ans
-            h = int(K <= score / inst_n.v0)
-            witness = collection[set_id]
-            wrev = revenue(witness, inst_n)
-            if wrev > best_rev:
-                best, best_rev = witness, wrev
-        post = bz_posterior_update(post, int(round(K / post.eps)), h, alpha)
+            return 0
+        set_id, score = ans
+        witness = collection[set_id]
+        wrev = revenue(witness, inst_n)
+        if wrev > best_rev:
+            best, best_rev = witness, wrev
+        return int(K <= score / inst_n.v0)
+
+    t0 = time.perf_counter()
+    _, median = run_noisy_bisection(inst_n.p1, eps / scale, rounds, alpha, compare,
+                                    np.random.default_rng(children[0]))
     wall = time.perf_counter() - t0
 
-    theta = max(post.median(), best_rev) * scale
+    theta = max(median, best_rev) * scale
     interval = (max(0.0, theta - eps), theta + eps)
     return SolverResult(best, revenue(best, inst), interval, rounds, wall,
                         estimate=theta)

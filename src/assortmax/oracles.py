@@ -14,7 +14,6 @@ __all__ = [
     "exhaustive_search",
     "brute_force_capacitated",
     "NoisyComparator",
-    "noisy_compare",
 ]
 
 _BRUTE_FORCE_MAX_ITEMS = 25  # subsets blow up combinatorially past this
@@ -94,7 +93,3 @@ class NoisyComparator:
             return 0
         return 0 if self._rng.random() < p else 1
 
-
-def noisy_compare(nc: NoisyComparator, K: float) -> int:
-    """Functional alias for :meth:`NoisyComparator.compare`."""
-    return nc.compare(K)

@@ -151,26 +151,38 @@ def compare_step_partitioned(K: float, inst: Instance,
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]
+# A bisection step answers threshold K with the raised lower bound and its
+# witness, or None when the upper bound drops to K.
+StepFn = Callable[[float], tuple[float, Assortment] | None]
 
 
-def _bisect(inst: Instance, compare: CompareFn, eps: float,
+def _at_threshold(compare: CompareFn) -> StepFn:
+    """Step that raises the lower bound to K whenever ``compare(K)`` says yes."""
+    def step(K: float):
+        exists, witness = compare(K)
+        return (K, witness) if exists else None
+    return step
+
+
+def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
             on_iteration: Callable[[SearchState], None] | None = None) -> SolverResult:
-    """Shared bisection loop: halve [lower, upper] until it is within eps."""
+    """The one search loop: halve [0, p1] until it is within eps.
+
+    ``start`` must be feasible; it is returned when no comparison succeeds.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     lower, upper = 0.0, inst.p1
-    best = Assortment({1})
+    best = start
     iteration = 0
     t0 = time.perf_counter()
     while upper - lower > eps:
         K = 0.5 * (lower + upper)
-        exists, witness = compare(K)
-        if exists:
-            lower = K
-            if witness is not None and len(witness) > 0:
-                best = witness
-        else:
+        raised = step(K)
+        if raised is None:
             upper = K
+        else:
+            lower, best = raised
         iteration += 1
         if on_iteration is not None:
             on_iteration(SearchState(lower, upper, best, iteration))
@@ -184,12 +196,14 @@ def assort_mnl(collection: AssortmentCollection, inst: Instance, eps: float,
     """eps-optimal assortment over an explicit collection via exact search.
 
     Performs exactly ceil(log2(p1 / eps)) comparisons; the returned set's
-    exact revenue is within eps of the best feasible revenue.
+    exact revenue is within eps of the best feasible revenue.  An injected
+    ``mips`` engine answers the comparisons instead of the exact scan.
     """
     if mips is None:
         mips = ExactMips(embed_collection(collection, inst), inst.weights)
-    return _bisect(inst, lambda K: compare_step_general(K, mips, inst), eps,
-                   on_iteration)
+    return _bisect(inst, collection[0],
+                   _at_threshold(lambda K: compare_step_general(K, mips, inst)),
+                   eps, on_iteration)
 
 
 def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
@@ -216,14 +230,17 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
         compare = lambda K: compare_step_partitioned(K, inst, blocks, caps)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _bisect(inst, compare, eps, on_iteration)
+    # a set every variant accepts (block caps may all be zero)
+    start = (Assortment() if variant == "partitioned"
+             else Assortment(range(1, max(1, c_min or 0) + 1)))
+    return _bisect(inst, start, _at_threshold(compare), eps, on_iteration)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
                              eps: float, lsh: MipsOracle | None = None,
                              params: LshParams | None = None, seed: int = 0,
                              on_iteration=None) -> SolverResult:
-    """Bisection with a hash-backed comparison; the empirical workhorse.
+    """:func:`assort_mnl` with a hash-backed engine; the empirical workhorse.
 
     A retrieval miss is treated as "no set reaches K", so the answer can
     undershoot the optimum, but any returned set's revenue is exact and at
@@ -231,10 +248,9 @@ def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
     :func:`assort_mnl` bit for bit.
     """
     if lsh is None:
-        points = embed_collection(collection, inst)
-        lsh = LshMips.build(points, inst.weights, params, seed)
-    return _bisect(inst, lambda K: compare_step_general(K, lsh, inst), eps,
-                   on_iteration)
+        lsh = LshMips.build(embed_collection(collection, inst), inst.weights,
+                            params, seed)
+    return assort_mnl(collection, inst, eps, mips=lsh, on_iteration=on_iteration)
 
 
 def approx_iteration_bound(p1: float, eps: float, nu: float) -> int:
@@ -260,37 +276,24 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
         raise ValueError("approx solver needs a normalized instance; call normalize() first")
     if nu < 0:
         raise ValueError("nu must be non-negative")
-    nu_hat = nu * nu + 2.0 * nu
-    if eps <= 2.0 * nu_hat:
+    if eps <= 2.0 * (nu * nu + 2.0 * nu):
         raise ValueError("eps must exceed 2(nu^2 + 2 nu) for the search to close")
     if lsh is None:
-        points = embed_collection(collection, inst)
-        lsh = LshMips.build(points, inst.weights, params, seed)
-
-    lower, upper = 0.0, inst.p1
-    best = Assortment({1})
-    iteration = 0
+        lsh = LshMips.build(embed_collection(collection, inst), inst.weights,
+                            params, seed)
     grow = (1.0 + nu) ** 2
-    t0 = time.perf_counter()
-    while upper - lower > eps:
-        K = 0.5 * (lower + upper)
-        K_hat = 1.0 + grow * (K - 1.0)
+
+    def step(K: float):
+        # a witness scoring at least K raises the lower bound to K; one
+        # scoring only K_hat <= K raises it to K_hat
         ans = lsh.query(K)
         if ans is None:
-            upper = K
-        else:
-            set_id, score = ans
-            s = score / inst.v0
-            if K_hat > s:
-                upper = K
-            elif K <= s:
-                lower = K
-                best = lsh.points.source[set_id]
-            else:
-                lower = K_hat
-                best = lsh.points.source[set_id]
-        iteration += 1
-        if on_iteration is not None:
-            on_iteration(SearchState(lower, upper, best, iteration))
-    wall = time.perf_counter() - t0
-    return SolverResult(best, revenue(best, inst), (lower, upper), iteration, wall)
+            return None
+        set_id, score = ans
+        s = score / inst.v0
+        K_hat = 1.0 + grow * (K - 1.0)
+        if K_hat > s:
+            return None
+        return (K if K <= s else K_hat), lsh.points.source[set_id]
+
+    return _bisect(inst, collection[0], step, eps, on_iteration)

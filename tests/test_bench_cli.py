@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from assortmax import BenchConfig, run_bench
+from assortmax import (Assortment, BenchConfig, GenSpec, generate_instance,
+                       revenue, run_bench)
+from assortmax.bench import ALL_ALGOS, CAPACITATED_ALGOS
 from assortmax.cli import main
 
 
@@ -103,6 +105,26 @@ class TestCliSolve:
     def test_missing_source_rejected(self):
         with pytest.raises(SystemExit):
             main(["solve", "--algo", "exact"])
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS)
+    def test_every_algo_feasible_in_price_units(self, algo, capsys):
+        # prices up to 1000, so an answer left on the normalized scale of
+        # approx and bz would be off by the top price
+        source = ["--n", "8", "--seed", "6"]
+        if algo in CAPACITATED_ALGOS:
+            source += ["--capacity", "3"]
+        else:
+            source += ["--num-sets", "30"]
+        assert main(["solve", "--algo", algo, "--eps", "0.1", *source]) == 0
+        out = json.loads(capsys.readouterr().out)
+        inst, coll = generate_instance(GenSpec(
+            n=8, num_sets=None if algo in CAPACITATED_ALGOS else 30, seed=6))
+        chosen = Assortment(out["assortment"])
+        if algo in CAPACITATED_ALGOS:
+            assert len(chosen) <= 3
+        else:
+            assert chosen in list(coll)
+        assert out["revenue"] == pytest.approx(revenue(chosen, inst), rel=1e-12)
 
     def test_bz_reports_estimate(self, capsys):
         rc = main(["solve", "--algo", "bz", "--n", "6", "--num-sets", "20",

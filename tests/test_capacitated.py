@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from assortmax import (Assortment, assort_mnl_capacitated,
+from assortmax import (Assortment, Instance, assort_mnl_capacitated,
                        brute_force_capacitated, compare_step_capacitated,
                        compare_step_capacitated_lb, compare_step_partitioned,
                        revenue)
@@ -146,7 +146,7 @@ class TestCapacitatedSolver:
             res = assort_mnl_capacitated(inst, C, 0.05)
             assert res.revenue >= opt.revenue - 0.05 - 1e-12
             assert res.revenue <= opt.revenue + 1e-12
-            assert len(res.assortment) <= C or res.assortment.items == {1}
+            assert len(res.assortment) <= C
 
     def test_lb_variant_matches_size_range_oracle(self):
         rng = np.random.default_rng(21)
@@ -157,8 +157,7 @@ class TestCapacitatedSolver:
             opt_rev, _ = brute_force_size_range(inst, c_min, C)
             res = assort_mnl_capacitated(inst, C, 0.02, variant="lb", c_min=c_min)
             assert res.revenue >= opt_rev - 0.02 - 1e-12
-            if res.assortment.items != {1}:
-                assert c_min <= len(res.assortment) <= C
+            assert c_min <= len(res.assortment) <= C
 
     def test_partitioned_variant_matches_block_oracle(self):
         rng = np.random.default_rng(22)
@@ -173,8 +172,18 @@ class TestCapacitatedSolver:
                                          blocks=blocks, caps=caps)
             assert res.revenue >= opt_rev - 0.02 - 1e-12
             for b, cap in zip(blocks, caps):
-                if res.assortment.items != {1}:
-                    assert len(res.assortment.items & set(b)) <= cap
+                assert len(res.assortment.items & set(b)) <= cap
+
+    def test_no_success_returns_feasible_start(self):
+        # every revenue is below eps, so no comparison runs; the answer must
+        # still meet the variant's constraints, not fall back to {1}
+        inst = Instance([.01, .005, .004], [.1] * 3, 1.0)
+        res = assort_mnl_capacitated(inst, 3, 1.0, "lb", c_min=2)
+        assert res.assortment.items == {1, 2} and res.iterations == 0
+        assert assort_mnl_capacitated(inst, 3, 1.0).assortment.items == {1}
+        res = assort_mnl_capacitated(inst, None, 1.0, variant="partitioned",
+                                     blocks=[[1, 2, 3]], caps=[0])
+        assert len(res.assortment) == 0 and res.revenue == 0.0
 
     def test_unknown_variant(self, e1):
         with pytest.raises(ValueError, match="variant"):

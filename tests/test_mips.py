@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from assortmax import (AssortmentCollection, GenSpec, Instance, LshParams,
-                       build_lsh_index, default_lsh_params, embed_collection,
-                       generate_instance, hash_key, load_index, query_exact,
-                       query_lsh, query_vector, save_index,
+from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
+                       LshMips, LshParams, build_lsh_index, default_lsh_params,
+                       embed_collection, generate_instance, hash_key,
+                       load_index, query_vector, save_index,
                        simple_lsh_transform)
 
 from conftest import random_instance
@@ -58,25 +58,25 @@ class TestQueryExact:
         pts = embed_collection(e1_triplet, e1)
         q = query_vector(e1.weights, 3.0)
         assert pts.scores(q).tolist() == pytest.approx([1.4, 3.4, 3.0])
-        assert query_exact(q, pts) == (1, pytest.approx(3.4))
+        assert ExactMips(pts, e1.weights).query(3.0) == (1, pytest.approx(3.4))
 
     def test_single_point(self, e1):
         pts = embed_collection(AssortmentCollection([{2, 3}], n=3), e1)
         for K in (0.0, 3.0, 12.0):
-            assert query_exact(query_vector(e1.weights, K), pts)[0] == 0
+            assert ExactMips(pts, e1.weights).query(K)[0] == 0
 
     def test_high_threshold_least_negative(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         q = query_vector(e1.weights, 12.0)  # above every price
         scores = pts.scores(q)
         assert (scores <= 0).all()
-        sid, s = query_exact(q, pts)
+        sid, s = ExactMips(pts, e1.weights).query(12.0)
         assert sid == int(np.argmax(scores)) and s == scores.max()
 
     def test_tie_breaks_low_id(self, e1):
         coll = AssortmentCollection([{1, 2}, {1, 2}], n=3)  # duplicate sets
         pts = embed_collection(coll, e1)
-        assert query_exact(query_vector(e1.weights, 1.0), pts)[0] == 0
+        assert ExactMips(pts, e1.weights).query(1.0)[0] == 0
 
 
 class TestTransform:
@@ -218,8 +218,8 @@ class TestIndex:
         assert np.array_equal(back.projections, idx.projections)
         assert np.array_equal(back.table_keys, idx.table_keys)
         assert np.array_equal(back.table_ids, idx.table_ids)
-        q = query_vector(e1.weights, 2.0)
-        assert query_lsh(q, back, pts) == query_lsh(q, idx, pts)
+        assert (LshMips(back, pts, e1.weights).query(2.0)
+                == LshMips(idx, pts, e1.weights).query(2.0))
 
 
 class TestQueryLsh:
@@ -229,19 +229,21 @@ class TestQueryLsh:
         pts = embed_collection(coll, inst)
         idx = build_lsh_index(pts, LshParams(bits=0, tables=1, scan_cap=120),
                               seed=2)
+        exact = ExactMips(pts, inst.weights)
+        hashed = LshMips(idx, pts, inst.weights)
         for K in np.linspace(0.0, inst.p1, 9):
-            q = query_vector(inst.weights, K)
-            assert query_lsh(q, idx, pts) == query_exact(q, pts)
+            assert hashed.query(K) == exact.query(K)
 
     def test_score_never_above_exact(self):
         inst, coll = generate_instance(GenSpec(n=25, num_sets=300, seed=22))
         pts = embed_collection(coll, inst)
         idx = build_lsh_index(pts, seed=14)
+        exact = ExactMips(pts, inst.weights)
+        hashed = LshMips(idx, pts, inst.weights)
         for K in np.linspace(0.0, inst.p1, 20):
-            q = query_vector(inst.weights, K)
-            ans = query_lsh(q, idx, pts)
+            ans = hashed.query(K)
             if ans is not None:
-                assert ans[1] <= query_exact(q, pts)[1] + 1e-12
+                assert ans[1] <= exact.query(K)[1] + 1e-12
 
     def test_empty_probes_return_none(self, e1):
         # one stored point; steer the query to the opposite key by negation
@@ -250,10 +252,11 @@ class TestQueryLsh:
         idx = build_lsh_index(pts, LshParams(bits=12, tables=1, scan_cap=5),
                               seed=77)
         stored_key = idx.table_keys[0, 0]
+        hashed = LshMips(idx, pts, e1.weights)
         found_none = False
         for K in np.linspace(0, 20, 41):
             q = query_vector(e1.weights, K)
-            ans = query_lsh(q, idx, pts)
+            ans = hashed.query(K)
             qn = q.vector / np.linalg.norm(q.vector)
             key = hash_key(np.concatenate([qn, [0.0]]), 0, idx)
             if key != stored_key:
@@ -269,15 +272,17 @@ class TestQueryLsh:
         idx = build_lsh_index(pts, LshParams(bits=0, tables=1, scan_cap=1),
                               seed=0)
         q = query_vector(e1.weights, 0.0)
-        assert query_lsh(q, idx, pts) == (0, pytest.approx(float(pts.scores(q)[0])))
+        assert (LshMips(idx, pts, e1.weights).query(0.0)
+                == (0, pytest.approx(float(pts.scores(q)[0]))))
 
     def test_dimension_mismatch(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         idx = build_lsh_index(pts, seed=0)
         other = Instance([3.0, 2.0], [0.5, 0.5], 1.0)
-        q = query_vector(other.weights, 1.0)
         with pytest.raises(ValueError, match="dimension"):
-            query_lsh(q, idx, pts)
+            LshMips(idx, pts, other.weights)
+        with pytest.raises(ValueError, match="dimension"):
+            pts.scores(query_vector(other.weights, 1.0))
 
     @pytest.mark.xfail(
         strict=False,
@@ -292,12 +297,12 @@ class TestQueryLsh:
                                                    price_range=(0, 1),
                                                    seed=1000 + trial))
             pts = embed_collection(coll, inst)
-            idx = build_lsh_index(pts, seed=trial)
+            exact = ExactMips(pts, inst.weights)
+            hashed = LshMips(build_lsh_index(pts, seed=trial), pts, inst.weights)
             rng = np.random.default_rng(50_000 + trial)
             for K in rng.uniform(0, 0.5 * inst.p1, 5):
-                q = query_vector(inst.weights, K)
-                _, exact_score = query_exact(q, pts)
-                ans = query_lsh(q, idx, pts)
+                _, exact_score = exact.query(K)
+                ans = hashed.query(K)
                 total += 1
                 if ans is not None and ans[1] >= 0.95 * exact_score:
                     hits += 1

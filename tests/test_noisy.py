@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from assortmax import (GenSpec, NoisyComparator, Posterior, assort_mnl_bz,
+from assortmax import (AssortmentCollection, GenSpec, Instance,
+                       NoisyComparator, Posterior, assort_mnl_bz,
                        bz_posterior_update, bz_sample_selection,
-                       exhaustive_search, generate_instance, noisy_compare,
+                       exhaustive_search, generate_instance,
                        run_noisy_bisection)
 from assortmax.noisy_search import bz_rounds_needed
 
@@ -104,7 +105,7 @@ class TestNoisyComparator:
 
     def test_error_rate_matches(self):
         nc = NoisyComparator(0.8, 0.3, seed=3)
-        draws = np.array([noisy_compare(nc, 0.2) for _ in range(100_000)])
+        draws = np.array([nc.compare(0.2) for _ in range(100_000)])
         assert np.mean(draws == 0) == pytest.approx(0.30, abs=0.01)
 
     def test_error_prob_validated(self):
@@ -178,6 +179,14 @@ class TestAssortMnlBz:
             if abs(res.estimate - opt.revenue) <= 2 * eps:
                 hits += 1
         assert hits >= 7  # noisy retrieval, but mostly on target
+
+    def test_returns_member_when_item_one_earns_more(self):
+        # {1} alone earns 3.33 but is not feasible; the only member earns 0.33
+        inst = Instance([10.0, 8.0, 1.0], [0.5, 0.4, 0.5], 1.0)
+        coll = AssortmentCollection([{3}], n=3)
+        res = assort_mnl_bz(coll, inst, 1.0, rounds=6, alpha=0.3, seed=1)
+        assert res.assortment.items == {3}
+        assert res.estimate < 2.0
 
     def test_non_integral_bins_rejected(self):
         inst, coll = generate_instance(GenSpec(n=5, num_sets=10, seed=1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from assortmax import (AssortmentCollection, ExactMips, GenSpec,
+from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        LshMips, assort_mnl, assort_mnl_approx,
                        assort_mnl_approx_simple, approx_iteration_bound,
                        compare_step_general, embed_collection,
@@ -30,7 +30,6 @@ class TestCompareStepGeneral:
 
     def test_tie_counts_as_exists(self):
         # single set with revenue exactly 1.5: p=3, v=1, v0=1 -> 3/2
-        from assortmax import Instance
         inst = Instance([3.0], [1.0], 1.0)
         coll = AssortmentCollection([{1}], n=1)
         exists, witness = compare_step_general(1.5, exact_engine(coll, inst), inst)
@@ -61,12 +60,21 @@ class TestAssortMnl:
         assert res.iterations == math.ceil(math.log2(10 / 0.1)) == 7
 
     def test_all_revenues_below_eps_returns_initial(self):
-        from assortmax import Instance
+        # the initial witness is the collection's first member
         inst = Instance([0.01, 0.005], [0.1, 0.1], 1.0)
         coll = AssortmentCollection([{2}, {1, 2}], n=2)
         res = assort_mnl(coll, inst, eps=1.0)
-        assert res.assortment.items == {1}
+        assert res.assortment.items == {2}
+        assert res.revenue == revenue(coll[0], inst)
         assert res.iterations == 0  # interval already within eps
+
+    def test_no_success_returns_member_not_item_one(self):
+        # {1} is not in this collection; the answer must still be feasible
+        inst = Instance([10, 8, 5], [.2, .4, .5], 1.0)
+        coll = AssortmentCollection([{2, 3}], n=3)
+        res = assort_mnl(coll, inst, eps=20.0)
+        assert res.assortment.items == {2, 3}
+        assert res.iterations == 0
 
     def test_matches_exhaustive_on_random_instances(self):
         rng = np.random.default_rng(6)
@@ -121,22 +129,31 @@ class TestApproxSimple:
             assert injected.iterations == baseline.iterations
 
     def test_returns_member_of_collection_or_initial(self):
+        # the initial witness is itself a member, so every answer is one
         inst, coll = generate_instance(GenSpec(n=20, num_sets=100, seed=3))
         res = assort_mnl_approx_simple(coll, inst, 0.1, seed=5)
-        members = {a.items for a in coll} | {frozenset({1})}
-        assert res.assortment.items in members
+        assert res.assortment.items in {a.items for a in coll}
         assert res.revenue >= res.revenue_interval[0] - 1e-12
 
-    def test_all_misses_returns_initial(self, e1, e1_triplet):
+    @staticmethod
+    def _always_miss(coll, inst):
         class AlwaysMiss:
-            points = embed_collection(e1_triplet, e1)
+            points = embed_collection(coll, inst)
 
             def query(self, K):
                 return None
 
-        res = assort_mnl_approx_simple(e1_triplet, e1, 0.1, lsh=AlwaysMiss())
-        assert res.assortment.items == {1}
+        return assort_mnl_approx_simple(coll, inst, 0.1, lsh=AlwaysMiss())
+
+    def test_all_misses_returns_initial(self, e1, e1_triplet):
+        res = self._always_miss(e1_triplet, e1)
+        assert res.assortment == e1_triplet[0]
         assert res.revenue_interval[0] == 0.0
+
+    def test_all_misses_returns_member_not_item_one(self, e1):
+        # {1} is not in this collection; the answer must still be feasible
+        res = self._always_miss(AssortmentCollection([{2, 3}], n=3), e1)
+        assert res.assortment.items == {2, 3}
 
     @pytest.mark.xfail(
         strict=False,
@@ -218,5 +235,5 @@ class TestApprox:
                                                    seed=950 + trial))
             inst = normalize(inst)
             res = assort_mnl_approx(coll, inst, 0.1, nu=0.01, seed=trial)
-            if res.assortment.items != {1} or len(coll) == 0:
-                assert res.revenue >= res.revenue_interval[0] - 1e-12
+            assert res.assortment.items in {a.items for a in coll}
+            assert res.revenue >= res.revenue_interval[0] - 1e-12
