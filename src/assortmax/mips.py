@@ -210,6 +210,9 @@ class LshIndex:
     def bucket(self, table: int, key: int) -> np.ndarray:
         """Set ids stored under ``key`` in one table, in ascending id order."""
         keys = self.table_keys[table]
+        # a Python int key would make numpy compare in float64, which is
+        # slow and merges neighbouring keys at or above 2**53
+        key = np.uint64(key)
         lo = int(np.searchsorted(keys, key, side="left"))
         hi = int(np.searchsorted(keys, key, side="right"))
         return self.table_ids[table, lo:hi]
@@ -341,7 +344,15 @@ class ExactMips:
 
 class LshMips:
     """Hash-accelerated oracle; may miss the true maximizer but never
-    overstates a candidate's score."""
+    overstates a candidate's score.
+
+    Every threshold query q_K = (v, -K v) lies in the plane spanned by
+    (v, 0) and (0, v), so the projections of the weights, a = H_p v and
+    b = H_u v (H_p and H_u being the price and membership columns of each
+    hyperplane), are taken once per engine.  The padded unit query then
+    projects to (a - K b) / |q_K|, whose sign is that of a - K b: a query
+    hashes in O(tables * bits), without touching the projection tensor.
+    """
 
     def __init__(self, index: LshIndex, points: EmbeddedCollection,
                  weights: np.ndarray):
@@ -354,6 +365,10 @@ class LshMips:
         self.index = index
         self.points = points
         self.weights = np.asarray(weights, dtype=float)
+        n = points.n
+        proj = index.projections
+        self._a = proj[:, :, :n] @ self.weights        # (tables, bits)
+        self._b = proj[:, :, n:2 * n] @ self.weights   # (tables, bits)
 
     @classmethod
     def build(cls, points: EmbeddedCollection, weights: np.ndarray,
@@ -363,26 +378,22 @@ class LshMips:
     def query(self, threshold: float) -> tuple[int, float] | None:
         """Probe one bucket per table and return the best retrieved candidate.
 
-        The query is normalized to unit length and padded with a zero before
-        hashing.  Retrieved candidates are scored with their true inner
-        product in the original space; scanning stops once ``scan_cap``
-        retrievals (duplicates included) have been seen.  Returns None when
-        every probed bucket is empty, meaning no high-scoring set was found.
+        The key is that of the query normalized to unit length and padded
+        with a zero, taken from the sign of a - K b (a zero weight vector
+        sets every bit, as a zero projection does).  Retrieved candidates
+        are scored with their true inner product in the original space;
+        scanning stops once ``scan_cap`` retrievals (duplicates included)
+        have been seen.  Returns None when every probed bucket is empty,
+        meaning no high-scoring set was found.
         """
-        q = query_vector(self.weights, threshold)
         index = self.index
-        qnorm = float(np.linalg.norm(q.vector))
-        unit = q.vector / qnorm if qnorm > 0 else np.zeros_like(q.vector)
-        xq = np.concatenate([unit, [0.0]])
-
-        raw = index.projections.reshape(-1, index.dim) @ xq
-        qkeys = _pack_bits((raw >= 0.0).reshape(index.params.tables, index.params.bits))
+        qkeys = _pack_bits(self._a - threshold * self._b >= 0.0)
 
         budget = index.params.scan_cap
         retrieved: list[np.ndarray] = []
         count = 0
         for t in range(index.params.tables):
-            ids = index.bucket(t, int(qkeys[t]))
+            ids = index.bucket(t, qkeys[t])
             if ids.size == 0:
                 continue
             take = ids[:budget - count]
@@ -397,6 +408,6 @@ class LshMips:
         # dedupe but keep first-retrieval order so ties stay deterministic
         _, first = np.unique(cand, return_index=True)
         cand = cand[np.sort(first)]
-        scores = self.points.scores_at(q, cand)
+        scores = self.points.scores_at(query_vector(self.weights, threshold), cand)
         best = int(np.argmax(scores))
         return int(cand[best]), float(scores[best])

@@ -113,7 +113,13 @@ class Assortment:
     items: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "items", frozenset(int(i) for i in self.items))
+        items = self.items
+        if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
+            # tolist() yields Python ints in one call, not one int() per member
+            items = frozenset(items.tolist())
+        else:
+            items = frozenset(int(i) for i in items)
+        object.__setattr__(self, "items", items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -215,8 +221,11 @@ class AssortmentCollection:
             flat, starts = self._flat, self._starts
         else:
             lengths = self._lengths[ids]
-            flat = np.concatenate([self._flat[lo:lo + size] for lo, size in
-                                   zip(self._starts[ids].tolist(), lengths.tolist())])
+            # one slice per set: for 75 sets of ~500 members, copying the
+            # contiguous runs takes half the time of one fancy-index gather
+            runs = [self._flat[lo:lo + size] for lo, size in
+                    zip(self._starts[ids].tolist(), lengths.tolist())]
+            flat = np.concatenate(runs) if runs else self._flat[:0]
             starts = np.zeros(lengths.size, dtype=np.int64)
             np.cumsum(lengths[:-1], out=starts[1:])
         out = np.empty(values.shape[:-1] + starts.shape)

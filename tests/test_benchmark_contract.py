@@ -37,5 +37,7 @@ def test_traced_hooks_see_the_engine_work(harness, workload):
     metrics = {k: v["value"] for k, v in line["metrics"].items()}
     assert metrics["mips.bucket_lookups"] > 0
     assert metrics["mips.candidates"] > 0
+    assert metrics["mips.bucket_us"] > 0
+    assert metrics["mips.rescore_us"] > 0
     if workload == "cold-6b":
         assert metrics["mips.exact_query_ms"] > 0

@@ -2,12 +2,31 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       LshMips, LshParams, build_lsh_index, default_lsh_params,
-                       embed_collection, generate_instance, hash_key,
-                       load_index, query_vector, save_index,
+                       LshIndex, LshMips, LshParams, build_lsh_index,
+                       default_lsh_params, embed_collection, generate_instance,
+                       hash_key, load_index, query_vector, save_index,
                        simple_lsh_transform)
 
 from conftest import random_instance
+
+
+class _IndexProbe:
+    """Index stand-in that records the key of every bucket lookup and counts
+    reads of the projection tensor; everything else goes to the index."""
+
+    def __init__(self, index):
+        self._index = index
+        self.keys: list[tuple[int, int]] = []
+        self.projection_reads = 0
+
+    def __getattr__(self, name):
+        if name == "projections":
+            self.projection_reads += 1
+        return getattr(self._index, name)
+
+    def bucket(self, table, key):
+        self.keys.append((table, int(key)))
+        return self._index.bucket(table, key)
 
 
 class TestEmbedding:
@@ -158,6 +177,34 @@ class TestHashKey:
             freq = float(np.mean(bits_x == bits_y))
             assert freq == pytest.approx(1 - np.arccos(s) / np.pi, abs=0.02)
 
+    @pytest.mark.parametrize("bits", [0, 6, 64])
+    def test_engine_keys_match_hash_key(self, bits):
+        # the engine hashes q_K from its per-engine projections of v; the
+        # reference is hash_key of the normalized, zero-padded dense query,
+        # compared on every bit whose projection is clear of zero
+        tables = 5
+        for seed in range(4):
+            inst, coll = generate_instance(GenSpec(n=15, num_sets=100, seed=seed))
+            pts = embed_collection(coll, inst)
+            idx = build_lsh_index(pts, LshParams(bits, tables, scan_cap=10**6),
+                                  seed=seed)
+            probe = _IndexProbe(idx)
+            mips = LshMips(probe, pts, inst.weights)
+            for K in np.random.default_rng(seed).uniform(0, inst.p1, 8):
+                probe.keys.clear()
+                mips.query(K)
+                q = query_vector(inst.weights, K).vector
+                xq = np.concatenate([q / np.linalg.norm(q), [0.0]])
+                assert [t for t, _ in probe.keys] == list(range(tables))
+                for t, key in probe.keys:
+                    clear = np.flatnonzero(np.abs(idx.projections[t] @ xq) > 1e-12)
+                    mask = sum(1 << int(b) for b in clear)
+                    assert (key ^ hash_key(xq, t, idx)) & mask == 0
+        # a zero weight vector projects to zero everywhere: every bit is set
+        probe.keys.clear()
+        LshMips(probe, pts, np.zeros(inst.n)).query(0.5)
+        assert {key for _, key in probe.keys} == {(1 << bits) - 1}
+
 
 class TestIndex:
     def test_default_params(self):
@@ -206,6 +253,27 @@ class TestIndex:
             x = simple_lsh_transform(pts[i].vector, idx.scale)
             for t in range(3):
                 assert i in idx.bucket(t, hash_key(x, t, idx)).tolist()
+
+    def test_bucket_keeps_keys_above_2_53_apart(self):
+        # float64 has a 53-bit significand: compared as floats these three
+        # keys are equal
+        keys = np.array([[2**62, 2**62 + 1, 2**62 + 2]], dtype=np.uint64)
+        idx = LshIndex(LshParams(bits=64, tables=1, scan_cap=3), 0, 1.0,
+                       np.zeros((1, 64, 3)), keys,
+                       np.array([[0, 1, 2]], dtype=np.int32), 3)
+        for i, key in enumerate(keys[0].tolist()):
+            assert idx.bucket(0, key).tolist() == [i]
+
+    def test_bits64_self_lookups_return_one_key(self):
+        inst, coll = generate_instance(GenSpec(n=20, num_sets=400, seed=0))
+        pts = embed_collection(coll, inst)
+        idx = build_lsh_index(pts, LshParams(bits=64, tables=3, scan_cap=9),
+                              seed=0)
+        for t in range(3):
+            keys = idx.table_keys[t]
+            for key in np.unique(keys):
+                assert (idx.bucket(t, int(key)).tolist()
+                        == idx.table_ids[t][keys == key].tolist())
 
     def test_serialization_round_trip(self, tmp_path, e1, e1_all):
         pts = embed_collection(e1_all, e1)
@@ -274,6 +342,20 @@ class TestQueryLsh:
         q = query_vector(e1.weights, 0.0)
         assert (LshMips(idx, pts, e1.weights).query(0.0)
                 == (0, pytest.approx(float(pts.scores(q)[0]))))
+
+    def test_queries_never_read_the_projections(self):
+        # per query, hashing costs O(tables * bits): the engine projects the
+        # weights once, and a query must not touch the (tables, bits, 2n + 1)
+        # projection tensor again
+        inst, coll = generate_instance(GenSpec(n=30, num_sets=200, seed=5))
+        pts = embed_collection(coll, inst)
+        probe = _IndexProbe(build_lsh_index(pts, seed=5))
+        mips = LshMips(probe, pts, inst.weights)
+        probe.projection_reads = 0
+        for K in np.linspace(0.0, inst.p1, 14):
+            mips.query(K)
+        assert len(probe.keys) >= 14
+        assert probe.projection_reads == 0
 
     def test_dimension_mismatch(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)

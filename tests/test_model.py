@@ -120,6 +120,15 @@ class TestNormalize:
             normalize(inst)
 
 
+class TestAssortment:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_array_equals_list(self, dtype):
+        a = Assortment(np.array([3, 1, 2], dtype=dtype))
+        b = Assortment([1, 2, 3])
+        assert a == b and hash(a) == hash(b)
+        assert all(type(i) is int for i in a.items)
+
+
 class TestCollection:
     def test_valid_collection_passes(self, e1):
         validate_collection(AssortmentCollection([{1, 2}], n=3), e1)
@@ -146,6 +155,22 @@ class TestCollection:
         c = AssortmentCollection([{1, 2}], n=2)
         with pytest.raises(ValueError, match="items"):
             validate_collection(c, e1)
+
+    def test_set_sums_over_ids_match_full_sums(self):
+        rng = np.random.default_rng(7)
+        n = 12
+        sets = [rng.choice(np.arange(1, n + 1), int(rng.integers(1, n + 1)),
+                           replace=False) for _ in range(30)]
+        c = AssortmentCollection(sets, n=n)
+        values = rng.normal(size=(2, n))
+        ids = rng.integers(0, len(c), 50)  # any order, with repeats
+        # bit-identical: a hashed rescore must equal the exact engine's score
+        assert np.array_equal(c.set_sums(values, ids), c.set_sums(values)[:, ids])
+
+    def test_set_sums_over_no_ids(self):
+        c = AssortmentCollection([{1, 2}, {3}], n=3)
+        assert c.set_sums(np.ones(3), np.empty(0, dtype=np.int64)).shape == (0,)
+        assert c.set_sums(np.ones((2, 3)), []).shape == (2, 0)
 
     def test_round_trip_sets(self):
         sets = [{1, 3}, {2}, {1, 2, 3, 4}]
