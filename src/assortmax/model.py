@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+_PACK_ROWS = 4096  # rows densified at a time while packing the membership
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -176,8 +179,16 @@ class AssortmentCollection:
     def from_membership(cls, mask: np.ndarray, n: int | None = None) -> "AssortmentCollection":
         """Build from a boolean matrix with one row per assortment."""
         mask = np.asarray(mask, dtype=bool)
-        return cls._from_arrays(n if n is not None else mask.shape[1],
-                                np.nonzero(mask)[1], mask.sum(axis=1))
+        if mask.ndim != 2:
+            raise ValueError("membership mask must be a 2-d matrix, one row per set")
+        # row-major flat positions modulo the row width are the column
+        # indices, sorted within each row; fresh int64 arrays need no copy
+        flat = np.flatnonzero(mask)
+        flat %= mask.shape[1]
+        obj = cls.__new__(cls)
+        obj._init_arrays(n if n is not None else mask.shape[1], flat,
+                         mask.sum(axis=1, dtype=np.int64))
+        return obj
 
     @classmethod
     def _from_arrays(cls, n: int, flat: np.ndarray, lengths: np.ndarray) -> "AssortmentCollection":
@@ -205,6 +216,28 @@ class AssortmentCollection:
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(concatenated 0-based indices, start offsets, lengths) for reductions."""
         return self._flat, self._starts, self._lengths
+
+    @cached_property
+    def packed_membership(self) -> np.ndarray:
+        """Read-only (sets, ceil(n/8)) bit matrix of the membership.
+
+        Item i of set s is bit i % 8 of byte i // 8 in row s (little bit
+        order, as ``np.unpackbits(..., bitorder="little")`` reads it).  The
+        collection is immutable, so the matrix is built once, from
+        :attr:`flat_arrays` a chunk of rows at a time, and every index build
+        over the collection reuses it.
+        """
+        sets, n = len(self), self.n
+        out = np.empty((sets, (n + 7) // 8), dtype=np.uint8)
+        for lo in range(0, sets, _PACK_ROWS):
+            hi = min(lo + _PACK_ROWS, sets)
+            rows = np.zeros((hi - lo) * n, dtype=bool)
+            first, last = self._starts[lo], self._starts[hi - 1] + self._lengths[hi - 1]
+            rows[np.repeat(np.arange(hi - lo) * n, self._lengths[lo:hi])
+                 + self._flat[first:last]] = True
+            out[lo:hi] = np.packbits(rows.reshape(hi - lo, n), axis=1, bitorder="little")
+        out.setflags(write=False)
+        return out
 
     def set_sums(self, values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Per-item ``values`` summed over each set, or over sets ``ids`` in order.

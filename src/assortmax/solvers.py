@@ -82,11 +82,18 @@ def _top_positive(w: np.ndarray, idx: np.ndarray, cap: int) -> np.ndarray:
     return pos
 
 
+def _check_capacity(inst: Instance, C: int, c_min: int | None = None) -> None:
+    """Reject a capacity outside 1..n, or a forced size outside 0..C."""
+    if c_min is not None and not 0 <= c_min <= C:
+        raise ValueError("c_min must lie in 0..C")
+    if not 1 <= C <= inst.n:
+        raise ValueError(f"capacity must lie in 1..{inst.n}")
+
+
 def compare_step_capacitated(K: float, inst: Instance,
                              C: int) -> tuple[bool, Assortment]:
     """Capacity-constrained comparison by top-C selection on v_i (p_i - K)."""
-    if not 1 <= C <= inst.n:
-        raise ValueError(f"capacity must lie in 1..{inst.n}")
+    _check_capacity(inst, C)
     w = inst.weights * (inst.prices - K)
     sel = _top_positive(w, np.arange(inst.n), C)
     exists = bool(K <= w[sel].sum() / inst.v0)
@@ -100,10 +107,7 @@ def compare_step_capacitated_lb(K: float, inst: Instance, C: int,
     The top c_min margins are included regardless of sign; remaining slots
     up to C are filled with additional strictly positive margins.
     """
-    if c_min < 0 or c_min > C:
-        raise ValueError("c_min must lie in 0..C")
-    if not 1 <= C <= inst.n:
-        raise ValueError(f"capacity must lie in 1..{inst.n}")
+    _check_capacity(inst, C, c_min)
     w = inst.weights * (inst.prices - K)
     order = np.argsort(-w, kind="stable")
     forced = order[:c_min]
@@ -215,14 +219,18 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
 
     variant "topc" optimizes over all sets of size <= C, "lb" additionally
     forces at least c_min items, and "partitioned" applies per-block caps.
+    C and c_min are checked on entry, so an eps that needs no comparison
+    still rejects them.
     """
     if variant == "topc":
         if C is None:
             raise ValueError("variant 'topc' needs a capacity C")
+        _check_capacity(inst, C)
         compare: CompareFn = lambda K: compare_step_capacitated(K, inst, C)
     elif variant == "lb":
         if C is None or c_min is None:
             raise ValueError("variant 'lb' needs C and c_min")
+        _check_capacity(inst, C, c_min)
         compare = lambda K: compare_step_capacitated_lb(K, inst, C, c_min)
     elif variant == "partitioned":
         if blocks is None or caps is None:

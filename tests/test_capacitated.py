@@ -185,6 +185,20 @@ class TestCapacitatedSolver:
                                      blocks=[[1, 2, 3]], caps=[0])
         assert len(res.assortment) == 0 and res.revenue == 0.0
 
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
+    def test_bounds_checked_without_comparisons(self, eps):
+        # eps >= p1 runs no comparison; C and c_min must still be rejected
+        inst = Instance([1.0, 0.5], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="c_min"):
+            assort_mnl_capacitated(inst, 1, eps, "lb", c_min=2)
+        with pytest.raises(ValueError, match="c_min"):
+            assort_mnl_capacitated(inst, 2, eps, "lb", c_min=-1)
+        for C in (0, 3):
+            with pytest.raises(ValueError, match="capacity"):
+                assort_mnl_capacitated(inst, C, eps)
+            with pytest.raises(ValueError, match="capacity"):
+                assort_mnl_capacitated(inst, C, eps, "lb", c_min=0)
+
     def test_unknown_variant(self, e1):
         with pytest.raises(ValueError, match="variant"):
             assort_mnl_capacitated(e1, 2, 0.1, variant="bogus")

@@ -1,13 +1,50 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       LshIndex, LshMips, LshParams, build_lsh_index,
-                       default_lsh_params, embed_collection, generate_instance,
-                       hash_key, load_index, query_vector, save_index,
-                       simple_lsh_transform)
+                       LshIndex, LshMips, LshParams, assort_mnl,
+                       build_lsh_index, default_lsh_params, embed_collection,
+                       generate_instance, hash_key, load_index, query_vector,
+                       save_index, simple_lsh_transform)
 
 from conftest import random_instance
+
+# sha256 over the dtype, shape and bytes of projections, table_keys and
+# table_ids of build_lsh_index(LshParams(bits, tables=3, scan_cap=9), seed=11)
+# on generate_instance(GenSpec(n, num_sets=min(2**n - 1, 4500), seed=n)),
+# keyed by (n, bits).  n=37 spans more than one 4096-row build chunk.  The
+# build's float32 matmul goes through BLAS, so the digests hold for the BLAS
+# they were recorded with (OpenBLAS under numpy 2.4); another BLAS may round
+# a projection that is within an ulp of zero to the other sign.
+_PINNED_INDEX_SHA256 = {
+    (1, 0): "c2cc36a8002a52f9224dbdf224faf51c7a174085f2ae798a5b3b4e09c7d5a27c",
+    (1, 1): "19f3994916823304af86594ca53133dd3fe1542afbda06291cd65c9b91ae3a30",
+    (1, 10): "6fce9754650f6e29c762064532d147e4f4a5ae8379a85020fefbb9dc7799ef1c",
+    (1, 17): "939f74a87f03568c7fb798cb5de0747636efced84bf10adde4b8bd778f570953",
+    (1, 64): "22744a339b01ba2fbdbd5c9f3d64e94b80c450c4543d49fa843b36d11751fd84",
+    (7, 0): "fd0e354066198a9452719eda8ef6647d21f4100a4b32a116ef8777440011578d",
+    (7, 1): "7a00db34a668b1c6acdd19e613f9376394ed505049ff2114e4918b8f49a5f653",
+    (7, 10): "985b6fa90979741f4d555df9f7ff2cf10687f0a5500e448393d5bcd4783eeb09",
+    (7, 17): "71d75e865dc7b2ef1df06affe8b65eac4479020b78361566efba4300f4d180e5",
+    (7, 64): "9fd276720ecd99305908513fb5ed47890eb67d9d0b76d3ddbf5f7b4d6338e390",
+    (8, 0): "3c5c4c3aca65f199cddf0d2523a4f70a0368858ddd95d7ced008c3ffa3b68830",
+    (8, 1): "5805825a1ba6fe281a9b7911364f5e2da4e90e72db3dafd29dce08a27612f428",
+    (8, 10): "bea888a0bd26283112def9cc8846b7753f010b1e7f3ee316401a3e2f4ee6f7f6",
+    (8, 17): "dca15bbbd03000bbc1091d7db6fa6fc3d376e3dc5bfa376564afdb119aaea23d",
+    (8, 64): "15bf7cfda289a0cd1159347a377e1d9fa68b4c9ec0aa5ccedc0bc1e4ebb77a75",
+    (9, 0): "58e59048793a3209686ae2a6a8103d3429d176b3510dae6f27194247fc936b92",
+    (9, 1): "7c09eb28347607accd1c6585751b9800d1eb4ba25b81535ec79c4507dbce42d3",
+    (9, 10): "b51d14b63b759d673364ced0c7ac6541bef55d94769a22464acccd0868d156a2",
+    (9, 17): "5994f7d5ef64a96bc537c76262e1e9f5fabb7b1029ccf79043a5f9284dc980fe",
+    (9, 64): "8349809b903341a9050f2ab4d138c05b42c96af52d7c801a7d0a4592b36fa81c",
+    (37, 0): "2c664f6098acfc45cdd512b09be631494e7db0e20a6d58f92234d862686a328a",
+    (37, 1): "16afa2f397d9eaab780937266a1c961f0ed43349cd75fc09a73c14db66c3c99a",
+    (37, 10): "cbfa9c1372785ba525e8bf59821be8af88fa4971d58f4c6856b55e99b1fee860",
+    (37, 17): "b67e8c3df54dd83c76abd892aef468ede6510d24e46e18b2f0fa878e274d9dbb",
+    (37, 64): "00e423e3dead34aa46b058648b0f488097f0870f925e485d2723ced65be2e8fd",
+}
 
 
 class _IndexProbe:
@@ -39,6 +76,17 @@ class TestEmbedding:
         pts = embed_collection(e1_triplet, e1)
         for p in pts:
             assert p.norm == pytest.approx(np.linalg.norm(p.vector), rel=1e-12)
+
+    def test_norms_only_when_read(self):
+        inst, coll = generate_instance(GenSpec(n=15, num_sets=90, seed=4))
+        pts = embed_collection(coll, inst)
+        assort_mnl(coll, inst, inst.p1 / 100, mips=ExactMips(pts, inst.weights))
+        assert "norms" not in vars(pts)  # exact scoring never reads them
+        build_lsh_index(pts, seed=1)
+        norms = vars(pts)["norms"]
+        assert not norms.flags.writeable
+        dense = [np.linalg.norm(pts[i].vector) for i in range(len(pts))]
+        assert np.allclose(norms, dense, rtol=1e-12, atol=0)
 
     def test_hand_dot(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
@@ -231,6 +279,17 @@ class TestIndex:
         c = build_lsh_index(pts, seed=6)
         assert (a.table_keys.tobytes() != c.table_keys.tobytes()
                 or a.table_ids.tobytes() != c.table_ids.tobytes())
+
+    @pytest.mark.parametrize("n, bits", sorted(_PINNED_INDEX_SHA256))
+    def test_build_is_pinned_bit_for_bit(self, n, bits):
+        inst, coll = generate_instance(GenSpec(n, num_sets=min(2**n - 1, 4500), seed=n))
+        idx = build_lsh_index(embed_collection(coll, inst),
+                              LshParams(bits, tables=3, scan_cap=9), seed=11)
+        h = hashlib.sha256()
+        for a in (idx.projections, idx.table_keys, idx.table_ids):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == _PINNED_INDEX_SHA256[n, bits]
 
     def test_every_point_in_every_table(self, e1, e1_all):
         pts = embed_collection(e1_all, e1)

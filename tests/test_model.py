@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from assortmax import (Assortment, AssortmentCollection, Instance,
-                       SolverResult, collection_revenues, normalize, revenue,
-                       validate_collection)
+                       SolverResult, collection_revenues, instance_from_files,
+                       normalize, revenue, validate_collection)
 
 from conftest import random_instance
 
@@ -177,6 +177,52 @@ class TestCollection:
         c = AssortmentCollection(sets, n=4)
         assert [set(a.items) for a in c] == sets
         assert len(c) == 3
+
+
+    @pytest.mark.parametrize("width, n", [(1, 1), (7, 7), (8, 8), (13, 13),
+                                          (9, 20), (40, 40)])
+    def test_from_membership_matches_list_constructor(self, width, n):
+        rng = np.random.default_rng(width * 100 + n)
+        mask = rng.random((50, width)) < 0.3
+        mask[np.arange(50), rng.integers(0, width, 50)] = True  # no empty row
+        mask[0] = True
+        a = AssortmentCollection.from_membership(mask, n)
+        b = AssortmentCollection([np.flatnonzero(row) + 1 for row in mask], n=n)
+        assert a.n == b.n == n
+        for x, y in zip(a.flat_arrays, b.flat_arrays):
+            assert x.dtype == y.dtype == np.int64
+            assert np.array_equal(x, y)
+            assert not x.flags.writeable
+
+    def test_from_membership_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-d"):
+            AssortmentCollection.from_membership(np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="non-empty"):
+            AssortmentCollection.from_membership(np.zeros((2, 3), dtype=bool))
+
+    def test_packed_membership_unpacks_to_dense(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 21  # not a multiple of 8: the last byte is partly padding
+        mask = rng.random((5000, n)) < 0.4  # more rows than one packing chunk
+        mask[:, 3] = True
+        sets = tmp_path / "sets.txt"
+        sets.write_text("4 9 2\n9\n1 2 3 4 5\n")
+        _, from_files = instance_from_files(sets, seed=0)
+        for coll in (AssortmentCollection([np.flatnonzero(r) + 1 for r in mask[:300]], n=n),
+                     AssortmentCollection.from_membership(mask),
+                     AssortmentCollection.from_membership(mask[:40, :9], n=n),
+                     from_files):
+            packed = coll.packed_membership
+            assert packed.dtype == np.uint8
+            assert packed.shape == (len(coll), (coll.n + 7) // 8)
+            assert not packed.flags.writeable
+            assert coll.packed_membership is packed  # built once
+            dense = np.zeros((len(coll), coll.n), dtype=np.uint8)
+            for i in range(len(coll)):
+                dense[i, coll.member_indices(i)] = 1
+            assert np.array_equal(
+                np.unpackbits(packed, axis=1, bitorder="little"),
+                np.pad(dense, ((0, 0), (0, 8 * packed.shape[1] - coll.n))))
 
 
 class TestSolverResult:

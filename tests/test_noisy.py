@@ -1,11 +1,13 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, GenSpec, Instance,
                        NoisyComparator, Posterior, assort_mnl_bz,
-                       bz_posterior_update, bz_sample_selection,
+                       build_lsh_index, bz_posterior_update,
+                       bz_sample_selection, embed_collection,
                        exhaustive_search, generate_instance,
                        run_noisy_bisection)
 from assortmax.noisy_search import bz_rounds_needed
@@ -198,3 +200,23 @@ class TestAssortMnlBz:
         a = assort_mnl_bz(coll, inst, inst.p1 / 10, rounds=8, alpha=0.3, seed=3)
         b = assort_mnl_bz(coll, inst, inst.p1 / 10, rounds=8, alpha=0.3, seed=3)
         assert a.assortment == b.assortment and a.estimate == b.estimate
+
+    def test_rounds_share_one_packed_membership(self, monkeypatch):
+        # every round builds a fresh index, but the collection's bit matrix
+        # is packed once and reused by all of them
+        packed = AssortmentCollection.packed_membership
+        packs = []
+
+        def counted(coll):
+            packs.append(coll)
+            return packed.func(coll)
+
+        spy = cached_property(counted)
+        spy.__set_name__(AssortmentCollection, "packed_membership")
+        monkeypatch.setattr(AssortmentCollection, "packed_membership", spy)
+        inst, coll = generate_instance(GenSpec(n=20, num_sets=300, seed=4))
+        res = assort_mnl_bz(coll, inst, inst.p1 / 10, rounds=15, alpha=0.3, seed=2)
+        assert res.iterations == 15 and packs == [coll]
+        first = coll.packed_membership
+        build_lsh_index(embed_collection(coll, inst), seed=9)
+        assert coll.packed_membership is first and packs == [coll]
