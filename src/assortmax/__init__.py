@@ -12,7 +12,7 @@ from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
 from .mips import (EmbeddedCollection, EmbeddedPoint, ExactMips, LshIndex,
                    LshMips, LshParams, QueryVector, build_lsh_index,
                    default_lsh_params, embed_collection, hash_key, load_index,
-                   query_vector, save_index, simple_lsh_transform)
+                   save_index, simple_lsh_transform)
 from .solvers import (SearchState, approx_iteration_bound, assort_mnl,
                       assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated, compare_step_capacitated,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assortment", "AssortmentCollection", "Instance", "SolverResult",
     "revenue", "collection_revenues", "normalize", "validate_collection",
-    "EmbeddedCollection", "EmbeddedPoint", "QueryVector", "query_vector",
+    "EmbeddedCollection", "EmbeddedPoint", "QueryVector",
     "embed_collection", "simple_lsh_transform", "LshParams",
     "default_lsh_params", "LshIndex", "build_lsh_index", "hash_key",
     "save_index", "load_index", "ExactMips", "LshMips",

@@ -46,7 +46,6 @@ class BenchConfig:
     lsh_bits: int | None = None       # None: ceil(log2 N)
     lsh_tables: int | None = 20
     lsh_scan_cap: int | None = 80
-    lsh_rho: float = 0.5
     nu: float = 0.01
     bz_rounds: int = 15
     bz_alpha: float = 0.3
@@ -71,7 +70,7 @@ class BenchConfig:
             raise ValueError("general-collection algorithms need num_sets or an itemsets file")
 
     def lsh_params(self, num_points: int) -> LshParams:
-        base = default_lsh_params(num_points, self.lsh_rho)
+        base = default_lsh_params(num_points)
         tables = self.lsh_tables if self.lsh_tables is not None else base.tables
         scan_cap = self.lsh_scan_cap if self.lsh_scan_cap is not None else base.scan_cap
         if self.lsh_bits is not None:
@@ -84,8 +83,7 @@ class BenchConfig:
             load = 4.0 * scan_cap / tables
             bits = min(base.bits,
                        max(0, math.ceil(math.log2(max(1.0, num_points / load)))))
-        return LshParams(bits=bits, tables=tables, scan_cap=scan_cap,
-                         rho=self.lsh_rho)
+        return LshParams(bits=bits, tables=tables, scan_cap=scan_cap)
 
 
 def _worker_count(config: BenchConfig) -> int:

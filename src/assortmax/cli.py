@@ -21,7 +21,6 @@ __all__ = ["main"]
 
 
 def _add_source_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
-    p.add_argument("--instance", help="instance JSON written by 'generate'")
     p.add_argument("--itemsets", help="itemset text file (one set per line)")
     p.add_argument("--prices", help="id,price CSV paired with --itemsets")
     p.add_argument("--min-card", type=int, default=1)
@@ -174,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance and print JSON")
     solve.add_argument("--algo", required=True, choices=ALL_ALGOS)
+    solve.add_argument("--instance", help="instance JSON written by 'generate'")
     _add_source_flags(solve)
     _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)

@@ -58,26 +58,27 @@ class GenSpec:
 
 def _sample_distinct_subsets(rng: np.random.Generator, n: int,
                              count: int) -> AssortmentCollection:
+    """``count`` distinct non-empty uniform subsets, in first-drawn order.
+    Rows are deduplicated by their packed bits viewed as one void value
+    each, which ``np.unique`` sorts several times faster than ``axis=0``."""
     if count > 2**n - 1:
         raise ValueError(
             f"cannot draw {count} distinct non-empty subsets of {n} items")
-    rows: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    while len(rows) < count:
-        chunk = max(256, count - len(rows))
+    row = np.dtype((np.void, (n + 7) // 8))
+    kept: list[np.ndarray] = []
+    seen = np.empty(0, dtype=row)
+    while seen.size < count:
+        chunk = max(256, count - seen.size)
         mask = rng.random((chunk, n)) < 0.5
-        packed = np.packbits(mask, axis=1)
-        for r in range(chunk):
-            if not mask[r].any():
-                continue
-            key = packed[r].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(mask[r])
-            if len(rows) == count:
-                break
-    return AssortmentCollection.from_membership(np.array(rows), n)
+        keys = np.packbits(mask, axis=1).view(row).ravel()
+        # first occurrences over the rows kept so far, then this chunk's;
+        # those falling in this chunk are its new rows
+        _, first = np.unique(np.concatenate([seen, keys]), return_index=True)
+        new = np.sort(first[first >= seen.size]) - seen.size
+        new = new[mask[new].any(axis=1)][:count - seen.size]
+        kept.append(mask[new])
+        seen = np.concatenate([seen, keys[new]])
+    return AssortmentCollection.from_membership(np.concatenate(kept), n)
 
 
 def generate_instance(spec: GenSpec) -> tuple[Instance, AssortmentCollection | None]:

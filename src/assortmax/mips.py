@@ -22,7 +22,6 @@ from .model import AssortmentCollection, Instance, validate_collection
 
 __all__ = [
     "QueryVector",
-    "query_vector",
     "EmbeddedPoint",
     "EmbeddedCollection",
     "embed_collection",
@@ -43,23 +42,23 @@ _CHUNK_ROWS = 4096  # membership-matrix chunk height for bulk hashing
 
 @dataclass(frozen=True)
 class QueryVector:
-    """The 2n query (v, -K v) whose inner products score sets at threshold K."""
+    """The threshold query q_K = (v, -K v), stored as the weights v and the
+    threshold K that define it, so its two halves cannot disagree."""
 
-    vector: np.ndarray
+    weights: np.ndarray
     threshold: float
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-        n = vec.size // 2
-        if vec.size != 2 * n or n == 0:
-            raise ValueError("query vector must have even, positive length")
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("query weights must be a non-empty 1-d array")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
-
-def query_vector(weights: np.ndarray, threshold: float) -> QueryVector:
-    w = np.asarray(weights, dtype=float)
-    return QueryVector(np.concatenate([w, -threshold * w]), float(threshold))
+    @property
+    def vector(self) -> np.ndarray:
+        """The dense 2n vector (v, -K v), for reference inner products."""
+        return np.concatenate([self.weights, -self.threshold * self.weights])
 
 
 class EmbeddedPoint:
@@ -121,13 +120,14 @@ class EmbeddedCollection(Sequence):
     def scores_at(self, q: QueryVector, ids: np.ndarray | None) -> np.ndarray:
         """Inner products for the points ``ids`` in the given order (all when None).
 
-        ``q`` is a threshold query from :func:`query_vector`.  Scores come
-        from :meth:`margin_sums`, so a score computed here is bit-identical
-        to the full-scan score of that point and to :class:`ExactMips`.
+        Scores come from :meth:`margin_sums`, so a score computed here is
+        bit-identical to the full-scan score of that point and to
+        :class:`ExactMips`.
         """
-        if q.vector.size != self.dim:
-            raise ValueError(f"query has dimension {q.vector.size}, expected {self.dim}")
-        A, B = self.margin_sums(q.vector[:self.n], ids)
+        if q.weights.size != self.n:
+            raise ValueError(
+                f"query weights have dimension {q.weights.size}, expected {self.n}")
+        A, B = self.margin_sums(q.weights, ids)
         return A - q.threshold * B
 
     def _membership_chunk(self, lo: int, hi: int) -> np.ndarray:
@@ -165,7 +165,6 @@ class LshParams:
     bits: int
     tables: int
     scan_cap: int
-    rho: float = 0.5
 
     def __post_init__(self):
         if self.bits < 0 or self.bits > 64:
@@ -183,7 +182,7 @@ def default_lsh_params(num_points: int, rho: float = 0.5) -> LshParams:
         raise ValueError("num_points must be positive")
     bits = max(0, math.ceil(math.log2(num_points))) if num_points > 1 else 0
     tables = max(1, math.ceil(num_points**rho))
-    return LshParams(bits=bits, tables=tables, scan_cap=3 * tables, rho=rho)
+    return LshParams(bits=bits, tables=tables, scan_cap=3 * tables)
 
 
 class LshIndex:
@@ -311,7 +310,6 @@ def save_index(index: LshIndex, path) -> None:
         bits=np.int64(index.params.bits),
         tables=np.int64(index.params.tables),
         scan_cap=np.int64(index.params.scan_cap),
-        rho=np.float64(index.params.rho),
         scale=np.float64(index.scale),
         num_points=np.int64(index.num_points),
         projections=index.projections,
@@ -326,7 +324,7 @@ def load_index(path) -> LshIndex:
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
         params = LshParams(int(data["bits"]), int(data["tables"]),
-                           int(data["scan_cap"]), float(data["rho"]))
+                           int(data["scan_cap"]))
         return LshIndex(params, int(data["seed"]), float(data["scale"]),
                         data["projections"].copy(), data["table_keys"].copy(),
                         data["table_ids"].copy(), int(data["num_points"]))
@@ -421,6 +419,6 @@ class LshMips:
         # dedupe but keep first-retrieval order so ties stay deterministic
         _, first = np.unique(cand, return_index=True)
         cand = cand[np.sort(first)]
-        scores = self.points.scores_at(query_vector(self.weights, threshold), cand)
+        scores = self.points.scores_at(QueryVector(self.weights, threshold), cand)
         best = int(np.argmax(scores))
         return int(cand[best]), float(scores[best])

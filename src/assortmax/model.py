@@ -161,7 +161,8 @@ class AssortmentCollection:
 
     def _init_arrays(self, n: int, flat: np.ndarray, lengths: np.ndarray) -> None:
         """Every constructor ends here, so the collection invariants are
-        checked in one place."""
+        checked in one place, once.  Members are sorted and unique, so each
+        set's first and last members bound it: the range check is O(sets)."""
         if lengths.size == 0:
             raise ValueError("collection must contain at least one assortment")
         if np.any(lengths == 0):
@@ -169,6 +170,12 @@ class AssortmentCollection:
         self.n = int(n)
         starts = np.zeros(lengths.size, dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
+        outside = (flat[starts] < 0) | (flat[starts + lengths - 1] >= self.n)
+        if outside.any():
+            bad = int(np.argmax(outside))
+            mem = flat[starts[bad]:starts[bad] + lengths[bad]]
+            item = int(mem[(mem < 0) | (mem >= self.n)][0]) + 1
+            raise ValueError(f"set {bad} contains item index {item}, outside 1..{self.n}")
         self._flat = flat
         self._lengths = lengths
         self._starts = starts
@@ -308,6 +315,7 @@ def revenue(a: Assortment, inst: Instance) -> float:
 
 def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:
     """Exact revenue of every set in the collection, vectorized."""
+    validate_collection(c, inst)
     num, den = c.set_sums(np.stack([inst.prices * inst.weights, inst.weights]))
     return num / (inst.v0 + den)
 
@@ -325,21 +333,7 @@ def normalize(inst: Instance) -> Instance:
 
 
 def validate_collection(c: AssortmentCollection, inst: Instance) -> None:
-    """Check every collection invariant, reporting the first offender."""
+    """Check that the collection is over the instance's items, in O(1); every
+    other invariant holds from the collection's construction."""
     if inst.n != c.n:
         raise ValueError(f"collection is over {c.n} items but instance has {inst.n}")
-    if len(c) == 0:
-        raise ValueError("collection is empty")
-    flat, _, lengths = c.flat_arrays
-    if np.any(lengths == 0) or flat.size == 0:
-        bad = int(np.argmax(lengths == 0))
-        raise ValueError(f"set {bad} is empty")
-    if np.any(flat < 0) or np.any(flat >= c.n):
-        # locate the first offending set for the error message
-        for i in range(len(c)):
-            mem = c.member_indices(i)
-            off = mem[(mem < 0) | (mem >= c.n)]
-            if off.size:
-                raise ValueError(
-                    f"set {i} contains item index {int(off[0]) + 1}, outside 1..{c.n}")
-    # membership arrays are sorted and unique by construction

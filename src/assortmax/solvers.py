@@ -125,33 +125,34 @@ def compare_step_partitioned(K: float, inst: Instance,
     ``blocks`` must partition 1..n; block w contributes its top-caps[w]
     positive margins independently.
     """
+    return _partitioned_compare(inst, blocks, caps)(K)
+
+
+def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
+                         caps: Sequence[int]) -> "CompareFn":
+    """Check that ``blocks`` partition 1..n with one non-negative cap each,
+    and return the comparison over them, which trusts the check."""
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
-    seen = np.zeros(inst.n, dtype=bool)
-    arrs = []
-    for b in blocks:
-        arr = np.asarray([int(i) - 1 for i in b], dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= inst.n):
-            raise ValueError("block contains an item index outside 1..n")
-        if np.any(seen[arr]):
-            raise ValueError("blocks overlap; they must partition 1..n")
-        seen[arr] = True
-        arrs.append(arr)
-    if not seen.all():
+    arrs = [np.fromiter((int(i) - 1 for i in b), dtype=np.int64) for b in blocks]
+    items = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
+    if items.size and (items.min() < 0 or items.max() >= inst.n):
+        raise ValueError("block contains an item index outside 1..n")
+    counts = np.bincount(items, minlength=inst.n)
+    if np.any(counts > 1):
+        raise ValueError("blocks overlap; they must partition 1..n")
+    if not counts.all():
         raise ValueError("blocks do not cover every item; they must partition 1..n")
+    if any(cap < 0 for cap in caps):
+        raise ValueError("capacities must be non-negative")
+    caps = [int(cap) for cap in caps]
 
-    w = inst.weights * (inst.prices - K)
-    chosen = []
-    total = 0.0
-    for arr, cap in zip(arrs, caps):
-        if cap < 0:
-            raise ValueError("capacities must be non-negative")
-        sel = _top_positive(w, arr, int(cap))
-        chosen.append(sel)
-        total += float(w[sel].sum())
-    sel = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    exists = bool(K <= total / inst.v0)
-    return exists, Assortment(sel + 1)
+    def compare(K: float) -> tuple[bool, Assortment]:
+        w = inst.weights * (inst.prices - K)
+        chosen = [_top_positive(w, arr, cap) for arr, cap in zip(arrs, caps)]
+        total = sum(float(w[sel].sum()) for sel in chosen)
+        return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+    return compare
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]
@@ -219,8 +220,8 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
 
     variant "topc" optimizes over all sets of size <= C, "lb" additionally
     forces at least c_min items, and "partitioned" applies per-block caps.
-    C and c_min are checked on entry, so an eps that needs no comparison
-    still rejects them.
+    C, c_min, blocks and caps are checked once, on entry, so an eps that
+    needs no comparison still rejects them.
     """
     if variant == "topc":
         if C is None:
@@ -235,7 +236,7 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")
-        compare = lambda K: compare_step_partitioned(K, inst, blocks, caps)
+        compare = _partitioned_compare(inst, blocks, caps)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     # a set every variant accepts (block caps may all be zero)

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec,
-                       Instance, LshMips, LshParams, NoisyComparator,
+                       Instance, LshMips, LshParams, NoisyComparator, QueryVector,
                        assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                        assort_mnl_capacitated, brute_force_capacitated,
                        build_lsh_index, embed_collection, exhaustive_search,
                        generate_instance, hash_key, load_itemsets,
-                       query_vector, revenue, run_noisy_bisection)
+                       revenue, run_noisy_bisection)
 from assortmax.bench import BenchConfig
 from assortmax.solvers import approx_iteration_bound
 
@@ -112,7 +112,7 @@ def test_criterion_4_embedding_identity():
         coll = AssortmentCollection([members], n=n)
         pts = embed_collection(coll, inst)
         K = float(rng.uniform(0, inst.p1))
-        q = query_vector(inst.weights, K)
+        q = QueryVector(inst.weights, K)
         dense = float(pts[0].vector @ q.vector)
         direct = float(sum(inst.weights[i - 1] * (inst.prices[i - 1] - K)
                            for i in members))

@@ -154,6 +154,18 @@ class TestCliBench:
         means = [r for r in rows if r["run_id"] == "mean"]
         assert [r["N"] for r in means] == ["10", "30", "60"]
 
+    def test_instance_flag_rejected(self, tmp_path, capsys):
+        # bench draws or loads its own instance per run, so an instance
+        # file must be refused, not silently ignored
+        main(["generate", "--n", "7", "--out-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--algo", "capacitated", "--capacity", "2",
+                  "--instance", str(tmp_path / "instance.json"),
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code != 0
+        assert "--instance" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "results.json"
         rc = main(["bench", "--algo", "capacitated", "--capacity", "3",

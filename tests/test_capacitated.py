@@ -7,6 +7,7 @@ from assortmax import (Assortment, Instance, assort_mnl_capacitated,
                        brute_force_capacitated, compare_step_capacitated,
                        compare_step_capacitated_lb, compare_step_partitioned,
                        revenue)
+from assortmax import solvers
 
 from conftest import random_instance
 
@@ -198,6 +199,25 @@ class TestCapacitatedSolver:
                 assort_mnl_capacitated(inst, C, eps)
             with pytest.raises(ValueError, match="capacity"):
                 assort_mnl_capacitated(inst, C, eps, "lb", c_min=0)
+        for blocks, caps, match in [([[1, 2]], [-1], "non-negative"),
+                                    ([[1]], [1], "cover"),
+                                    ([[1], [1, 2]], [1, 1], "overlap"),
+                                    ([[1, 3]], [1], "outside"),
+                                    ([[1, 2]], [1, 1], "one capacity")]:
+            with pytest.raises(ValueError, match=match):
+                assort_mnl_capacitated(inst, None, eps, "partitioned",
+                                       blocks=blocks, caps=caps)
+
+    def test_blocks_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        check = solvers._partitioned_compare
+        monkeypatch.setattr(solvers, "_partitioned_compare",
+                            lambda *args: calls.append(args) or check(*args))
+        inst = random_instance(np.random.default_rng(3), 9)
+        res = assort_mnl_capacitated(inst, None, 1e-3, variant="partitioned",
+                                     blocks=[[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                                     caps=[1, 2, 1])
+        assert res.iterations >= 10 and len(calls) == 1
 
     def test_unknown_variant(self, e1):
         with pytest.raises(ValueError, match="variant"):

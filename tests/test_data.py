@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,36 @@ from assortmax import (GenSpec, ResultRecord, generate_instance,
                        write_results)
 
 
+# sha256 of the flat index and length arrays of generate_instance's
+# collection for (n, num_sets, seed), recorded from a row-by-row dedupe loop.
+# n=3 and n=4 draw empty rows and repeats within a chunk; n=9 and n=12 need
+# several chunks and repeat rows of earlier chunks.
+_SUBSET_DIGESTS = [
+    (3, 7, 0, "3967264af0bb74d7b3578e9287d49017b74bf4fed3218ebd1cdb880a3525324d",
+     "91d399616e3e1ac821fa7020f5febcc3aa025dd35b94eaae4df2b5f1d5a0e6cc"),
+    (4, 15, 1, "08c7a5ab19403a2e83eaa20c80fd69e3063365c1542ae3e65f6d16c7a29107b8",
+     "6829a942cb4a549edadda267a0782c2f8dcc00a6483067a9ec7822056fe56e8b"),
+    (9, 500, 2, "69d4d8a93d34a712843b05ec2bacb33f1e3bbc8c0bc720e0032afa7b6ac5023d",
+     "a2a0cad1288823af1f947097c5dd8de5255b5c85f5de7b89a9db714320589bff"),
+    (12, 2000, 3, "8b58e1a00e1ca2fee67ac626d087cb6608497159301d6a4c84f8cfc0371e8cdf",
+     "04ca85935592ba0c72cdce0b0a9ec011942ba63a41aececeeec8c7396505e888"),
+    (60, 1000, 4, "2c53984e6a5bf3108af86aeb5d27a38c53e990378dce43a8f136b4f1df08aa5a",
+     "97e5f7319bc53a0c28e40f8c0ea004f1ebc35de71a0780418375868c2ea5da32"),
+    (1000, 300, 5, "d5cfe2153033cbf36ce083d1491a36c7f8c69be13a447ab50bf475c522064062",
+     "15fb8c99200941606145f0b28b66fb70823c1a25c9bbbc63c3c389f4ae8c19fb"),
+]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("n, count, seed, flat_sha, lengths_sha", _SUBSET_DIGESTS,
+                             ids=[f"{n}-{c}-{s}" for n, c, s, _, _ in _SUBSET_DIGESTS])
+    def test_subsets_are_pinned(self, n, count, seed, flat_sha, lengths_sha):
+        _, coll = generate_instance(GenSpec(n=n, num_sets=count, seed=seed))
+        flat, _, lengths = coll.flat_arrays
+        assert len(coll) == count
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == flat_sha
+        assert hashlib.sha256(lengths.tobytes()).hexdigest() == lengths_sha
+
     def test_small_universe_is_exhausted(self):
         inst, coll = generate_instance(GenSpec(n=3, num_sets=7, seed=1))
         assert len(coll) == 7

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       LshIndex, LshMips, LshParams, assort_mnl,
+                       LshIndex, LshMips, LshParams, QueryVector, assort_mnl,
                        build_lsh_index, default_lsh_params, embed_collection,
-                       generate_instance, hash_key, load_index, query_vector,
-                       save_index, simple_lsh_transform)
+                       generate_instance, hash_key, load_index, save_index,
+                       simple_lsh_transform)
 
 from conftest import random_instance
 
@@ -90,12 +90,12 @@ class TestEmbedding:
 
     def test_hand_dot(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
-        q = query_vector(e1.weights, 4.0)
+        q = QueryVector(e1.weights, 4.0)
         assert float(pts[1].vector @ q.vector) == pytest.approx(2.8)
 
     def test_price_equal_threshold_cancels(self, e1):
         pts = embed_collection(AssortmentCollection([{3}], n=3), e1)
-        q = query_vector(e1.weights, 5.0)
+        q = QueryVector(e1.weights, 5.0)
         assert float(pts.scores(q)[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_dot_identity_random(self):
@@ -107,7 +107,7 @@ class TestEmbedding:
             coll = AssortmentCollection([members], n=inst.n)
             pts = embed_collection(coll, inst)
             K = float(rng.uniform(0, inst.p1))
-            q = query_vector(inst.weights, K)
+            q = QueryVector(inst.weights, K)
             direct = sum(inst.weights[i - 1] * (inst.prices[i - 1] - K)
                          for i in members)
             assert np.isclose(float(pts[0].vector @ q.vector), direct,
@@ -116,14 +116,29 @@ class TestEmbedding:
                               rtol=1e-9, atol=1e-9)
 
     def test_query_vector_structure(self, e1):
-        q = query_vector(e1.weights, 2.5)
+        q = QueryVector(e1.weights, 2.5)
         assert np.allclose(q.vector[3:], -2.5 * q.vector[:3])
+
+    def test_scores_match_dense_reference(self):
+        # the query is its weights and threshold; scores cannot drop a
+        # second half of the dense vector that disagrees with them
+        inst, coll = generate_instance(GenSpec(n=12, num_sets=60, seed=8))
+        pts = embed_collection(coll, inst)
+        w = inst.weights.copy()
+        for K in (0.0, 123.0, inst.p1):
+            q = QueryVector(w, K)
+            dense = [float(pts[i].vector @ q.vector) for i in range(len(pts))]
+            assert np.allclose(pts.scores(q), dense, rtol=1e-12, atol=1e-9)
+        w[0] = 5.0  # the query keeps its own read-only copy
+        assert q.weights[0] == inst.weights[0] and not q.weights.flags.writeable
+        with pytest.raises(ValueError, match="1-d"):
+            QueryVector(np.ones((2, 3)), 1.0)
 
 
 class TestQueryExact:
     def test_hand_scores(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
-        q = query_vector(e1.weights, 3.0)
+        q = QueryVector(e1.weights, 3.0)
         assert pts.scores(q).tolist() == pytest.approx([1.4, 3.4, 3.0])
         assert ExactMips(pts, e1.weights).query(3.0) == (1, pytest.approx(3.4))
 
@@ -134,7 +149,7 @@ class TestQueryExact:
 
     def test_high_threshold_least_negative(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
-        q = query_vector(e1.weights, 12.0)  # above every price
+        q = QueryVector(e1.weights, 12.0)  # above every price
         scores = pts.scores(q)
         assert (scores <= 0).all()
         sid, s = ExactMips(pts, e1.weights).query(12.0)
@@ -241,7 +256,7 @@ class TestHashKey:
             for K in np.random.default_rng(seed).uniform(0, inst.p1, 8):
                 probe.keys.clear()
                 mips.query(K)
-                q = query_vector(inst.weights, K).vector
+                q = QueryVector(inst.weights, K).vector
                 xq = np.concatenate([q / np.linalg.norm(q), [0.0]])
                 assert [t for t, _ in probe.keys] == list(range(tables))
                 for t, key in probe.keys:
@@ -256,9 +271,11 @@ class TestHashKey:
 
 class TestIndex:
     def test_default_params(self):
-        assert default_lsh_params(4) == LshParams(2, 2, 6, 0.5)
-        assert default_lsh_params(51200) == LshParams(16, 227, 681, 0.5)
-        assert default_lsh_params(1) == LshParams(0, 1, 3, 0.5)
+        assert default_lsh_params(4) == LshParams(2, 2, 6)
+        assert default_lsh_params(51200) == LshParams(16, 227, 681)
+        assert default_lsh_params(1) == LshParams(0, 1, 3)
+        # rho sizes the table count and is not part of the index shape
+        assert default_lsh_params(51200, rho=0.25) == LshParams(16, 16, 48)
 
     @pytest.mark.parametrize("kwargs", [
         dict(bits=-1, tables=2, scan_cap=6),
@@ -348,6 +365,18 @@ class TestIndex:
         assert (LshMips(back, pts, e1.weights).query(2.0)
                 == LshMips(idx, pts, e1.weights).query(2.0))
 
+    def test_loads_files_that_store_rho(self, tmp_path, e1, e1_all):
+        # files written before rho left the index still carry the field
+        idx = build_lsh_index(embed_collection(e1_all, e1), seed=3)
+        save_index(idx, tmp_path / "index.npz")
+        with np.load(tmp_path / "index.npz") as data:
+            fields = dict(data)
+        assert "rho" not in fields
+        np.savez_compressed(tmp_path / "old.npz", rho=np.float64(0.5), **fields)
+        back = load_index(tmp_path / "old.npz")
+        assert back.params == idx.params
+        assert np.array_equal(back.table_keys, idx.table_keys)
+
 
 class TestQueryLsh:
     def test_degenerate_index_equals_exact(self):
@@ -382,7 +411,7 @@ class TestQueryLsh:
         hashed = LshMips(idx, pts, e1.weights)
         found_none = False
         for K in np.linspace(0, 20, 41):
-            q = query_vector(e1.weights, K)
+            q = QueryVector(e1.weights, K)
             ans = hashed.query(K)
             qn = q.vector / np.linalg.norm(q.vector)
             key = hash_key(np.concatenate([qn, [0.0]]), 0, idx)
@@ -398,7 +427,7 @@ class TestQueryLsh:
         pts = embed_collection(e1_all, e1)
         idx = build_lsh_index(pts, LshParams(bits=0, tables=1, scan_cap=1),
                               seed=0)
-        q = query_vector(e1.weights, 0.0)
+        q = QueryVector(e1.weights, 0.0)
         assert (LshMips(idx, pts, e1.weights).query(0.0)
                 == (0, pytest.approx(float(pts.scores(q)[0]))))
 
@@ -423,7 +452,7 @@ class TestQueryLsh:
         with pytest.raises(ValueError, match="dimension"):
             LshMips(idx, pts, other.weights)
         with pytest.raises(ValueError, match="dimension"):
-            pts.scores(query_vector(other.weights, 1.0))
+            pts.scores(QueryVector(other.weights, 1.0))
 
     @pytest.mark.xfail(
         strict=False,

@@ -133,15 +133,32 @@ class TestCollection:
     def test_valid_collection_passes(self, e1):
         validate_collection(AssortmentCollection([{1, 2}], n=3), e1)
 
-    def test_index_below_one(self, e1):
-        bad = AssortmentCollection([{0}], n=3)
+    def test_index_below_one(self):
         with pytest.raises(ValueError, match="set 0 contains item index 0"):
-            validate_collection(bad, e1)
+            AssortmentCollection([{0}], n=3)
 
-    def test_index_above_n(self, e1):
-        bad = AssortmentCollection([{1, 2}, {2, 4}], n=3)
+    def test_index_above_n(self):
         with pytest.raises(ValueError, match="set 1 contains item index 4"):
-            validate_collection(bad, e1)
+            AssortmentCollection([{1, 2}, {2, 4}], n=3)
+
+    def test_out_of_range_rejected_by_every_constructor(self):
+        # item 0 is below 1: it must be refused, not scored as item n
+        with pytest.raises(ValueError, match="set 1 contains item index 0"):
+            AssortmentCollection([{2}, {0}], n=3)
+        # the first offending member is named, not the last
+        with pytest.raises(ValueError, match="set 0 contains item index 4, outside 1..3"):
+            AssortmentCollection([{2, 4, 5}], n=3)
+        mask = np.zeros((4, 6), dtype=bool)
+        mask[:, 0] = True
+        mask[2, 4] = mask[3, 5] = True  # a wider mask than n items
+        with pytest.raises(ValueError, match="set 2 contains item index 5, outside 1..4"):
+            AssortmentCollection.from_membership(mask, n=4)
+        assert len(AssortmentCollection.from_membership(mask[:2], n=4)) == 2
+        # the constructor instance_from_files ends in
+        with pytest.raises(ValueError, match="set 1 contains item index 4"):
+            AssortmentCollection._from_arrays(3, [0, 1, 3], [1, 2])
+        with pytest.raises(ValueError, match="set 0 contains item index 0"):
+            AssortmentCollection._from_arrays(3, [-1, 1], [2])
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="at least one"):

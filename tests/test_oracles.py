@@ -28,6 +28,13 @@ class TestExhaustive:
         coll2 = AssortmentCollection([{2}, {1}], n=2)
         assert exhaustive_search(coll2, inst).assortment.items == {2}
 
+    def test_rejects_collection_over_other_items(self):
+        # a 3-item collection must not be scored against a 5-item instance
+        inst = Instance([5.0, 4.0, 3.0, 2.0, 1.0], [0.5] * 5, 1.0)
+        coll = AssortmentCollection([{1, 2}, {3}], n=3)
+        with pytest.raises(ValueError, match="over 3 items but instance has 5"):
+            exhaustive_search(coll, inst)
+
     def test_dominates_every_returned_set(self, e1, e1_all):
         opt = exhaustive_search(e1_all, e1)
         for a in e1_all:
