@@ -16,8 +16,7 @@ from .mips import (EmbeddedCollection, EmbeddedPoint, ExactMips, LshIndex,
 from .solvers import (SearchState, approx_iteration_bound, assort_mnl,
                       assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated, compare_step_capacitated,
-                      compare_step_capacitated_lb, compare_step_general,
-                      compare_step_partitioned)
+                      compare_step_general, compare_step_partitioned)
 from .noisy_search import (Posterior, assort_mnl_bz, bz_posterior_update,
                            bz_sample_selection, run_noisy_bisection)
 from .oracles import (NoisyComparator, brute_force_capacitated,
@@ -37,10 +36,10 @@ __all__ = [
     "default_lsh_params", "LshIndex", "build_lsh_index", "hash_key",
     "save_index", "load_index", "ExactMips", "LshMips",
     "SearchState", "compare_step_general", "compare_step_capacitated",
-    "compare_step_capacitated_lb", "compare_step_partitioned", "assort_mnl",
-    "assort_mnl_capacitated", "assort_mnl_approx", "assort_mnl_approx_simple",
-    "approx_iteration_bound", "Posterior", "bz_sample_selection",
-    "bz_posterior_update", "run_noisy_bisection", "assort_mnl_bz",
+    "compare_step_partitioned", "assort_mnl", "assort_mnl_capacitated",
+    "assort_mnl_approx", "assort_mnl_approx_simple", "approx_iteration_bound",
+    "Posterior", "bz_sample_selection", "bz_posterior_update",
+    "run_noisy_bisection", "assort_mnl_bz",
     "exhaustive_search", "brute_force_capacitated", "NoisyComparator",
     "GenSpec", "generate_instance", "load_itemsets",
     "load_prices", "instance_from_files", "save_instance", "load_instance",

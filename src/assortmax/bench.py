@@ -22,7 +22,7 @@ from .oracles import brute_force_capacitated, exhaustive_search
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated)
 
-__all__ = ["BenchConfig", "solve", "run_bench", "aggregate_records",
+__all__ = ["BenchConfig", "load_source", "solve", "run_bench", "aggregate_records",
            "GENERAL_ALGOS", "CAPACITATED_ALGOS", "ALL_ALGOS"]
 
 GENERAL_ALGOS = ("exact", "approx_simple", "approx", "bz", "exhaustive")
@@ -134,19 +134,23 @@ def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
     return res, build_s
 
 
+def load_source(config: BenchConfig, seed: int, need_collection: bool
+                ) -> tuple[Instance, AssortmentCollection | None]:
+    """The instance to solve, read from ``config.itemsets_path`` or generated
+    (with a collection only when ``need_collection``)."""
+    if config.itemsets_path is not None:
+        return instance_from_files(
+            config.itemsets_path, config.prices_path, min_card=config.min_card,
+            max_card=config.max_card, price_range=config.price_range,
+            v0=config.v0, seed=seed)
+    return generate_instance(GenSpec(
+        n=config.n, num_sets=config.num_sets if need_collection else None,
+        price_range=config.price_range, v0=config.v0, seed=seed))
+
+
 def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[ResultRecord]:
     need_collection = any(a in GENERAL_ALGOS for a in config.algorithms)
-    if config.itemsets_path is not None:
-        inst, collection = instance_from_files(
-            config.itemsets_path, config.prices_path,
-            min_card=config.min_card, max_card=config.max_card,
-            price_range=config.price_range, v0=config.v0, seed=run_seed)
-    else:
-        spec = GenSpec(n=config.n,
-                       num_sets=config.num_sets if need_collection else None,
-                       price_range=config.price_range, v0=config.v0,
-                       seed=run_seed)
-        inst, collection = generate_instance(spec)
+    inst, collection = load_source(config, run_seed, need_collection)
 
     general_opt = exhaustive_search(collection, inst) if need_collection else None
     cap_opt: SolverResult | None = None

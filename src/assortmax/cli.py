@@ -11,10 +11,9 @@ import sys
 from pathlib import Path
 
 from .bench import (ALL_ALGOS, CAPACITATED_ALGOS, GENERAL_ALGOS, BenchConfig,
-                    run_bench, solve)
-from .data import (GenSpec, generate_instance, instance_from_files,
-                   load_instance, load_itemsets, save_instance, save_itemsets,
-                   write_results)
+                    load_source, run_bench, solve)
+from .data import (GenSpec, generate_instance, load_instance, load_itemsets,
+                   save_instance, save_itemsets, write_results)
 from .model import AssortmentCollection, Instance, SolverResult
 
 __all__ = ["main"]
@@ -55,7 +54,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="candidate retrievals scanned per query")
 
 
-def _load_source(args, need_collection: bool):
+def _load_source(args, config: BenchConfig, need_collection: bool):
     if args.instance:
         inst = load_instance(args.instance)
         collection = None
@@ -65,17 +64,8 @@ def _load_source(args, need_collection: bool):
             if collection.n != inst.n:
                 raise SystemExit(
                     f"error: itemsets cover {collection.n} items, instance has {inst.n}")
-    elif args.itemsets:
-        inst, collection = instance_from_files(
-            args.itemsets, args.prices, min_card=args.min_card,
-            max_card=args.max_card, price_range=tuple(args.price_range),
-            v0=args.v0, seed=args.seed)
-    elif args.n:
-        spec = GenSpec(n=args.n,
-                       num_sets=args.num_sets if need_collection else None,
-                       price_range=tuple(args.price_range), v0=args.v0,
-                       seed=args.seed)
-        inst, collection = generate_instance(spec)
+    elif args.itemsets or args.n:
+        inst, collection = load_source(config, args.seed, need_collection)
     else:
         raise SystemExit("error: provide --instance, --itemsets, or --n")
     if need_collection and collection is None:
@@ -108,7 +98,10 @@ def _config(args, algorithms: tuple[str, ...], **fields) -> BenchConfig:
         algorithms=algorithms, eps=args.eps, capacity=args.capacity, nu=args.nu,
         bz_rounds=args.bz_rounds, bz_alpha=args.bz_alpha,
         lsh_bits=args.lsh_bits, lsh_tables=args.lsh_tables,
-        lsh_scan_cap=args.lsh_scan_cap, seed=args.seed, **fields)
+        lsh_scan_cap=args.lsh_scan_cap, seed=args.seed, n=args.n or 100,
+        price_range=tuple(args.price_range), v0=args.v0,
+        itemsets_path=args.itemsets, prices_path=args.prices,
+        min_card=args.min_card, max_card=args.max_card, **fields)
 
 
 def _cmd_solve(args) -> int:
@@ -118,8 +111,11 @@ def _cmd_solve(args) -> int:
     if algo in GENERAL_ALGOS and args.capacity is not None:
         raise SystemExit(f"error: --capacity is incompatible with --algo {algo} "
                          "over general collections")
-    inst, collection = _load_source(args, need_collection=algo in GENERAL_ALGOS)
-    res, _ = solve(algo, inst, collection, _config(args, (algo,)), args.seed)
+    # algorithms=(): solve checks its source above and in _load_source, with
+    # its own messages, so BenchConfig has nothing to check
+    config = _config(args, (), num_sets=args.num_sets)
+    inst, collection = _load_source(args, config, algo in GENERAL_ALGOS)
+    res, _ = solve(algo, inst, collection, config, args.seed)
     print(json.dumps(_result_payload(algo, inst, collection, res, args.eps)))
     return 0
 
@@ -132,12 +128,8 @@ def _cmd_bench(args) -> int:
         sweep = [None]
     records, aggregates = [], []
     for num_sets in sweep:  # one aggregate row per collection size
-        config = _config(
-            args, algos, runs=args.runs, n=args.n or 100, num_sets=num_sets,
-            price_range=tuple(args.price_range), v0=args.v0,
-            itemsets_path=args.itemsets, prices_path=args.prices,
-            min_card=args.min_card, max_card=args.max_card,
-            report_build_time=args.report_build_time)
+        config = _config(args, algos, runs=args.runs, num_sets=num_sets,
+                         report_build_time=args.report_build_time)
         recs, aggs = run_bench(config)
         records.extend(recs)
         aggregates.extend(aggs)

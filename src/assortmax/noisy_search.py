@@ -39,6 +39,8 @@ def bz_rounds_needed(gamma: float, eps: float, p1: float, p_max: float) -> int:
 
 
 def _bin_count(p1: float, eps: float) -> int:
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     bins = p1 / eps
     rounded = round(bins)
     if rounded < 1 or abs(bins - rounded) > 1e-9 * max(1.0, bins):
@@ -170,9 +172,11 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
     ``estimate`` = max(posterior median, witness revenue) mapped back to the
     original price scale.
     """
-    _bin_count(inst.p1, eps)  # validates integrality before any work
+    inst_n = normalize(inst)  # rejects a top price of 0
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
+    _bin_count(inst.p1, eps)  # validates eps and integrality before any work
     scale = inst.p1
-    inst_n = normalize(inst)
 
     points = embed_collection(collection, inst_n)
     children = np.random.SeedSequence(seed).spawn(rounds + 1)

@@ -11,6 +11,7 @@ selection on the per-item margins v_i (p_i - K) for capacity constraints.
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "MipsOracle",
     "compare_step_general",
     "compare_step_capacitated",
-    "compare_step_capacitated_lb",
     "compare_step_partitioned",
     "assort_mnl",
     "assort_mnl_capacitated",
@@ -71,50 +71,52 @@ def compare_step_general(K: float, mips: MipsOracle,
     return False, None
 
 
-def _top_positive(w: np.ndarray, idx: np.ndarray, cap: int) -> np.ndarray:
-    """Indices (from idx) of up to ``cap`` largest strictly positive margins."""
-    pos = idx[w[idx] > 0]
-    if cap <= 0:
-        return pos[:0]
-    if pos.size > cap:
-        keep = np.argpartition(w[pos], pos.size - cap)[pos.size - cap:]
-        pos = pos[keep]
-    return pos
+def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` entries of ``idx`` with the largest margins ``w`` (all of
+    ``idx`` when it has no more than k), by one O(len(idx)) partition."""
+    cut = idx.size - k
+    if cut <= 0 or k == 0:
+        return idx[:k]
+    return idx[np.argpartition(w[idx], cut)[cut:]]
 
 
-def _check_capacity(inst: Instance, C: int, c_min: int | None = None) -> None:
+def _select(w: np.ndarray, cap: int, c_min: int) -> np.ndarray:
+    """Positions in ``w`` of the best block selection: up to ``cap`` largest
+    positive margins, topped up to ``c_min`` with the largest others."""
+    sel = _largest(w, np.flatnonzero(w > 0), cap)
+    if sel.size < c_min:
+        sel = np.concatenate(
+            [sel, _largest(w, np.flatnonzero(w <= 0), c_min - sel.size)])
+    return sel
+
+
+def _compare_blocks(inst: Instance, blocks: Sequence[tuple[np.ndarray | None, int, int]],
+                    K: float) -> tuple[bool, Assortment]:
+    """The one capacity-style comparison, O(n) with no sort: the witness is
+    the union of each block's selection on the margins v_i (p_i - K).
+    ``blocks`` holds (0-based items or None for all, cap, c_min) per block."""
+    w = inst.weights * (inst.prices - K)
+    chosen = [_select(w, cap, lo) if items is None
+              else items[_select(w[items], cap, lo)]
+              for items, cap, lo in blocks]
+    total = sum(float(w[sel].sum()) for sel in chosen)
+    return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+
+
+def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
     """Reject a capacity outside 1..n, or a forced size outside 0..C."""
-    if c_min is not None and not 0 <= c_min <= C:
+    if not 0 <= c_min <= C:
         raise ValueError("c_min must lie in 0..C")
     if not 1 <= C <= inst.n:
         raise ValueError(f"capacity must lie in 1..{inst.n}")
 
 
-def compare_step_capacitated(K: float, inst: Instance,
-                             C: int) -> tuple[bool, Assortment]:
-    """Capacity-constrained comparison by top-C selection on v_i (p_i - K)."""
-    _check_capacity(inst, C)
-    w = inst.weights * (inst.prices - K)
-    sel = _top_positive(w, np.arange(inst.n), C)
-    exists = bool(K <= w[sel].sum() / inst.v0)
-    return exists, Assortment(sel + 1)
-
-
-def compare_step_capacitated_lb(K: float, inst: Instance, C: int,
-                                c_min: int) -> tuple[bool, Assortment]:
-    """Variant forcing at least ``c_min`` items into the candidate set.
-
-    The top c_min margins are included regardless of sign; remaining slots
-    up to C are filled with additional strictly positive margins.
-    """
+def compare_step_capacitated(K: float, inst: Instance, C: int,
+                             c_min: int = 0) -> tuple[bool, Assortment]:
+    """Does some set of c_min..C items earn at least K?  The witness holds
+    the (up to) C largest positive margins, topped up to c_min items."""
     _check_capacity(inst, C, c_min)
-    w = inst.weights * (inst.prices - K)
-    order = np.argsort(-w, kind="stable")
-    forced = order[:c_min]
-    extra = _top_positive(w, order[c_min:], C - c_min)
-    sel = np.concatenate([forced, extra])
-    exists = bool(K <= w[sel].sum() / inst.v0)
-    return exists, Assortment(sel + 1)
+    return _compare_blocks(inst, [(None, C, c_min)], K)
 
 
 def compare_step_partitioned(K: float, inst: Instance,
@@ -145,14 +147,8 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
         raise ValueError("blocks do not cover every item; they must partition 1..n")
     if any(cap < 0 for cap in caps):
         raise ValueError("capacities must be non-negative")
-    caps = [int(cap) for cap in caps]
-
-    def compare(K: float) -> tuple[bool, Assortment]:
-        w = inst.weights * (inst.prices - K)
-        chosen = [_top_positive(w, arr, cap) for arr, cap in zip(arrs, caps)]
-        total = sum(float(w[sel].sum()) for sel in chosen)
-        return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
-    return compare
+    return partial(_compare_blocks, inst,
+                   [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)])
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]
@@ -223,16 +219,13 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
     C, c_min, blocks and caps are checked once, on entry, so an eps that
     needs no comparison still rejects them.
     """
-    if variant == "topc":
-        if C is None:
-            raise ValueError("variant 'topc' needs a capacity C")
-        _check_capacity(inst, C)
-        compare: CompareFn = lambda K: compare_step_capacitated(K, inst, C)
-    elif variant == "lb":
-        if C is None or c_min is None:
-            raise ValueError("variant 'lb' needs C and c_min")
-        _check_capacity(inst, C, c_min)
-        compare = lambda K: compare_step_capacitated_lb(K, inst, C, c_min)
+    if variant in ("topc", "lb"):
+        lo = c_min if variant == "lb" else 0
+        if C is None or lo is None:
+            raise ValueError("variant 'topc' needs a capacity C" if variant == "topc"
+                             else "variant 'lb' needs C and c_min")
+        _check_capacity(inst, C, lo)
+        compare: CompareFn = partial(_compare_blocks, inst, [(None, C, lo)])
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")

@@ -133,6 +133,15 @@ class TestCliSolve:
         out = json.loads(capsys.readouterr().out)
         assert "estimate" in out and out["iterations"] == 8
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "0"], "eps must be positive"),
+        (["--price-range", "0", "0"], "top price 0")])
+    def test_bz_boundary_is_a_clean_error(self, flags, message, capsys):
+        rc = main(["solve", "--algo", "bz", "--n", "6", "--num-sets", "20",
+                   "--seed", "5", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and message in err
+
 
 class TestCliBench:
     def test_csv_output(self, tmp_path, capsys):

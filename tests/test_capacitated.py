@@ -5,8 +5,7 @@ import pytest
 
 from assortmax import (Assortment, Instance, assort_mnl_capacitated,
                        brute_force_capacitated, compare_step_capacitated,
-                       compare_step_capacitated_lb, compare_step_partitioned,
-                       revenue)
+                       compare_step_partitioned, revenue)
 from assortmax import solvers
 
 from conftest import random_instance
@@ -77,9 +76,56 @@ class TestCompareCapacitated:
             assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
+def size_family(items, lo, hi):
+    """Every subset of ``items`` with lo..hi members, as tuples."""
+    return [c for k in range(lo, min(hi, len(items)) + 1)
+            for c in itertools.combinations(items, k)]
+
+
+class TestOneSelectionRule:
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_witness_reaches_best_margin_sum(self, variant):
+        # brute force max sum_{i in S} v_i (p_i - K) over the feasible family,
+        # with K up to 1.5 p1 so that every margin can be negative
+        rng = np.random.default_rng({"topc": 41, "lb": 42, "partitioned": 43}[variant])
+        hit = set()
+        for _ in range(80):
+            n = int(rng.integers(1, 9))
+            inst = random_instance(rng, n)
+            K = float(rng.uniform(0, 1.5 * inst.p1))
+            w = inst.weights * (inst.prices - K)
+            if variant == "partitioned":
+                cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)),
+                                          replace=False))
+                blocks = [b.tolist() for b in np.split(rng.permutation(n) + 1, cuts)]
+                caps = [int(rng.integers(0, len(b) + 2)) for b in blocks]
+                hit |= {"zero cap" for cap in caps if cap == 0}
+                hit |= {"cap >= block" for b, cap in zip(blocks, caps) if cap >= len(b)}
+                exists, witness = compare_step_partitioned(K, inst, blocks, caps)
+                family = [sum(pick, ()) for pick in itertools.product(
+                    *(size_family([i - 1 for i in b], 0, cap)
+                      for b, cap in zip(blocks, caps)))]
+            else:
+                C = int(rng.integers(1, n + 1))
+                c_min = int(rng.integers(0, C + 1)) if variant == "lb" else 0
+                if c_min > (w > 0).sum():
+                    hit.add("c_min > positive")
+                if C == n:
+                    hit.add("cap >= block")
+                exists, witness = compare_step_capacitated(K, inst, C, c_min)
+                family = size_family(range(n), c_min, C)
+            assert tuple(witness.indices()) in {tuple(sorted(s)) for s in family}
+            best = max(w[list(s)].sum() for s in family)
+            assert w[witness.indices()].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+            assert exists == (K <= best / inst.v0)
+        assert hit == {"topc": {"cap >= block"},
+                       "lb": {"c_min > positive", "cap >= block"},
+                       "partitioned": {"zero cap", "cap >= block"}}[variant]
+
+
 class TestCompareLowerBound:
     def test_forced_inclusion_hand_example(self, e1):
-        exists, witness = compare_step_capacitated_lb(6.0, e1, 2, 2)
+        exists, witness = compare_step_capacitated(6.0, e1, 2, 2)
         assert not exists and witness.items == {1, 2}
 
     def test_cmin_zero_reduces_to_plain(self):
@@ -89,18 +135,18 @@ class TestCompareLowerBound:
             C = int(rng.integers(1, 8))
             K = float(rng.uniform(0, inst.p1))
             plain = compare_step_capacitated(K, inst, C)
-            lb = compare_step_capacitated_lb(K, inst, C, 0)
+            lb = compare_step_capacitated(K, inst, C, 0)
             assert plain[0] == lb[0] and plain[1] == lb[1]
 
     def test_all_negative_margins_picks_least_negative(self, e1):
-        exists, witness = compare_step_capacitated_lb(20.0, e1, 2, 1)
+        exists, witness = compare_step_capacitated(20.0, e1, 2, 1)
         assert not exists
         w = e1.weights * (e1.prices - 20.0)
         assert witness.items == {int(np.argmax(w)) + 1}
 
     def test_cmin_above_capacity_rejected(self, e1):
         with pytest.raises(ValueError, match="c_min"):
-            compare_step_capacitated_lb(1.0, e1, 1, 2)
+            compare_step_capacitated(1.0, e1, 1, 2)
 
 
 class TestComparePartitioned:
@@ -226,6 +272,7 @@ class TestCapacitatedSolver:
     def test_large_instance_is_fast(self):
         rng = np.random.default_rng(23)
         inst = random_instance(rng, 20_000, price_hi=1000.0)
-        res = assort_mnl_capacitated(inst, 50, 0.1)
-        assert res.wall_time < 1.0
-        assert len(res.assortment) <= 50
+        for variant, c_min in [("topc", 0), ("lb", 10)]:
+            res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min)
+            assert res.wall_time < 1.0
+            assert c_min <= len(res.assortment) <= 50

@@ -23,6 +23,11 @@ class TestPosterior:
         with pytest.raises(ValueError, match="integer"):
             Posterior.uniform(1.0, 0.3)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            Posterior.uniform(1.0, eps)
+
     def test_mass_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             Posterior(np.array([0.5, 0.2, 0.2, 0.2]), 0.25, 1.0)
@@ -194,6 +199,19 @@ class TestAssortMnlBz:
         inst, coll = generate_instance(GenSpec(n=5, num_sets=10, seed=1))
         with pytest.raises(ValueError, match="integer"):
             assort_mnl_bz(coll, inst, inst.p1 / 10.5, rounds=5, alpha=0.3)
+
+    def test_bad_eps_and_rounds_rejected(self):
+        inst, coll = generate_instance(GenSpec(n=5, num_sets=10, seed=1))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            assort_mnl_bz(coll, inst, 0.0, rounds=5, alpha=0.3)
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            assort_mnl_bz(coll, inst, inst.p1 / 10, rounds=-1, alpha=0.3)
+
+    def test_zero_top_price_rejected(self):
+        coll = AssortmentCollection([{1}, {2}], n=2)
+        inst = Instance([0.0, 0.0], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="top price 0"):
+            assort_mnl_bz(coll, inst, 0.0, rounds=5, alpha=0.3)
 
     def test_reproducible(self):
         inst, coll = generate_instance(GenSpec(n=8, num_sets=30, seed=9))
