@@ -56,20 +56,32 @@ class GenSpec:
                 raise ValueError("distribution bounds must satisfy lo <= hi")
 
 
+_DRAW_VALUES = 1 << 14  # uniforms per block of rows in subset sampling
+
+
 def _sample_distinct_subsets(rng: np.random.Generator, n: int,
                              count: int) -> AssortmentCollection:
     """``count`` distinct non-empty uniform subsets, in first-drawn order.
     Rows are deduplicated by their packed bits viewed as one void value
-    each, which ``np.unique`` sorts several times faster than ``axis=0``."""
+    each, which ``np.unique`` sorts several times faster than ``axis=0``.
+    Uniforms are drawn a block of rows at a time into one reused buffer;
+    the generator's stream is sequential, so the draws equal one
+    ``rng.random((chunk, n))`` without its chunk-sized float64 temporary."""
     if count > 2**n - 1:
         raise ValueError(
             f"cannot draw {count} distinct non-empty subsets of {n} items")
     row = np.dtype((np.void, (n + 7) // 8))
     kept: list[np.ndarray] = []
     seen = np.empty(0, dtype=row)
+    block = np.empty((max(1, _DRAW_VALUES // n), n))
     while seen.size < count:
         chunk = max(256, count - seen.size)
-        mask = rng.random((chunk, n)) < 0.5
+        mask = np.empty((chunk, n), dtype=bool)
+        for lo in range(0, chunk, len(block)):
+            hi = min(lo + len(block), chunk)
+            draws = block[:hi - lo]
+            rng.random(out=draws)
+            np.less(draws, 0.5, out=mask[lo:hi])
         keys = np.packbits(mask, axis=1).view(row).ravel()
         # first occurrences over the rows kept so far, then this chunk's;
         # those falling in this chunk are its new rows

@@ -363,6 +363,19 @@ class LshMips:
     hyperplane), are taken once per engine.  The padded unit query then
     projects to (a - K b) / |q_K|, whose sign is that of a - K b: a query
     hashes in O(tables * bits), without touching the projection tensor.
+
+    Each bit a_j - K b_j >= 0 is monotone in K, so it flips at most once and
+    the query's key vector is piecewise constant in K: over all finite
+    thresholds an engine sees at most tables * bits + 1 distinct key
+    vectors, and a bisection settles into one of them after a step or two.
+    The engine therefore remembers, per key vector, what its probes
+    retrieved (at most tables * bits + 1 entries).  The first query with a
+    key vector probes the buckets and rescores through
+    :meth:`EmbeddedCollection.scores_at`; a later one probes nothing and
+    answers argmax(A - K B) over the remembered candidates, with their sums
+    (A, B) taken once by :meth:`EmbeddedCollection.margin_sums`, the
+    reduction ``scores_at`` uses, so every answer is bit-identical to a
+    fresh engine's.
     """
 
     def __init__(self, index: LshIndex, points: EmbeddedCollection,
@@ -380,6 +393,9 @@ class LshMips:
         proj = index.projections
         self._a = proj[:, :, :n] @ self.weights        # (tables, bits)
         self._b = proj[:, :, n:2 * n] @ self.weights   # (tables, bits)
+        # packed key vector -> None (nothing retrieved) or [candidates,
+        # their (A, B) sums once a repeat has asked for them]
+        self._memo: dict[bytes, list | None] = {}
 
     @classmethod
     def build(cls, points: EmbeddedCollection, weights: np.ndarray,
@@ -387,19 +403,41 @@ class LshMips:
         return cls(build_lsh_index(points, params, seed), points, weights)
 
     def query(self, threshold: float) -> tuple[int, float] | None:
-        """Probe one bucket per table and return the best retrieved candidate.
+        """Return the best candidate retrieved for the key of q_K, or None.
 
         The key is that of the query normalized to unit length and padded
         with a zero, taken from the sign of a - K b (a zero weight vector
         sets every bit, as a zero projection does).  Retrieved candidates
-        are scored with their true inner product in the original space;
-        scanning stops once ``scan_cap`` retrievals (duplicates included)
-        have been seen.  Returns None when every probed bucket is empty,
-        meaning no high-scoring set was found.
+        are scored with their true inner product in the original space.
+        Returns None when every probed bucket is empty, meaning no
+        high-scoring set was found.  Only the first query with a given key
+        vector probes the tables (see :meth:`_retrieve`).
         """
-        index = self.index
         qkeys = _pack_bits(self._a - threshold * self._b >= 0.0)
+        memo_key = qkeys.tobytes()
+        if memo_key not in self._memo:
+            cand = self._retrieve(qkeys)
+            self._memo[memo_key] = None if cand is None else [cand, None]
+            if cand is None:
+                return None
+            scores = self.points.scores_at(QueryVector(self.weights, threshold), cand)
+        else:
+            hit = self._memo[memo_key]
+            if hit is None:
+                return None
+            cand, sums = hit
+            if sums is None:
+                sums = hit[1] = self.points.margin_sums(self.weights, cand)
+            scores = sums[0] - threshold * sums[1]
+        best = int(np.argmax(scores))
+        return int(cand[best]), float(scores[best])
 
+    def _retrieve(self, qkeys: np.ndarray) -> np.ndarray | None:
+        """Probe one bucket per table, in table order, until ``scan_cap``
+        retrievals (duplicates included) have been seen; return the
+        distinct ids in first-retrieval order, so ties stay deterministic,
+        or None when every probed bucket is empty."""
+        index = self.index
         budget = index.params.scan_cap
         retrieved: list[np.ndarray] = []
         count = 0
@@ -414,11 +452,6 @@ class LshMips:
                 break
         if not retrieved:
             return None
-
         cand = np.concatenate(retrieved)
-        # dedupe but keep first-retrieval order so ties stay deterministic
         _, first = np.unique(cand, return_index=True)
-        cand = cand[np.sort(first)]
-        scores = self.points.scores_at(QueryVector(self.weights, threshold), cand)
-        best = int(np.argmax(scores))
-        return int(cand[best]), float(scores[best])
+        return cand[np.sort(first)]

@@ -130,13 +130,26 @@ def compare_step_partitioned(K: float, inst: Instance,
     return _partitioned_compare(inst, blocks, caps)(K)
 
 
+def _block_items(block: Sequence[int]) -> np.ndarray:
+    """0-based items of one block, converted as one array; an item that is
+    not a whole number is rejected rather than truncated."""
+    arr = np.asarray(block)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    whole = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all())
+    if arr.ndim != 1 or not whole:
+        raise ValueError("block contains a non-integer item; items are indices 1..n")
+    return arr.astype(np.int64) - 1
+
+
 def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
                          caps: Sequence[int]) -> "CompareFn":
     """Check that ``blocks`` partition 1..n with one non-negative cap each,
     and return the comparison over them, which trusts the check."""
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
-    arrs = [np.fromiter((int(i) - 1 for i in b), dtype=np.int64) for b in blocks]
+    arrs = [_block_items(b) for b in blocks]
     items = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= inst.n):
         raise ValueError("block contains an item index outside 1..n")
@@ -226,15 +239,15 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
                              else "variant 'lb' needs C and c_min")
         _check_capacity(inst, C, lo)
         compare: CompareFn = partial(_compare_blocks, inst, [(None, C, lo)])
+        # the top max(1, lo) items: within 1..C, and at least c_min for lb
+        start = Assortment(range(1, max(1, lo) + 1))
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")
         compare = _partitioned_compare(inst, blocks, caps)
+        start = Assortment()  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    # a set every variant accepts (block caps may all be zero)
-    start = (Assortment() if variant == "partitioned"
-             else Assortment(range(1, max(1, c_min or 0) + 1)))
     return _bisect(inst, start, _at_threshold(compare), eps, on_iteration)
 
 

@@ -170,6 +170,16 @@ class TestComparePartitioned:
         exists, _ = compare_step_partitioned(0.0, e1, [[1], [2, 3]], [0, 0])
         assert exists  # zero threshold is met by the empty selection
 
+    def test_block_item_types(self, e1):
+        # whole numbers of any numeric type name items; fractions do not
+        blocks = [np.array([1], dtype=np.uint8), (2.0, 3), range(0)]
+        want = compare_step_partitioned(3.0, e1, [[1], [2, 3], []], [1, 1, 0])
+        assert compare_step_partitioned(3.0, e1, blocks, [1, 1, 0]) == want
+        with pytest.raises(ValueError, match="non-integer"):
+            compare_step_partitioned(3.0, e1, [[1], [2.5, 3]], [1, 1])
+        with pytest.raises(ValueError, match="non-integer"):
+            compare_step_partitioned(3.0, e1, [[1], [np.nan, 2, 3]], [1, 1])
+
     def test_non_partition_rejected(self, e1):
         with pytest.raises(ValueError, match="partition"):
             compare_step_partitioned(1.0, e1, [[1], [1, 2, 3]], [1, 1])
@@ -232,6 +242,14 @@ class TestCapacitatedSolver:
                                      blocks=[[1, 2, 3]], caps=[0])
         assert len(res.assortment) == 0 and res.revenue == 0.0
 
+    @pytest.mark.parametrize("c_min", [4, 9])
+    def test_topc_start_ignores_c_min(self, c_min):
+        # topc has no minimum size, so its start set is {1} whatever c_min
+        # is; {1..c_min} would break |A| <= C or name items beyond n
+        inst = Instance([1.0, 0.5, 0.4, 0.3, 0.2], [0.5] * 5, 1.0)
+        res = assort_mnl_capacitated(inst, 2, 1.0, "topc", c_min=c_min)
+        assert res.assortment.items == {1} and res.iterations == 0
+
     @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
     def test_bounds_checked_without_comparisons(self, eps):
         # eps >= p1 runs no comparison; C and c_min must still be rejected
@@ -249,6 +267,9 @@ class TestCapacitatedSolver:
                                     ([[1]], [1], "cover"),
                                     ([[1], [1, 2]], [1, 1], "overlap"),
                                     ([[1, 3]], [1], "outside"),
+                                    ([[1, 1.5, 2]], [1], "non-integer"),
+                                    ([[1], ["2"]], [1, 1], "non-integer"),
+                                    ([[[1, 2]]], [1], "non-integer"),
                                     ([[1, 2]], [1, 1], "one capacity")]:
             with pytest.raises(ValueError, match=match):
                 assort_mnl_capacitated(inst, None, eps, "partitioned",

@@ -5,9 +5,10 @@ import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        LshIndex, LshMips, LshParams, QueryVector, assort_mnl,
+                       assort_mnl_approx, assort_mnl_approx_simple,
                        build_lsh_index, default_lsh_params, embed_collection,
-                       generate_instance, hash_key, load_index, save_index,
-                       simple_lsh_transform)
+                       generate_instance, hash_key, load_index, normalize,
+                       save_index, simple_lsh_transform)
 
 from conftest import random_instance
 
@@ -64,6 +65,52 @@ class _IndexProbe:
     def bucket(self, table, key):
         self.keys.append((table, int(key)))
         return self._index.bucket(table, key)
+
+
+class _PointsProbe:
+    """Embedded-collection stand-in that counts rescoring calls
+    (``scores_at``) and sum gathers (``margin_sums``)."""
+
+    def __init__(self, points):
+        self._points = points
+        self.scores_at_calls = 0
+        self.margin_sums_calls = 0
+
+    def __len__(self):
+        return len(self._points)
+
+    def __getattr__(self, name):
+        return getattr(self._points, name)
+
+    def scores_at(self, q, ids):
+        self.scores_at_calls += 1
+        return self._points.scores_at(q, ids)
+
+    def margin_sums(self, weights, ids=None):
+        self.margin_sums_calls += 1
+        return self._points.margin_sums(weights, ids)
+
+
+class _FreshEngine:
+    """Engine that answers every threshold with a newly made LshMips, so
+    no answer can depend on an earlier query."""
+
+    def __init__(self, index, points, weights):
+        self.index, self.points, self.weights = index, points, weights
+
+    def query(self, threshold):
+        return LshMips(self.index, self.points, self.weights).query(threshold)
+
+
+# sha256 over repr((sorted items, revenue, revenue_interval, iterations)) of
+# assort_mnl_approx_simple(eps=1e-4) and assort_mnl_approx(eps=0.05, nu=0.01)
+# on normalize(generate_instance(GenSpec(30, num_sets=3000,
+# price_range=(0, 1), seed=s))) for s in 0..3, with params None and
+# LshParams(8, 10, 30) and index seed s, in that loop order.  Recorded
+# before engines remembered their retrievals per query key vector; like the
+# build digests it holds for the BLAS it was recorded with.
+_PINNED_HASHED_SOLVES_SHA256 = (
+    "52180980103425ee1922d242384e1117b85f2a5c1fe11c0f3fd4d3375b601d08")
 
 
 class TestEmbedding:
@@ -252,10 +299,10 @@ class TestHashKey:
             idx = build_lsh_index(pts, LshParams(bits, tables, scan_cap=10**6),
                                   seed=seed)
             probe = _IndexProbe(idx)
-            mips = LshMips(probe, pts, inst.weights)
             for K in np.random.default_rng(seed).uniform(0, inst.p1, 8):
                 probe.keys.clear()
-                mips.query(K)
+                # a fresh engine per K: an engine probes each key vector once
+                LshMips(probe, pts, inst.weights).query(K)
                 q = QueryVector(inst.weights, K).vector
                 xq = np.concatenate([q / np.linalg.norm(q), [0.0]])
                 assert [t for t, _ in probe.keys] == list(range(tables))
@@ -445,6 +492,21 @@ class TestQueryLsh:
         assert len(probe.keys) >= 14
         assert probe.projection_reads == 0
 
+    def test_hashed_solves_are_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(4):
+            inst, coll = generate_instance(GenSpec(30, num_sets=3000,
+                                                   price_range=(0, 1), seed=seed))
+            inst = normalize(inst)
+            for params in (None, LshParams(8, 10, 30)):
+                for res in (assort_mnl_approx_simple(coll, inst, 1e-4,
+                                                     params=params, seed=seed),
+                            assort_mnl_approx(coll, inst, 0.05, 0.01,
+                                              params=params, seed=seed)):
+                    h.update(repr((sorted(res.assortment.items), res.revenue,
+                                   res.revenue_interval, res.iterations)).encode())
+        assert h.hexdigest() == _PINNED_HASHED_SOLVES_SHA256
+
     def test_dimension_mismatch(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         idx = build_lsh_index(pts, seed=0)
@@ -453,6 +515,83 @@ class TestQueryLsh:
             LshMips(idx, pts, other.weights)
         with pytest.raises(ValueError, match="dimension"):
             pts.scores(QueryVector(other.weights, 1.0))
+
+    @staticmethod
+    def _thresholds(p1: float, seed: int) -> np.ndarray:
+        """Sweeping, random and repeated thresholds, below 0 and above p1."""
+        sweep = np.linspace(-0.5 * p1, 1.5 * p1, 25)
+        rng = np.random.default_rng(seed)
+        rand = rng.uniform(-p1, 2 * p1, 25)
+        return np.concatenate([sweep, rand, sweep[::-1], rng.choice(rand, 25),
+                               [0.0, p1, 0.0, p1]])
+
+    @pytest.mark.parametrize("bits", [0, 6, 64])
+    def test_remembered_answers_match_a_fresh_engine(self, bits):
+        answers = []
+        for seed in range(3):
+            inst, coll = generate_instance(GenSpec(n=15, num_sets=200, seed=seed))
+            pts = embed_collection(coll, inst)
+            idx = build_lsh_index(pts, LshParams(bits, tables=5, scan_cap=12),
+                                  seed=seed)
+            mips = LshMips(idx, pts, inst.weights)
+            for K in self._thresholds(inst.p1, seed):
+                ans = mips.query(K)
+                assert ans == LshMips(idx, pts, inst.weights).query(K), (seed, K)
+                answers.append(ans)
+        if bits == 64:
+            assert None in answers  # at 64 bits almost every bucket is empty
+        else:
+            assert any(a is not None for a in answers)
+
+    @pytest.mark.parametrize("bits", [1, 6, 64])
+    def test_memo_is_bounded_by_key_flips(self, bits):
+        # each key bit flips at most once in K, so an engine meets at most
+        # tables * bits + 1 key vectors, each probed exactly once
+        tables = 4
+        inst, coll = generate_instance(GenSpec(n=12, num_sets=150, seed=bits))
+        pts = embed_collection(coll, inst)
+        probe = _IndexProbe(build_lsh_index(pts, LshParams(bits, tables, 6),
+                                            seed=bits))
+        mips = LshMips(probe, pts, inst.weights)
+        for K in np.concatenate([self._thresholds(inst.p1, 1),
+                                 np.linspace(-50 * inst.p1, 50 * inst.p1, 400)]):
+            mips.query(K)
+        assert 1 < len(mips._memo) <= tables * bits + 1
+        assert sum(t == 0 for t, _ in probe.keys) == len(mips._memo)
+
+    def test_repeated_keys_probe_and_rescore_nothing(self):
+        inst, coll = generate_instance(GenSpec(n=20, num_sets=300, seed=3))
+        pts = _PointsProbe(embed_collection(coll, inst))
+        probe = _IndexProbe(build_lsh_index(pts._points, LshParams(4, 6, 20),
+                                            seed=3))
+        mips = LshMips(probe, pts, inst.weights)
+        first = mips.query(0.25 * inst.p1)
+        assert first is not None and probe.keys and pts.scores_at_calls == 1
+        # thresholds just beside the first share its key vector
+        for K in (0.25 * inst.p1, 0.25 * inst.p1 * (1 + 1e-12), 0.25 * inst.p1):
+            probe.keys.clear()
+            assert mips.query(K) == LshMips(probe._index, pts._points,
+                                            inst.weights).query(K)
+            assert probe.keys == [] and pts.scores_at_calls == 1
+        assert pts.margin_sums_calls == 1  # the candidates' sums, taken once
+
+    @pytest.mark.parametrize("bits", [0, 6, 64])
+    def test_solvers_answer_as_with_fresh_engines(self, bits):
+        for seed in range(3):
+            inst, coll = generate_instance(GenSpec(30, num_sets=2000,
+                                                   price_range=(0, 1), seed=seed))
+            inst = normalize(inst)
+            pts = embed_collection(coll, inst)
+            idx = build_lsh_index(pts, LshParams(bits, tables=8, scan_cap=24),
+                                  seed=seed)
+            fresh = _FreshEngine(idx, pts, inst.weights)
+            for solve in (lambda lsh: assort_mnl_approx(coll, inst, 0.05, 0.01, lsh=lsh),
+                          lambda lsh: assort_mnl_approx_simple(coll, inst, 1e-4, lsh=lsh)):
+                got = solve(LshMips(idx, pts, inst.weights))
+                want = solve(fresh)
+                assert (got.assortment, got.revenue, got.revenue_interval,
+                        got.iterations) == (want.assortment, want.revenue,
+                                            want.revenue_interval, want.iterations)
 
     @pytest.mark.xfail(
         strict=False,
