@@ -22,8 +22,7 @@ from .oracles import brute_force_capacitated, exhaustive_search
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated)
 
-__all__ = ["BenchConfig", "load_source", "solve", "run_bench", "aggregate_records",
-           "GENERAL_ALGOS", "CAPACITATED_ALGOS", "ALL_ALGOS"]
+__all__ = ["BenchConfig", "run_bench", "aggregate_records"]
 
 GENERAL_ALGOS = ("exact", "approx_simple", "approx", "bz", "exhaustive")
 CAPACITATED_ALGOS = ("capacitated", "brute_cap")
@@ -44,8 +43,8 @@ class BenchConfig:
     price_range: tuple[float, float] = (0.0, 1000.0)
     v0: float = 1.0
     lsh_bits: int | None = None       # None: ceil(log2 N)
-    lsh_tables: int | None = 20
-    lsh_scan_cap: int | None = 80
+    lsh_tables: int = 20
+    lsh_scan_cap: int = 80
     nu: float = 0.01
     bz_rounds: int = 15
     bz_alpha: float = 0.3
@@ -55,7 +54,6 @@ class BenchConfig:
     min_card: int = 1
     max_card: int | None = None
     report_build_time: bool = False
-    workers: int | None = None        # None: honor ASSORTMAX_THREADS, default 1
 
     def __post_init__(self):
         if self.runs < 1:
@@ -70,27 +68,16 @@ class BenchConfig:
             raise ValueError("general-collection algorithms need num_sets or an itemsets file")
 
     def lsh_params(self, num_points: int) -> LshParams:
-        base = default_lsh_params(num_points)
-        tables = self.lsh_tables if self.lsh_tables is not None else base.tables
-        scan_cap = self.lsh_scan_cap if self.lsh_scan_cap is not None else base.scan_cap
-        if self.lsh_bits is not None:
-            bits = self.lsh_bits
-        else:
+        bits = self.lsh_bits
+        if bits is None:
             # Size keys so buckets stay full enough that the scan budget is
             # the binding accuracy knob (about 4x the budget retrievable per
             # query); ceil(log2 N) keys would leave buckets nearly empty at
             # this table count and starve the scan.
-            load = 4.0 * scan_cap / tables
-            bits = min(base.bits,
+            load = 4.0 * self.lsh_scan_cap / self.lsh_tables
+            bits = min(default_lsh_params(num_points).bits,
                        max(0, math.ceil(math.log2(max(1.0, num_points / load)))))
-        return LshParams(bits=bits, tables=tables, scan_cap=scan_cap)
-
-
-def _worker_count(config: BenchConfig) -> int:
-    if config.workers is not None:
-        return max(1, config.workers)
-    env = os.environ.get("ASSORTMAX_THREADS")
-    return max(1, int(env)) if env else 1
+        return LshParams(bits=bits, tables=self.lsh_tables, scan_cap=self.lsh_scan_cap)
 
 
 def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
@@ -199,12 +186,14 @@ def aggregate_records(records: list[ResultRecord]) -> list[ResultRecord]:
 def run_bench(config: BenchConfig) -> tuple[list[ResultRecord], list[ResultRecord]]:
     """Execute all runs and return (per-run records, aggregate rows).
 
-    Per-run seeds are spawned from the master seed, so results do not depend
-    on worker scheduling.
+    Runs go to ``ASSORTMAX_THREADS`` worker threads (default 1).  Per-run
+    seeds are spawned from the master seed, so results do not depend on
+    worker scheduling.
     """
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(config.seed).spawn(config.runs)]
-    workers = _worker_count(config)
+    env = os.environ.get("ASSORTMAX_THREADS")
+    workers = max(1, int(env)) if env else 1
     if workers == 1:
         batches = [_run_once(config, i, s) for i, s in enumerate(seeds)]
     else:

@@ -13,7 +13,7 @@ from pathlib import Path
 from .bench import (ALL_ALGOS, CAPACITATED_ALGOS, GENERAL_ALGOS, BenchConfig,
                     load_source, run_bench, solve)
 from .data import (GenSpec, generate_instance, load_instance, load_itemsets,
-                   save_instance, save_itemsets, write_results)
+                   onto_instance, save_instance, save_itemsets, write_results)
 from .model import AssortmentCollection, Instance, SolverResult
 
 __all__ = ["main"]
@@ -59,11 +59,9 @@ def _load_source(args, config: BenchConfig, need_collection: bool):
         inst = load_instance(args.instance)
         collection = None
         if args.itemsets:
-            collection, _ = load_itemsets(args.itemsets, args.min_card,
-                                          args.max_card)
-            if collection.n != inst.n:
-                raise SystemExit(
-                    f"error: itemsets cover {collection.n} items, instance has {inst.n}")
+            collection, labels = load_itemsets(args.itemsets, args.min_card,
+                                               args.max_card)
+            collection = onto_instance(collection, labels, inst)
     elif args.itemsets or args.n:
         inst, collection = load_source(config, args.seed, need_collection)
     else:

@@ -42,7 +42,6 @@ class GenSpec:
     n: int
     num_sets: int | None = None
     price_range: tuple[float, float] = (0.0, 1000.0)
-    weight_range: tuple[float, float] = (0.0, 1.0)
     v0: float | None = 1.0
     seed: int = 0
 
@@ -51,9 +50,8 @@ class GenSpec:
             raise ValueError("n must be positive")
         if self.num_sets is not None and self.num_sets < 1:
             raise ValueError("num_sets must be positive when given")
-        for lo, hi in (self.price_range, self.weight_range):
-            if lo > hi:
-                raise ValueError("distribution bounds must satisfy lo <= hi")
+        if self.price_range[0] > self.price_range[1]:
+            raise ValueError("price_range must satisfy lo <= hi")
 
 
 _DRAW_VALUES = 1 << 14  # uniforms per block of rows in subset sampling
@@ -66,42 +64,43 @@ def _sample_distinct_subsets(rng: np.random.Generator, n: int,
     each, which ``np.unique`` sorts several times faster than ``axis=0``.
     Uniforms are drawn a block of rows at a time into one reused buffer;
     the generator's stream is sequential, so the draws equal one
-    ``rng.random((chunk, n))`` without its chunk-sized float64 temporary."""
+    ``rng.random((chunk, n))`` without its chunk-sized float64 temporary.
+    Each block is packed as drawn, and the collection is built from the
+    packed rows kept, so one boolean membership is made, not three."""
     if count > 2**n - 1:
         raise ValueError(
             f"cannot draw {count} distinct non-empty subsets of {n} items")
     row = np.dtype((np.void, (n + 7) // 8))
-    kept: list[np.ndarray] = []
     seen = np.empty(0, dtype=row)
     block = np.empty((max(1, _DRAW_VALUES // n), n))
     while seen.size < count:
         chunk = max(256, count - seen.size)
-        mask = np.empty((chunk, n), dtype=bool)
+        packed = np.empty((chunk, row.itemsize), dtype=np.uint8)
         for lo in range(0, chunk, len(block)):
             hi = min(lo + len(block), chunk)
             draws = block[:hi - lo]
             rng.random(out=draws)
-            np.less(draws, 0.5, out=mask[lo:hi])
-        keys = np.packbits(mask, axis=1).view(row).ravel()
+            packed[lo:hi] = np.packbits(draws < 0.5, axis=1)
+        keys = packed.view(row).ravel()
         # first occurrences over the rows kept so far, then this chunk's;
         # those falling in this chunk are its new rows
         _, first = np.unique(np.concatenate([seen, keys]), return_index=True)
         new = np.sort(first[first >= seen.size]) - seen.size
-        new = new[mask[new].any(axis=1)][:count - seen.size]
-        kept.append(mask[new])
+        new = new[packed[new].any(axis=1)][:count - seen.size]
         seen = np.concatenate([seen, keys[new]])
-    return AssortmentCollection.from_membership(np.concatenate(kept), n)
+    rows = np.unpackbits(seen.view(np.uint8).reshape(count, -1), axis=1, count=n)
+    return AssortmentCollection.from_membership(rows.view(bool), n)
 
 
 def generate_instance(spec: GenSpec) -> tuple[Instance, AssortmentCollection | None]:
     """Draw an instance (and optionally a collection), deterministic per seed.
 
-    Prices are drawn uniformly then sorted descending; weights are uniform;
-    feasible sets are distinct uniform non-empty subsets.
+    Prices are drawn uniformly then sorted descending; weights are uniform
+    on [0, 1]; feasible sets are distinct uniform non-empty subsets.
     """
     rng = np.random.default_rng(spec.seed)
     prices = np.sort(rng.uniform(*spec.price_range, size=spec.n))[::-1].copy()
-    weights = rng.uniform(*spec.weight_range, size=spec.n)
+    weights = rng.uniform(0.0, 1.0, size=spec.n)
     v0 = spec.v0 if spec.v0 is not None else float(1.0 - rng.random())
     inst = Instance(prices, weights, v0)
     if spec.num_sets is None:
@@ -144,7 +143,7 @@ def load_itemsets(path, min_card: int = 1,
 
 
 def load_prices(path) -> list[tuple[int, float]]:
-    """Parse an id,price CSV; rejects duplicates and negative prices."""
+    """Parse an id,price CSV; rejects duplicates and negative or non-finite prices."""
     out: list[tuple[int, float]] = []
     seen: set[int] = set()
     with open(path, newline="") as fh:
@@ -162,8 +161,8 @@ def load_prices(path) -> list[tuple[int, float]]:
                 raise ValueError(f"{path}: row {rowno}: malformed id or price") from None
             if item in seen:
                 raise ValueError(f"{path}: row {rowno}: duplicate id {item}")
-            if price < 0:
-                raise ValueError(f"{path}: row {rowno}: negative price {price}")
+            if not (np.isfinite(price) and price >= 0):
+                raise ValueError(f"{path}: row {rowno}: price {price} is negative or not finite")
             seen.add(item)
             out.append((item, price))
     return out
@@ -192,18 +191,25 @@ def instance_from_files(itemsets_path, prices_path=None, *, min_card: int = 1,
             if orig in table:
                 prices[k] = table[orig]
     weights = rng.uniform(0.0, 1.0, size=n)
+    inst = Instance.from_items(prices, weights, v0, item_ids=original_ids)
+    return inst, onto_instance(collection, original_ids, inst)
 
-    order = np.argsort(-prices, kind="stable")
-    inst = Instance(prices[order], weights[order], v0,
-                    item_ids=tuple(int(original_ids[i]) for i in order))
-    new_pos = np.empty(n, dtype=np.int64)
-    new_pos[order] = np.arange(n)
+
+def onto_instance(collection: AssortmentCollection, labels: Sequence[int],
+                  inst: Instance) -> AssortmentCollection:
+    """Re-index a collection whose item k is labelled ``labels[k - 1]`` (as
+    :func:`load_itemsets` numbers them) onto the positions of ``inst``'s
+    items with those labels; a label the instance lacks is rejected."""
+    position = {label: k for k, label in enumerate(inst.labels())}
+    missing = [label for label in labels if label not in position]
+    if missing:
+        raise ValueError(f"itemsets name item {missing[0]}, which the instance does not have")
+    new_pos = np.array([position[label] for label in labels], dtype=np.int64)
     flat, _, lengths = collection.flat_arrays
     moved = new_pos[flat]
     seg = np.repeat(np.arange(lengths.size), lengths)
     moved = moved[np.lexsort((moved, seg))]  # keep each set's indices sorted
-    remapped = AssortmentCollection._from_arrays(n, moved, lengths)
-    return inst, remapped
+    return AssortmentCollection._from_arrays(inst.n, moved, lengths)
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -22,7 +22,6 @@ from .model import AssortmentCollection, Instance, validate_collection
 
 __all__ = [
     "QueryVector",
-    "EmbeddedPoint",
     "EmbeddedCollection",
     "embed_collection",
     "simple_lsh_transform",
@@ -61,24 +60,14 @@ class QueryVector:
         return np.concatenate([self.weights, -self.threshold * self.weights])
 
 
-class EmbeddedPoint:
-    """Dense view of one embedded set: the vector (p o u^S, u^S)."""
-
-    __slots__ = ("vector", "set_id", "norm")
-
-    def __init__(self, vector: np.ndarray, set_id: int, norm: float):
-        self.vector = vector
-        self.set_id = set_id
-        self.norm = norm
-
-
 class EmbeddedCollection(Sequence):
     """Order-preserving embeddings of a feasible collection.
 
-    Membership is kept sparse; dense vectors are materialized per point on
-    demand.  The score of set S against the threshold query q_K = (v, -K v)
-    is A_S - K B_S with A_S = sum_{i in S} v_i p_i and B_S = sum_{i in S} v_i,
-    which equals the dense inner product up to rounding.
+    Membership is kept sparse; ``points[i]`` materializes the dense vector
+    (p o u^S, u^S) of set i on demand.  The score of set S against the
+    threshold query q_K = (v, -K v) is A_S - K B_S with A_S = sum_{i in S}
+    v_i p_i and B_S = sum_{i in S} v_i, which equals the dense inner product
+    up to rounding.
     """
 
     def __init__(self, collection: AssortmentCollection, inst: Instance):
@@ -90,8 +79,8 @@ class EmbeddedCollection(Sequence):
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Read-only norm of every point, taken on first use: index builds,
-        :meth:`max_norm` and dense points read it, exact scoring never does."""
+        """Read-only norm of every point, taken on first use: index builds
+        read it, exact scoring never does."""
         norms = np.sqrt(self.source.set_sums(self.prices**2 + 1.0))
         norms.setflags(write=False)
         return norms
@@ -99,25 +88,18 @@ class EmbeddedCollection(Sequence):
     def __len__(self) -> int:
         return len(self.source)
 
-    def __getitem__(self, i: int) -> EmbeddedPoint:
+    def __getitem__(self, i: int) -> np.ndarray:
         mem = self.source.member_indices(i)
         vec = np.zeros(self.dim)
         vec[mem] = self.prices[mem]
         vec[self.n + mem] = 1.0
-        return EmbeddedPoint(vec, i, float(self.norms[i]))
-
-    def max_norm(self) -> float:
-        return float(self.norms.max())
+        return vec
 
     def margin_sums(self, weights: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Rows (A, B) per set, or per set ``ids``: A_S = sum v_i p_i, B_S = sum v_i."""
         return self.source.set_sums(np.stack([weights * self.prices, weights]), ids)
 
-    def scores(self, q: QueryVector) -> np.ndarray:
-        """Inner product of a threshold query with every embedded point."""
-        return self.scores_at(q, None)
-
-    def scores_at(self, q: QueryVector, ids: np.ndarray | None) -> np.ndarray:
+    def scores_at(self, q: QueryVector, ids: np.ndarray | None = None) -> np.ndarray:
         """Inner products for the points ``ids`` in the given order (all when None).
 
         Scores come from :meth:`margin_sums`, so a score computed here is
@@ -175,13 +157,13 @@ class LshParams:
             raise ValueError("scan_cap must be positive")
 
 
-def default_lsh_params(num_points: int, rho: float = 0.5) -> LshParams:
-    """Standard operating point: ceil(log2 N) bits, ceil(N^rho) tables,
+def default_lsh_params(num_points: int) -> LshParams:
+    """Standard operating point: ceil(log2 N) bits, ceil(sqrt N) tables,
     scan cap three times the table count."""
     if num_points < 1:
         raise ValueError("num_points must be positive")
     bits = max(0, math.ceil(math.log2(num_points))) if num_points > 1 else 0
-    tables = max(1, math.ceil(num_points**rho))
+    tables = max(1, math.ceil(num_points**0.5))
     return LshParams(bits=bits, tables=tables, scan_cap=3 * tables)
 
 
@@ -266,7 +248,7 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     dim = points.dim + 1
     rng = np.random.default_rng(seed)
     projections = rng.standard_normal((params.tables, params.bits, dim))
-    scale = points.max_norm()
+    scale = float(points.norms.max())
 
     flat_proj = projections.reshape(params.tables * params.bits, dim)
     # head . z for z = (p o u, u) equals u . (p o head_front + head_back)

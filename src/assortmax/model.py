@@ -57,11 +57,12 @@ class Instance:
         object.__setattr__(self, "weights", weights)
         if prices.ndim != 1 or prices.size < 1 or prices.shape != weights.shape:
             raise ValueError("prices and weights must be 1-d arrays of equal length >= 1")
+        # every comparison with NaN is false, so each check asks for what holds
+        if not (np.isfinite(prices) & (prices >= 0)).all():
+            raise ValueError("prices must be finite and non-negative")
         if np.any(np.diff(prices) > 0):
             raise ValueError("prices must be non-increasing; use Instance.from_items to sort")
-        if np.any(prices < 0):
-            raise ValueError("prices must be non-negative")
-        if np.any((weights < 0) | (weights > 1)):
+        if not ((weights >= 0) & (weights <= 1)).all():
             raise ValueError("weights must lie in [0, 1]")
         if not 0.0 < self.v0 <= 1.0:
             raise ValueError("v0 must lie in (0, 1]")
@@ -136,9 +137,6 @@ class Assortment:
     def indices(self) -> np.ndarray:
         """Sorted 0-based positions of the members."""
         return np.fromiter(sorted(self.items), dtype=np.int64, count=len(self.items)) - 1
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.items))
 
 
 class AssortmentCollection:

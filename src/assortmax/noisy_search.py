@@ -39,7 +39,7 @@ def bz_rounds_needed(gamma: float, eps: float, p1: float, p_max: float) -> int:
 
 
 def _bin_count(p1: float, eps: float) -> int:
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError(f"eps must be positive, got {eps}")
     bins = p1 / eps
     rounded = round(bins)

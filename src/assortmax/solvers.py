@@ -23,7 +23,6 @@ from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
 
 __all__ = [
     "SearchState",
-    "MipsOracle",
     "compare_step_general",
     "compare_step_capacitated",
     "compare_step_partitioned",
@@ -31,6 +30,7 @@ __all__ = [
     "assort_mnl_capacitated",
     "assort_mnl_approx",
     "assort_mnl_approx_simple",
+    "approx_iteration_bound",
 ]
 
 
@@ -184,7 +184,7 @@ def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
 
     ``start`` must be feasible; it is returned when no comparison succeeds.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     lower, upper = 0.0, inst.p1
     best = start

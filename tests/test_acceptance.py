@@ -113,11 +113,11 @@ def test_criterion_4_embedding_identity():
         pts = embed_collection(coll, inst)
         K = float(rng.uniform(0, inst.p1))
         q = QueryVector(inst.weights, K)
-        dense = float(pts[0].vector @ q.vector)
+        dense = float(pts[0] @ q.vector)
         direct = float(sum(inst.weights[i - 1] * (inst.prices[i - 1] - K)
                            for i in members))
         assert np.isclose(dense, direct, rtol=1e-9, atol=1e-9)
-        scan = float(pts.scores(q)[0])
+        scan = float(pts.scores_at(q)[0])
         assert np.isclose(scan, direct, rtol=1e-9, atol=1e-9)
         denom = max(1.0, abs(direct))
         worst = max(worst, abs(dense - direct) / denom, abs(scan - direct) / denom)

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from assortmax import (Assortment, BenchConfig, GenSpec, generate_instance,
-                       revenue, run_bench)
+from assortmax import (Assortment, BenchConfig, GenSpec, Instance,
+                       generate_instance, revenue, run_bench, save_instance)
 from assortmax.bench import ALL_ALGOS, CAPACITATED_ALGOS
 from assortmax.cli import main
 
@@ -135,12 +135,39 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("flags, message", [
         (["--eps", "0"], "eps must be positive"),
-        (["--price-range", "0", "0"], "top price 0")])
+        (["--price-range", "0", "0"], "top price 0"),
+        (["--eps", "nan"], "eps must be positive")])
     def test_bz_boundary_is_a_clean_error(self, flags, message, capsys):
         rc = main(["solve", "--algo", "bz", "--n", "6", "--num-sets", "20",
                    "--seed", "5", *flags])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("algo", ["exhaustive", "exact"])
+    def test_instance_itemsets_are_read_by_label(self, tmp_path, algo, capsys):
+        # the instance keeps its items in price order (30, 20, 10); the
+        # itemsets name them by label, so {20, 30} must be scored as such
+        save_instance(Instance.from_items([1.0, 5.0, 9.0], [0.5] * 3, 1.0,
+                                          item_ids=[10, 20, 30]),
+                      tmp_path / "instance.json")
+        (tmp_path / "sets.txt").write_text("10\n20 30\n")
+        rc = main(["solve", "--algo", algo, "--instance", str(tmp_path / "instance.json"),
+                   "--itemsets", str(tmp_path / "sets.txt")])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["assortment"] == [20, 30]
+        assert out["revenue"] == pytest.approx(3.5)
+        (tmp_path / "sets.txt").write_text("10\n20 40\n")
+        rc = main(["solve", "--algo", algo, "--instance", str(tmp_path / "instance.json"),
+                   "--itemsets", str(tmp_path / "sets.txt")])
+        assert rc == 1 and "item 40" in capsys.readouterr().err
+
+    def test_non_finite_price_is_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "sets.txt").write_text("1\n1 2\n")
+        (tmp_path / "prices.csv").write_text("id,price\n1,nan\n2,3.0\n")
+        rc = main(["solve", "--algo", "exhaustive", "--itemsets", str(tmp_path / "sets.txt"),
+                   "--prices", str(tmp_path / "prices.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and "row 2" in captured.err
 
 
 class TestCliBench:

@@ -137,6 +137,13 @@ class TestLoadPrices:
         with pytest.raises(ValueError, match="negative"):
             load_prices(f)
 
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_rejected(self, tmp_path, price):
+        f = tmp_path / "prices.csv"
+        f.write_text(f"id,price\n1,9.99\n2,{price}\n")
+        with pytest.raises(ValueError, match="row 3.*not finite"):
+            load_prices(f)
+
     def test_malformed_row_reports_number(self, tmp_path):
         f = tmp_path / "prices.csv"
         f.write_text("id,price\n1,9.99\nx,1.0\n")

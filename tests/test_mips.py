@@ -116,34 +116,33 @@ _PINNED_HASHED_SOLVES_SHA256 = (
 class TestEmbedding:
     def test_vector_layout(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
-        assert pts[1].vector.tolist() == [10.0, 8.0, 0.0, 1.0, 1.0, 0.0]
-        assert pts[1].set_id == 1
+        assert pts[1].tolist() == [10.0, 8.0, 0.0, 1.0, 1.0, 0.0]
 
     def test_norm_cached_correctly(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
-        for p in pts:
-            assert p.norm == pytest.approx(np.linalg.norm(p.vector), rel=1e-12)
+        for i, x in enumerate(pts):
+            assert pts.norms[i] == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
     def test_norms_only_when_read(self):
         inst, coll = generate_instance(GenSpec(n=15, num_sets=90, seed=4))
         pts = embed_collection(coll, inst)
         assort_mnl(coll, inst, inst.p1 / 100, mips=ExactMips(pts, inst.weights))
-        assert "norms" not in vars(pts)  # exact scoring never reads them
+        dense = [np.linalg.norm(pts[i]) for i in range(len(pts))]
+        assert "norms" not in vars(pts)  # exact scoring and dense points never read them
         build_lsh_index(pts, seed=1)
         norms = vars(pts)["norms"]
         assert not norms.flags.writeable
-        dense = [np.linalg.norm(pts[i].vector) for i in range(len(pts))]
         assert np.allclose(norms, dense, rtol=1e-12, atol=0)
 
     def test_hand_dot(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         q = QueryVector(e1.weights, 4.0)
-        assert float(pts[1].vector @ q.vector) == pytest.approx(2.8)
+        assert float(pts[1] @ q.vector) == pytest.approx(2.8)
 
     def test_price_equal_threshold_cancels(self, e1):
         pts = embed_collection(AssortmentCollection([{3}], n=3), e1)
         q = QueryVector(e1.weights, 5.0)
-        assert float(pts.scores(q)[0]) == pytest.approx(0.0, abs=1e-12)
+        assert float(pts.scores_at(q)[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_dot_identity_random(self):
         # embedding identity: dense dot == margin sum, checked per draw
@@ -157,9 +156,9 @@ class TestEmbedding:
             q = QueryVector(inst.weights, K)
             direct = sum(inst.weights[i - 1] * (inst.prices[i - 1] - K)
                          for i in members)
-            assert np.isclose(float(pts[0].vector @ q.vector), direct,
+            assert np.isclose(float(pts[0] @ q.vector), direct,
                               rtol=1e-9, atol=1e-9)
-            assert np.isclose(float(pts.scores(q)[0]), direct,
+            assert np.isclose(float(pts.scores_at(q)[0]), direct,
                               rtol=1e-9, atol=1e-9)
 
     def test_query_vector_structure(self, e1):
@@ -174,8 +173,8 @@ class TestEmbedding:
         w = inst.weights.copy()
         for K in (0.0, 123.0, inst.p1):
             q = QueryVector(w, K)
-            dense = [float(pts[i].vector @ q.vector) for i in range(len(pts))]
-            assert np.allclose(pts.scores(q), dense, rtol=1e-12, atol=1e-9)
+            dense = [float(pts[i] @ q.vector) for i in range(len(pts))]
+            assert np.allclose(pts.scores_at(q), dense, rtol=1e-12, atol=1e-9)
         w[0] = 5.0  # the query keeps its own read-only copy
         assert q.weights[0] == inst.weights[0] and not q.weights.flags.writeable
         with pytest.raises(ValueError, match="1-d"):
@@ -186,7 +185,7 @@ class TestQueryExact:
     def test_hand_scores(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         q = QueryVector(e1.weights, 3.0)
-        assert pts.scores(q).tolist() == pytest.approx([1.4, 3.4, 3.0])
+        assert pts.scores_at(q).tolist() == pytest.approx([1.4, 3.4, 3.0])
         assert ExactMips(pts, e1.weights).query(3.0) == (1, pytest.approx(3.4))
 
     def test_single_point(self, e1):
@@ -197,7 +196,7 @@ class TestQueryExact:
     def test_high_threshold_least_negative(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         q = QueryVector(e1.weights, 12.0)  # above every price
-        scores = pts.scores(q)
+        scores = pts.scores_at(q)
         assert (scores <= 0).all()
         sid, s = ExactMips(pts, e1.weights).query(12.0)
         assert sid == int(np.argmax(scores)) and s == scores.max()
@@ -264,7 +263,7 @@ class TestHashKey:
 
     def test_deterministic(self, small_index):
         pts, idx = small_index
-        x = simple_lsh_transform(pts[0].vector, idx.scale)
+        x = simple_lsh_transform(pts[0], idx.scale)
         assert hash_key(x, 1, idx) == hash_key(x, 1, idx)
 
     def test_collision_law_monte_carlo(self, e1):
@@ -321,8 +320,6 @@ class TestIndex:
         assert default_lsh_params(4) == LshParams(2, 2, 6)
         assert default_lsh_params(51200) == LshParams(16, 227, 681)
         assert default_lsh_params(1) == LshParams(0, 1, 3)
-        # rho sizes the table count and is not part of the index shape
-        assert default_lsh_params(51200, rho=0.25) == LshParams(16, 16, 48)
 
     @pytest.mark.parametrize("kwargs", [
         dict(bits=-1, tables=2, scan_cap=6),
@@ -373,7 +370,7 @@ class TestIndex:
         idx = build_lsh_index(pts, LshParams(bits=6, tables=3, scan_cap=20),
                               seed=13)
         for i in (0, 7, 31, 59):
-            x = simple_lsh_transform(pts[i].vector, idx.scale)
+            x = simple_lsh_transform(pts[i], idx.scale)
             for t in range(3):
                 assert i in idx.bucket(t, hash_key(x, t, idx)).tolist()
 
@@ -476,7 +473,7 @@ class TestQueryLsh:
                               seed=0)
         q = QueryVector(e1.weights, 0.0)
         assert (LshMips(idx, pts, e1.weights).query(0.0)
-                == (0, pytest.approx(float(pts.scores(q)[0]))))
+                == (0, pytest.approx(float(pts.scores_at(q)[0]))))
 
     def test_queries_never_read_the_projections(self):
         # per query, hashing costs O(tables * bits): the engine projects the
@@ -514,7 +511,7 @@ class TestQueryLsh:
         with pytest.raises(ValueError, match="dimension"):
             LshMips(idx, pts, other.weights)
         with pytest.raises(ValueError, match="dimension"):
-            pts.scores(QueryVector(other.weights, 1.0))
+            pts.scores_at(QueryVector(other.weights, 1.0))
 
     @staticmethod
     def _thresholds(p1: float, seed: int) -> np.ndarray:

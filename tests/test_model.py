@@ -26,6 +26,9 @@ class TestInstance:
         dict(prices=[-1.0], weights=[0.5], v0=1.0),
         dict(prices=[1.0], weights=[0.5], v0=0.0),
         dict(prices=[1.0], weights=[0.5], v0=1.5),
+        dict(prices=[np.nan, 1.0], weights=[0.5, 0.5], v0=1.0),
+        dict(prices=[np.inf, 1.0], weights=[0.5, 0.5], v0=1.0),
+        dict(prices=[1.0], weights=[np.nan], v0=1.0),
     ])
     def test_invariant_violations(self, kwargs):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ class TestPosterior:
         with pytest.raises(ValueError, match="integer"):
             Posterior.uniform(1.0, 0.3)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
     def test_non_positive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
             Posterior.uniform(1.0, eps)

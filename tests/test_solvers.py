@@ -5,10 +5,10 @@ import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        LshMips, assort_mnl, assort_mnl_approx,
-                       assort_mnl_approx_simple, approx_iteration_bound,
-                       compare_step_general, embed_collection,
-                       exhaustive_search, generate_instance, normalize,
-                       revenue)
+                       assort_mnl_approx_simple, assort_mnl_capacitated,
+                       approx_iteration_bound, compare_step_general,
+                       embed_collection, exhaustive_search, generate_instance,
+                       normalize, revenue)
 
 
 def exact_engine(collection, inst):
@@ -113,6 +113,15 @@ class TestAssortMnl:
     def test_eps_must_be_positive(self, e1, e1_all):
         with pytest.raises(ValueError, match="positive"):
             assort_mnl(e1_all, e1, 0.0)
+
+    def test_nan_eps_rejected_by_every_bisection(self, e1, e1_all):
+        # a NaN eps fails every comparison, so it would close the bracket
+        # after 0 comparisons and return the start set
+        for solve in (lambda: assort_mnl(e1_all, e1, math.nan),
+                      lambda: assort_mnl_approx_simple(e1_all, e1, math.nan),
+                      lambda: assort_mnl_capacitated(e1, 2, math.nan)):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                solve()
 
 
 class TestApproxSimple:
