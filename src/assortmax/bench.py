@@ -2,20 +2,21 @@
 
 Each run draws (or loads) a fresh instance, solves it with every requested
 algorithm, and scores revenue loss and assortment overlap against the exact
-oracle.  Timing covers solver execution only unless ``report_build_time``
-is set, in which case index construction is included.
+oracle.  Each row reports the solver's own wall time.  :func:`solve` only
+dispatches: the hashed solvers build their engines themselves, from the
+index shape and seed it passes on.
 """
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import GenSpec, ResultRecord, generate_instance, instance_from_files
-from .mips import LshMips, LshParams, default_lsh_params, embed_collection
+from .mips import LshParams, default_lsh_params
 from .model import AssortmentCollection, Instance, SolverResult, normalize
 from .noisy_search import assort_mnl_bz
 from .oracles import brute_force_capacitated, exhaustive_search
@@ -53,11 +54,15 @@ class BenchConfig:
     prices_path: str | None = None
     min_card: int = 1
     max_card: int | None = None
-    report_build_time: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        # for every algorithm, read or not: no row may carry a NaN setting
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if not self.nu >= 0:
+            raise ValueError("nu must be non-negative")
         unknown = set(self.algorithms) - set(ALL_ALGOS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -81,44 +86,34 @@ class BenchConfig:
 
 
 def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
-          config: BenchConfig, seed: int) -> tuple[SolverResult, float]:
-    """Solve one instance with the algorithm named ``algo``.
-
-    Returns the result in the instance's price units and the seconds spent
-    embedding and indexing outside the result's ``wall_time``.  ``approx``
-    and ``bz`` read ``config.eps`` on the normalized price scale (top price
-    1), which their approximation bookkeeping assumes.
+          config: BenchConfig, seed: int) -> SolverResult:
+    """Solve one instance with the algorithm named ``algo``, in the
+    instance's price units.  ``approx`` and ``bz`` read ``config.eps`` on
+    the normalized price scale (top price 1), which their approximation
+    bookkeeping assumes; the hashed solvers build their own engines.
     """
-    build_s = 0.0
-    if algo in ("approx_simple", "approx"):
-        target = normalize(inst) if algo == "approx" else inst
-        t0 = time.perf_counter()
-        points = embed_collection(collection, target)
-        engine = LshMips.build(points, target.weights,
-                               config.lsh_params(len(points)), seed)
-        build_s = time.perf_counter() - t0
     if algo == "exhaustive":
-        res = exhaustive_search(collection, inst)
-    elif algo == "exact":
-        res = assort_mnl(collection, inst, config.eps)
-    elif algo == "approx_simple":
-        res = assort_mnl_approx_simple(collection, inst, config.eps, lsh=engine)
-    elif algo == "approx":
-        res = assort_mnl_approx(collection, target, config.eps, config.nu, lsh=engine)
+        return exhaustive_search(collection, inst)
+    if algo == "exact":
+        return assort_mnl(collection, inst, config.eps)
+    if algo == "approx_simple":
+        return assort_mnl_approx_simple(collection, inst, config.eps, seed=seed,
+                                        params=config.lsh_params(len(collection)))
+    if algo == "approx":
+        res = assort_mnl_approx(collection, normalize(inst), config.eps, config.nu,
+                                params=config.lsh_params(len(collection)), seed=seed)
         lo, hi = res.revenue_interval
-        res = replace(res, revenue=res.revenue * inst.p1,
-                      revenue_interval=(lo * inst.p1, hi * inst.p1))
-    elif algo == "bz":  # rescales internally; only eps needs mapping
-        res = assort_mnl_bz(collection, inst, config.eps * inst.p1,
-                            config.bz_rounds, config.bz_alpha,
-                            params=config.lsh_params(len(collection)), seed=seed)
-    elif algo == "capacitated":
-        res = assort_mnl_capacitated(inst, config.capacity, config.eps)
-    elif algo == "brute_cap":
-        res = brute_force_capacitated(inst, config.capacity)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return res, build_s
+        return replace(res, revenue=res.revenue * inst.p1,
+                       revenue_interval=(lo * inst.p1, hi * inst.p1))
+    if algo == "bz":  # rescales internally; only eps needs mapping
+        return assort_mnl_bz(collection, inst, config.eps * inst.p1,
+                             config.bz_rounds, config.bz_alpha,
+                             params=config.lsh_params(len(collection)), seed=seed)
+    if algo == "capacitated":
+        return assort_mnl_capacitated(inst, config.capacity, config.eps)
+    if algo == "brute_cap":
+        return brute_force_capacitated(inst, config.capacity)
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def load_source(config: BenchConfig, seed: int, need_collection: bool
@@ -151,14 +146,12 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
     N = len(collection) if collection is not None else None
     for algo in config.algorithms:
         opt = general_opt if algo in GENERAL_ALGOS else cap_opt
-        res, build_s = ((opt, 0.0) if algo in ("exhaustive", "brute_cap")  # oracle rows
-                        else solve(algo, inst, collection, config, run_seed))
+        res = (opt if algo in ("exhaustive", "brute_cap")  # oracle rows
+               else solve(algo, inst, collection, config, run_seed))
         if res is None:  # brute force is infeasible at this scale
             continue
-        wall = res.wall_time + (build_s if config.report_build_time else 0.0)
         records.append(ResultRecord.from_result(
-            f"run{run_index:03d}", algo, inst.n, N, config.eps, res, opt,
-            wall_time_s=wall))
+            f"run{run_index:03d}", algo, inst.n, N, config.eps, res, opt))
     return records
 
 
@@ -193,12 +186,7 @@ def run_bench(config: BenchConfig) -> tuple[list[ResultRecord], list[ResultRecor
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(config.seed).spawn(config.runs)]
     env = os.environ.get("ASSORTMAX_THREADS")
-    workers = max(1, int(env)) if env else 1
-    if workers == 1:
-        batches = [_run_once(config, i, s) for i, s in enumerate(seeds)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda args: _run_once(config, *args),
-                                    list(enumerate(seeds))))
+    with ThreadPoolExecutor(max_workers=max(1, int(env)) if env else 1) as pool:
+        batches = list(pool.map(partial(_run_once, config), range(config.runs), seeds))
     records = [rec for batch in batches for rec in batch]
     return records, aggregate_records(records)

@@ -110,10 +110,10 @@ def _cmd_solve(args) -> int:
         raise SystemExit(f"error: --capacity is incompatible with --algo {algo} "
                          "over general collections")
     # algorithms=(): solve checks its source above and in _load_source, with
-    # its own messages, so BenchConfig has nothing to check
+    # its own messages, so BenchConfig checks only the settings (eps, nu)
     config = _config(args, (), num_sets=args.num_sets)
     inst, collection = _load_source(args, config, algo in GENERAL_ALGOS)
-    res, _ = solve(algo, inst, collection, config, args.seed)
+    res = solve(algo, inst, collection, config, args.seed)
     print(json.dumps(_result_payload(algo, inst, collection, res, args.eps)))
     return 0
 
@@ -126,8 +126,7 @@ def _cmd_bench(args) -> int:
         sweep = [None]
     records, aggregates = [], []
     for num_sets in sweep:  # one aggregate row per collection size
-        config = _config(args, algos, runs=args.runs, num_sets=num_sets,
-                         report_build_time=args.report_build_time)
+        config = _config(args, algos, runs=args.runs, num_sets=num_sets)
         recs, aggs = run_bench(config)
         records.extend(recs)
         aggregates.extend(aggs)
@@ -175,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algo", default="exact,approx_simple",
                        help=f"comma-separated subset of {','.join(ALL_ALGOS)}")
     bench.add_argument("--runs", type=int, default=50)
-    bench.add_argument("--report-build-time", action="store_true",
-                       help="include index construction in wall time")
     bench.add_argument("--out", required=True, help="results file path")
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_source_flags(bench, sweep=True)

@@ -7,7 +7,7 @@ optional trailing "#SUP: <count>" annotation that is ignored here.
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -239,10 +239,6 @@ def save_itemsets(collection: AssortmentCollection, path) -> None:
             fh.write("\n")
 
 
-RESULT_FIELDS = ("run_id", "algo", "n", "N", "eps", "iterations",
-                 "wall_time_s", "revenue", "rel_error", "overlap")
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     """One benchmark row; oracle-dependent metrics may be absent (None)."""
@@ -261,35 +257,24 @@ class ResultRecord:
     @classmethod
     def from_result(cls, run_id: str, algo: str, n: int, N: int | None,
                     eps: float, result: SolverResult,
-                    optimum: SolverResult | None = None,
-                    wall_time_s: float | None = None) -> "ResultRecord":
+                    optimum: SolverResult | None = None) -> "ResultRecord":
         rel = overlap = None
         if optimum is not None and optimum.revenue > 0:
             rel = (optimum.revenue - result.revenue) / optimum.revenue
             ref = optimum.assortment.items
             overlap = len(result.assortment.items & ref) / len(ref) if ref else None
-        return cls(run_id, algo, n, N, eps, result.iterations,
-                   wall_time_s if wall_time_s is not None else result.wall_time,
+        return cls(run_id, algo, n, N, eps, result.iterations, result.wall_time,
                    result.revenue, rel, overlap)
 
 
-def write_results(records: Sequence[ResultRecord | dict], path,
-                  fmt: str = "csv") -> None:
-    """Write rows in a fixed column order, as CSV or JSON."""
-    rows = [asdict(r) if isinstance(r, ResultRecord) else dict(r) for r in records]
-    for row in rows:
-        missing = [f for f in RESULT_FIELDS if f not in row]
-        if missing:
-            raise ValueError(f"record is missing fields: {missing}")
+def write_results(records: Sequence[ResultRecord], path, fmt: str = "csv") -> None:
+    """Write rows in :class:`ResultRecord` field order, as CSV or JSON."""
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(ResultRecord)])
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if row[k] is None else row[k])
-                                 for k in RESULT_FIELDS})
+            writer.writerows(map(asdict, records))  # None is written as an empty field
     elif fmt == "json":
-        ordered = [{k: row[k] for k in RESULT_FIELDS} for row in rows]
-        Path(path).write_text(json.dumps(ordered, indent=2) + "\n")
+        Path(path).write_text(json.dumps([asdict(r) for r in records], indent=2) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")

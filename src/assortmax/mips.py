@@ -80,10 +80,9 @@ class EmbeddedCollection(Sequence):
     @cached_property
     def norms(self) -> np.ndarray:
         """Read-only norm of every point, taken on first use: index builds
-        read it, exact scoring never does."""
-        norms = np.sqrt(self.source.set_sums(self.prices**2 + 1.0))
-        norms.setflags(write=False)
-        return norms
+        read it, exact scoring never does; an embed at prices the collection
+        last took them at reuses them."""
+        return self.source.point_norms(self.prices)
 
     def __len__(self) -> int:
         return len(self.source)
@@ -162,7 +161,7 @@ def default_lsh_params(num_points: int) -> LshParams:
     scan cap three times the table count."""
     if num_points < 1:
         raise ValueError("num_points must be positive")
-    bits = max(0, math.ceil(math.log2(num_points))) if num_points > 1 else 0
+    bits = math.ceil(math.log2(num_points))
     tables = max(1, math.ceil(num_points**0.5))
     return LshParams(bits=bits, tables=tables, scan_cap=3 * tables)
 
@@ -258,18 +257,14 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     slack = np.sqrt(np.maximum(0.0, 1.0 - (points.norms / scale) ** 2)).astype(np.float32)
 
     keys = np.empty((params.tables, n_pts), dtype=np.uint64)
-    total_bits = params.tables * params.bits
     for lo in range(0, n_pts, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_pts)
-        if total_bits:
-            mem = points._membership_chunk(lo, hi)
-            raw = mem @ combined
-            raw /= np.float32(scale)
-            raw += slack[lo:hi, None] * tail[None, :]
-            chunk_bits = (raw >= 0.0).reshape(hi - lo, params.tables, params.bits)
-            keys[:, lo:hi] = _pack_bits(chunk_bits).T
-        else:
-            keys[:, lo:hi] = 0
+        mem = points._membership_chunk(lo, hi)  # held to the next chunk: lower peak RSS
+        raw = mem @ combined
+        raw /= np.float32(scale)
+        raw += slack[lo:hi, None] * tail[None, :]
+        chunk_bits = (raw >= 0.0).reshape(hi - lo, params.tables, params.bits)
+        keys[:, lo:hi] = _pack_bits(chunk_bits).T  # all zero with 0 bits
 
     # numpy radix-sorts integers of 16 bits or fewer; the narrowed keys have
     # the same values, so the stable order is the same

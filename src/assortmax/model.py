@@ -66,12 +66,14 @@ class Instance:
             raise ValueError("weights must lie in [0, 1]")
         if not 0.0 < self.v0 <= 1.0:
             raise ValueError("v0 must lie in (0, 1]")
-        if not self.price_scale > 0:
-            raise ValueError("price_scale must be positive")
+        if not 0 < self.price_scale < np.inf:
+            raise ValueError("price_scale must be positive and finite")
         if self.item_ids is not None:
             ids = tuple(int(i) for i in self.item_ids)
             if len(ids) != prices.size:
                 raise ValueError("item_ids must have one label per item")
+            if len(set(ids)) != len(ids):
+                raise ValueError("item_ids must be distinct; a label names one item")
             object.__setattr__(self, "item_ids", ids)
 
     @property
@@ -177,6 +179,7 @@ class AssortmentCollection:
         self._flat = flat
         self._lengths = lengths
         self._starts = starts
+        self._norms: tuple[np.ndarray, np.ndarray] | None = None  # see point_norms
         for arr in (self._flat, self._lengths, self._starts):
             arr.setflags(write=False)
 
@@ -244,6 +247,18 @@ class AssortmentCollection:
         out.setflags(write=False)
         return out
 
+    def point_norms(self, prices: np.ndarray) -> np.ndarray:
+        """Read-only norm sqrt(sum_{i in S} (p_i^2 + 1)) of each set's point
+        (p o u^S, u^S).  The last norms taken are kept with their prices, as
+        :attr:`packed_membership` is kept, and reused at equal prices."""
+        kept = self._norms
+        if kept is None or not np.array_equal(kept[0], prices):
+            prices = np.array(prices, dtype=float)  # a copy, so the key cannot change
+            norms = np.sqrt(self.set_sums(prices**2 + 1.0))
+            norms.setflags(write=False)
+            kept = self._norms = (prices, norms)
+        return kept[1]
+
     def set_sums(self, values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Per-item ``values`` summed over each set, or over sets ``ids`` in order.
 
@@ -291,7 +306,7 @@ class SolverResult:
 
     def __post_init__(self):
         lo, hi = self.revenue_interval
-        if lo > hi:
+        if not lo <= hi:  # also rejects a NaN bound
             raise ValueError("revenue_interval must satisfy lower <= upper")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")

@@ -289,7 +289,7 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
     """
     if inst.p1 > 1.0 + 1e-12:
         raise ValueError("approx solver needs a normalized instance; call normalize() first")
-    if nu < 0:
+    if not nu >= 0:  # also rejects NaN
         raise ValueError("nu must be non-negative")
     if eps <= 2.0 * (nu * nu + 2.0 * nu):
         raise ValueError("eps must exceed 2(nu^2 + 2 nu) for the search to close")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,15 @@ from assortmax import (Assortment, BenchConfig, GenSpec, Instance,
                        generate_instance, revenue, run_bench, save_instance)
 from assortmax.bench import ALL_ALGOS, CAPACITATED_ALGOS
 from assortmax.cli import main
+
+# sha256 over repr((assortment, revenue, revenue_interval, iterations)) of
+# `assortmax solve --algo A --eps 0.1 --n 12 --seed s` for s in 0..2 and A
+# in ALL_ALGOS order, with --num-sets 150 for the general algorithms and
+# --capacity 4 for the capacitated ones.  The command answers through
+# bench.solve, so this pins the dispatch; like the index digests in
+# test_mips.py, the hashed answers hold for the BLAS it was recorded with.
+_PINNED_DISPATCH_SHA256 = (
+    "cec5003f600a4a8e277f8ca8d1d864e22d74f326bb56e5b7853eef0fe9caf8ee")
 
 
 class TestBenchHarness:
@@ -143,6 +153,33 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("algo, flags, message", [
+        ("exhaustive", ["--eps", "nan"], "eps must be positive"),
+        ("brute_cap", ["--eps", "nan", "--capacity", "2"], "eps must be positive"),
+        ("exhaustive", ["--eps", "-1"], "eps must be positive"),
+        ("approx", ["--nu", "nan"], "nu must be non-negative"),
+        ("exact", ["--nu", "nan"], "nu must be non-negative")])
+    def test_settings_checked_for_every_algo(self, algo, flags, message, capsys):
+        # checked whether or not the algorithm reads them, so that no printed
+        # answer carries a NaN (which is not JSON) or a NaN bracket
+        source = [] if "--capacity" in flags else ["--num-sets", "60"]
+        rc = main(["solve", "--algo", algo, "--n", "10", *source, *flags])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and message in captured.err
+
+    def test_dispatch_is_pinned(self, capsys):
+        h = hashlib.sha256()
+        for seed in range(3):
+            for algo in ALL_ALGOS:
+                source = (["--capacity", "4"] if algo in CAPACITATED_ALGOS
+                          else ["--num-sets", "150"])
+                assert main(["solve", "--algo", algo, "--eps", "0.1", "--n", "12",
+                             "--seed", str(seed), *source]) == 0
+                out = json.loads(capsys.readouterr().out)
+                h.update(repr((out["assortment"], out["revenue"],
+                               out["revenue_interval"], out["iterations"])).encode())
+        assert h.hexdigest() == _PINNED_DISPATCH_SHA256
+
     @pytest.mark.parametrize("algo", ["exhaustive", "exact"])
     def test_instance_itemsets_are_read_by_label(self, tmp_path, algo, capsys):
         # the instance keeps its items in price order (30, 20, 10); the
@@ -189,6 +226,13 @@ class TestCliBench:
         rows = list(csv.DictReader(out.open()))
         means = [r for r in rows if r["run_id"] == "mean"]
         assert [r["N"] for r in means] == ["10", "30", "60"]
+
+    def test_nan_eps_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--algo", "exhaustive", "--runs", "1", "--n", "5",
+                   "--num-sets", "10", "--eps", "nan", "--out", str(out)])
+        assert rc == 1 and "eps must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_instance_flag_rejected(self, tmp_path, capsys):
         # bench draws or loads its own instance per run, so an instance

@@ -197,6 +197,13 @@ class TestInstanceJson:
         assert back.weights.tolist() == inst.weights.tolist()
         assert back.v0 == inst.v0 and back.price_scale == inst.price_scale
 
+    def test_repeated_labels_rejected_on_load(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"prices": [2.0, 1.0], "weights": [0.5, 0.5],
+                                    "v0": 1.0, "item_ids": [7, 7]}))
+        with pytest.raises(ValueError, match="distinct"):
+            load_instance(path)
+
 
 def _record(i=0):
     return ResultRecord(run_id=f"run{i:03d}", algo="exact", n=3, N=7, eps=0.1,

@@ -134,6 +134,22 @@ class TestEmbedding:
         assert not norms.flags.writeable
         assert np.allclose(norms, dense, rtol=1e-12, atol=0)
 
+    def test_norms_kept_per_catalog_at_equal_prices(self):
+        # a fresh embed of the same catalog at an equal (copied) price array
+        # reuses the norms; an embed at other prices takes its own
+        inst, coll = generate_instance(GenSpec(n=15, num_sets=90, seed=4))
+        first = embed_collection(coll, inst).norms
+        again = embed_collection(coll, Instance(inst.prices.copy(), inst.weights, 1.0))
+        assert "norms" not in vars(again)
+        assert again.norms is first
+        other = embed_collection(coll, normalize(inst))
+        assert other.norms is not first
+        assert np.allclose(other.norms, [np.linalg.norm(other[i]) for i in range(len(coll))],
+                           rtol=1e-12, atol=0)
+        fresh = embed_collection(AssortmentCollection._from_arrays(
+            coll.n, *coll.flat_arrays[::2]), inst)
+        assert fresh.norms.tobytes() == first.tobytes()  # same values, taken anew
+
     def test_hand_dot(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)
         q = QueryVector(e1.weights, 4.0)

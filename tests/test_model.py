@@ -34,6 +34,19 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(**kwargs)
 
+    def test_repeated_labels_rejected(self):
+        # onto_instance maps each label to one position, so a repeated label
+        # would silently send a set's item to the last item carrying it
+        with pytest.raises(ValueError, match="distinct"):
+            Instance([2.0, 1.0], [0.5, 0.5], 1.0, item_ids=(7, 7))
+        with pytest.raises(ValueError, match="distinct"):
+            Instance.from_items([1.0, 2.0], [0.5, 0.5], 1.0, item_ids=(3, 3))
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+    def test_price_scale_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="price_scale"):
+            Instance([2.0, 1.0], [0.5, 0.5], 1.0, price_scale=scale)
+
     def test_arrays_are_read_only(self, e1):
         with pytest.raises(ValueError):
             e1.prices[0] = 99.0
@@ -249,6 +262,11 @@ class TestSolverResult:
     def test_interval_order_enforced(self):
         with pytest.raises(ValueError, match="lower <= upper"):
             SolverResult(Assortment({1}), 1.0, (2.0, 1.0), 0, 0.0)
+
+    @pytest.mark.parametrize("interval", [(np.nan, 1.0), (0.0, np.nan)])
+    def test_nan_bound_rejected(self, interval):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            SolverResult(Assortment({1}), 1.0, interval, 0, 0.0)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -192,6 +192,11 @@ class TestApprox:
         with pytest.raises(ValueError, match="exceed"):
             assort_mnl_approx(e1_all, inst, 0.04, 0.01)  # 2(nu^2+2nu)=.0402
 
+    def test_rejects_nan_nu(self, e1, e1_all):
+        # both nu checks are false for NaN, which would leave a NaN lower bound
+        with pytest.raises(ValueError, match="nu must be non-negative"):
+            assort_mnl_approx(e1_all, normalize(e1), 0.1, float("nan"))
+
     def test_nu_zero_with_exact_oracle_matches_exact_solver(self):
         for trial in range(10):
             inst, coll = generate_instance(GenSpec(n=8, num_sets=40,
