@@ -62,7 +62,7 @@ def _load_source(args, config: BenchConfig, need_collection: bool):
             collection, labels = load_itemsets(args.itemsets, args.min_card,
                                                args.max_card)
             collection = onto_instance(collection, labels, inst)
-    elif args.itemsets or args.n:
+    elif args.itemsets or args.n is not None:
         inst, collection = load_source(config, args.seed, need_collection)
     else:
         raise SystemExit("error: provide --instance, --itemsets, or --n")
@@ -96,7 +96,8 @@ def _config(args, algorithms: tuple[str, ...], **fields) -> BenchConfig:
         algorithms=algorithms, eps=args.eps, capacity=args.capacity, nu=args.nu,
         bz_rounds=args.bz_rounds, bz_alpha=args.bz_alpha,
         lsh_bits=args.lsh_bits, lsh_tables=args.lsh_tables,
-        lsh_scan_cap=args.lsh_scan_cap, seed=args.seed, n=args.n or 100,
+        lsh_scan_cap=args.lsh_scan_cap, seed=args.seed,
+        n=args.n if args.n is not None else 100,
         price_range=tuple(args.price_range), v0=args.v0,
         itemsets_path=args.itemsets, prices_path=args.prices,
         min_card=args.min_card, max_card=args.max_card, **fields)

@@ -25,6 +25,7 @@ __all__ = [
 
 
 _PACK_ROWS = 4096  # rows densified at a time while packing the membership
+_SUM_BLOCK = 1 << 15  # membership entries gathered at a time by set_sums
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -266,10 +267,14 @@ class AssortmentCollection:
         same sets; the result has shape (sets,) or (k, sets).  Every per-set
         reduction goes through here.  A set's sum depends only on its own
         members, so it is bit-identical whether taken over the whole
-        collection or over any selection of ids.  Rows are gathered one at a
-        time, so the peak temporary is one float per membership entry.
+        collection or over any selection of ids.  Whole sets are reduced in
+        blocks of about ``_SUM_BLOCK`` membership entries: each row is
+        gathered through a block's indices into one buffer made per call,
+        which stays in cache, so no temporary grows with the entries.
         """
-        values = np.asarray(values)
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1:] != (self.n,):
+            raise ValueError(f"values must have {self.n} entries per row, one per item")
         if ids is None:
             flat, starts = self._flat, self._starts
         else:
@@ -281,9 +286,23 @@ class AssortmentCollection:
             flat = np.concatenate(runs) if runs else self._flat[:0]
             starts = np.zeros(lengths.size, dtype=np.int64)
             np.cumsum(lengths[:-1], out=starts[1:])
+        cuts, edges = [0, starts.size], [0, flat.size]
+        # a block holds the sets starting in one window of _SUM_BLOCK entries;
+        # a call of up to two blocks, as a hashed rescore is, fits cache whole
+        if flat.size > 2 * _SUM_BLOCK:
+            cuts[1:1] = (np.flatnonzero(np.diff(starts // _SUM_BLOCK)) + 1).tolist()
+            edges[1:1] = starts[cuts[1:-1]].tolist()
+        buf = np.empty(max(hi - lo for lo, hi in zip(edges, edges[1:])))
         out = np.empty(values.shape[:-1] + starts.shape)
-        for row in np.ndindex(values.shape[:-1]):
-            out[row] = np.add.reduceat(values[row][flat], starts)
+        rows = [(values[row], out[row]) for row in np.ndindex(values.shape[:-1])]
+        # every index is in 0..n-1, as _init_arrays checked, so "clip" only
+        # drops np.take's bounds check, and it writes straight into the buffer
+        for a, b, lo, hi in zip(cuts, cuts[1:], edges, edges[1:]):
+            idx, part = flat[lo:hi], buf[:hi - lo]
+            local = starts[a:b] - lo if lo else starts[a:b]
+            for row, sums in rows:
+                np.take(row, idx, out=part, mode="clip")
+                np.add.reduceat(part, local, out=sums[a:b])
         return out
 
 

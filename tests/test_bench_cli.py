@@ -167,6 +167,12 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and message in captured.err
 
+    def test_zero_items_rejected(self, capsys):
+        # --n 0 is given, so it is checked, not read as missing
+        rc = main(["solve", "--algo", "exact", "--n", "0", "--num-sets", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and "n must be positive" in captured.err
+
     def test_dispatch_is_pinned(self, capsys):
         h = hashlib.sha256()
         for seed in range(3):
@@ -232,6 +238,14 @@ class TestCliBench:
         rc = main(["bench", "--algo", "exhaustive", "--runs", "1", "--n", "5",
                    "--num-sets", "10", "--eps", "nan", "--out", str(out)])
         assert rc == 1 and "eps must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_items_rejected(self, tmp_path, capsys):
+        # --n 0 must not be replaced by the default of 100 items
+        out = tmp_path / "o.json"
+        rc = main(["bench", "--algo", "exact", "--runs", "1", "--n", "0",
+                   "--num-sets", "5", "--out", str(out), "--format", "json"])
+        assert rc == 1 and "n must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_instance_flag_rejected(self, tmp_path, capsys):

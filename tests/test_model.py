@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -256,6 +260,96 @@ class TestCollection:
             assert np.array_equal(
                 np.unpackbits(packed, axis=1, bitorder="little"),
                 np.pad(dense, ((0, 0), (0, 8 * packed.shape[1] - coll.n))))
+
+
+class TestSetSums:
+    """set_sums reduces whole sets a block of entries at a time; every sum
+    must equal the set's own reduceat, bit for bit, however sets fall on
+    the blocks."""
+
+    BLOCK = 1 << 15  # membership entries per block in set_sums
+
+    @pytest.fixture(scope="class")
+    def coll(self):
+        rng = np.random.default_rng(11)
+        n = self.BLOCK + 7000  # room for a set larger than a whole block
+        half = self.BLOCK // 2
+        # two sets end exactly on the first block boundary, one spans more
+        # than a block, then two more land exactly on a later boundary
+        sizes = [half, half, self.BLOCK + 5, 1, self.BLOCK - 6, 3 * half, half]
+        sizes += rng.integers(1, 2000, 150).tolist()
+        sets = [np.sort(rng.permutation(n)[:k]) + 1 for k in sizes]
+        return AssortmentCollection(sets, n=n)
+
+    @staticmethod
+    def reference(coll, values, ids):
+        flat, starts, lengths = coll.flat_arrays
+        out = np.empty(values.shape[:-1] + (len(ids),))
+        for row in np.ndindex(values.shape[:-1]):
+            for j, i in enumerate(ids):
+                s, e = starts[i], starts[i] + lengths[i]
+                out[row + (j,)] = np.add.reduceat(values[row][flat[s:e]], [0])[0]
+        return out
+
+    @pytest.fixture(scope="class", params=[(), (3,)], ids=["1-d", "k-rows"])
+    def values(self, request, coll):
+        rng = np.random.default_rng(12)
+        # magnitudes over 16 decades, so any change of summation order shows
+        shape = request.param + (coll.n,)
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    def test_spans_several_blocks(self, coll):
+        flat, starts, lengths = coll.flat_arrays
+        ends = starts + lengths
+        assert flat.size > 5 * self.BLOCK
+        assert lengths.max() > self.BLOCK
+        assert np.count_nonzero(ends % self.BLOCK == 0) >= 2
+
+    def test_full_sums_match_per_set_reference(self, coll, values):
+        expect = self.reference(coll, values, range(len(coll)))
+        assert np.array_equal(coll.set_sums(values), expect)
+
+    @pytest.mark.parametrize("pick", ["unsorted-repeats", "few", "empty"])
+    def test_id_sums_match_per_set_reference(self, coll, values, pick):
+        rng = np.random.default_rng(13)
+        ids = {"unsorted-repeats": np.r_[rng.integers(0, len(coll), 300), 2, 0, 2],
+               "few": np.array([5, 2, 5]),
+               "empty": np.empty(0, dtype=np.int64)}[pick]
+        got = coll.set_sums(values, ids)
+        assert got.shape == values.shape[:-1] + ids.shape
+        assert np.array_equal(got, self.reference(coll, values, ids))
+
+    def test_concurrent_callers_get_the_serial_answer(self, coll):
+        rng = np.random.default_rng(14)
+        inputs = [rng.random((2, coll.n)) for _ in range(4)]
+        serial = [coll.set_sums(v) for v in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+        try:
+            with ThreadPoolExecutor(4) as pool:  # more workers than cores
+                for _ in range(3):
+                    got = list(pool.map(coll.set_sums, inputs, timeout=60))
+                    assert all(np.array_equal(g, s) for g, s in zip(got, serial))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rejects_values_of_wrong_length(self, coll):
+        with pytest.raises(ValueError, match="entries per row"):
+            coll.set_sums(np.ones(coll.n - 1))
+
+    def test_no_temporary_grows_with_the_entries(self):
+        rng = np.random.default_rng(15)
+        coll = AssortmentCollection.from_membership(rng.random((4200, 1000)) < 0.5)
+        assert coll.flat_arrays[0].size >= 2_000_000
+        values = rng.random((2, coll.n))
+        tracemalloc.start()
+        try:
+            coll.set_sums(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float per entry would be 16 MB; a few block buffers is under 2
+        assert peak < 2_000_000
 
 
 class TestSolverResult:
