@@ -183,10 +183,12 @@ def run_bench(config: BenchConfig) -> tuple[list[ResultRecord], list[ResultRecor
     seeds are spawned from the master seed, so results do not depend on
     worker scheduling.
     """
+    env = os.environ.get("ASSORTMAX_THREADS", "1")
+    if not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"ASSORTMAX_THREADS must be a positive integer, got {env!r}")
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(config.seed).spawn(config.runs)]
-    env = os.environ.get("ASSORTMAX_THREADS")
-    with ThreadPoolExecutor(max_workers=max(1, int(env)) if env else 1) as pool:
+    with ThreadPoolExecutor(max_workers=int(env)) as pool:
         batches = list(pool.map(partial(_run_once, config), range(config.runs), seeds))
     records = [rec for batch in batches for rec in batch]
     return records, aggregate_records(records)

@@ -2,7 +2,7 @@
 
 Metrics written by ``bench``: rel_error = (f_opt - f_alg) / f_opt and
 overlap = |A intersect A*| / |A*|, both against the exact oracle for the
-same run.  The worker pool for ``bench`` is capped by ASSORTMAX_THREADS.
+same run.  The worker pool for ``bench`` is sized by ASSORTMAX_THREADS.
 """
 
 import argparse

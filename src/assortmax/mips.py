@@ -36,7 +36,7 @@ __all__ = [
     "LshMips",
 ]
 
-_CHUNK_ROWS = 4096  # membership-matrix chunk height for bulk hashing
+_CHUNK_ROWS = 1024  # membership-matrix chunk height for bulk hashing
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,11 @@ class EmbeddedCollection(Sequence):
 
     def margin_sums(self, weights: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Rows (A, B) per set, or per set ``ids``: A_S = sum v_i p_i, B_S = sum v_i."""
-        return self.source.set_sums(np.stack([weights * self.prices, weights]), ids)
+        return self.source.set_sums(self._margin_rows(weights), ids)
+
+    def _margin_rows(self, weights: np.ndarray) -> np.ndarray:
+        """The per-item rows (v o p, v) that :meth:`margin_sums` sums."""
+        return np.stack([weights * self.prices, weights])
 
     def scores_at(self, q: QueryVector, ids: np.ndarray | None = None) -> np.ndarray:
         """Inner products for the points ``ids`` in the given order (all when None).
@@ -310,22 +314,44 @@ def load_index(path) -> LshIndex:
 class ExactMips:
     """Linear-scan oracle over an embedded collection.
 
-    The per-set sums (A, B) of :meth:`EmbeddedCollection.margin_sums` are
-    taken once, on the first query, so a solver's wall time includes them;
-    threshold K is then answered by the argmax of A - K B, ties going to
-    the lowest set id.
+    Threshold K is answered by the argmax of A - K B over the per-set sums
+    (A, B) of :meth:`EmbeddedCollection.margin_sums`, ties going to the
+    lowest set id.  The first query screens the collection
+    (``AssortmentCollection._screen``) or, where the screen does not run,
+    takes every sum once, so a solver's wall time includes that work.  A
+    screened query, for a finite K >= 0, scores exactly only the sets whose
+    screened score could tie or beat the best, with the same sums and
+    formula, so every answer equals the full scan's; any other K reads the
+    full sums.
     """
 
     def __init__(self, points: EmbeddedCollection, weights: np.ndarray):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (points.n,):
+            dims = " x ".join(map(str, weights.shape)) if weights.ndim > 1 else weights.size
+            raise ValueError(f"weights have dimension {dims}, expected {points.n}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         self.points = points
-        self.weights = np.asarray(weights, dtype=float)
-        self._sums: np.ndarray | None = None
+        self.weights = weights
+        self._values = points._margin_rows(weights)
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self.points.source._screen(self._values)
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        return self.points.source.set_sums(self._values)
 
     def query(self, threshold: float) -> tuple[int, float]:
-        if self._sums is None:
-            self._sums = self.points.margin_sums(self.weights)
-        A, B = self._sums
-        s = A - threshold * B
+        def score(A, B):
+            return A - threshold * B
+
+        # only for K >= 0 does the score fall as B grows, as the bounds need
+        if 0 <= threshold < np.inf and self._bounds is not None:
+            return self.points.source._argmax(self._values, score, self._bounds)
+        s = score(*self._sums)
         best = int(np.argmax(s))
         return best, float(s[best])
 

@@ -24,8 +24,10 @@ __all__ = [
 ]
 
 
-_PACK_ROWS = 4096  # rows densified at a time while packing the membership
-_SUM_BLOCK = 1 << 15  # membership entries gathered at a time by set_sums
+_PACK_ROWS = 512  # rows densified at a time while packing the membership
+_SUM_BLOCK = 1 << 15  # entries (set_sums) or lookups (_screen) per block
+_UNIT_ROUNDOFF = 2.0 ** -53
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -264,13 +266,14 @@ class AssortmentCollection:
         """Per-item ``values`` summed over each set, or over sets ``ids`` in order.
 
         ``values`` has shape (n,), or (k, n) for k quantities summed over the
-        same sets; the result has shape (sets,) or (k, sets).  Every per-set
-        reduction goes through here.  A set's sum depends only on its own
+        same sets; the result has shape (sets,) or (k, sets).  Every exact
+        per-set sum goes through here.  A set's sum depends only on its own
         members, so it is bit-identical whether taken over the whole
         collection or over any selection of ids.  Whole sets are reduced in
-        blocks of about ``_SUM_BLOCK`` membership entries: each row is
-        gathered through a block's indices into one buffer made per call,
-        which stays in cache, so no temporary grows with the entries.
+        blocks of about ``_SUM_BLOCK`` membership entries: the k rows are
+        interleaved into one (n, k) copy, so one gather through a block's
+        indices fetches every row into one buffer made per call, which
+        stays in cache, and no temporary grows with the entries.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != (self.n,):
@@ -292,18 +295,99 @@ class AssortmentCollection:
         if flat.size > 2 * _SUM_BLOCK:
             cuts[1:1] = (np.flatnonzero(np.diff(starts // _SUM_BLOCK)) + 1).tolist()
             edges[1:1] = starts[cuts[1:-1]].tolist()
-        buf = np.empty(max(hi - lo for lo, hi in zip(edges, edges[1:])))
-        out = np.empty(values.shape[:-1] + starts.shape)
-        rows = [(values[row], out[row]) for row in np.ndindex(values.shape[:-1])]
+        rows = np.ascontiguousarray(values.reshape(-1, self.n).T)  # (n, k)
+        buf = np.empty((max(hi - lo for lo, hi in zip(edges, edges[1:])), rows.shape[1]))
+        out = np.empty((rows.shape[1], starts.size))
         # every index is in 0..n-1, as _init_arrays checked, so "clip" only
         # drops np.take's bounds check, and it writes straight into the buffer
         for a, b, lo, hi in zip(cuts, cuts[1:], edges, edges[1:]):
-            idx, part = flat[lo:hi], buf[:hi - lo]
+            part = buf[:hi - lo]
+            np.take(rows, flat[lo:hi], axis=0, out=part, mode="clip")
             local = starts[a:b] - lo if lo else starts[a:b]
-            for row, sums in rows:
-                np.take(row, idx, out=part, mode="clip")
-                np.add.reduceat(part, local, out=sums[a:b])
-        return out
+            for row, sums in zip(part.T, out):  # a column view sums as its copy would
+                np.add.reduceat(row, local, out=sums[a:b])
+        return out.reshape(values.shape[:-1] + starts.shape)
+
+    def _screen(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Bounds (lower, upper), each of shape (2, sets), that hold every
+        sum of :meth:`set_sums` over two value rows, or None where the
+        screen does not run.
+
+        Each byte of :attr:`packed_membership` names which of 8 items a set
+        holds, so a 256-entry table per byte position holds their partial
+        sums ("Four Russians", Arlazarov et al. 1970): a set costs ceil(n/8)
+        lookups instead of one gather per member.  The two rows are looked
+        up together, as the real and imaginary parts of one complex table,
+        a block of sets at a time through buffers made per call.
+
+        The bound: a screened sum and a sum of :meth:`set_sums` both add at
+        most m = 8 ceil(n/8) non-negative terms (padding included) in some
+        order, so each lies within gamma_m = m u / (1 - m u), u = 2^-53, of
+        the set's true sum (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, sec. 4.2).  They differ by at most
+        2 gamma_m / (1 - gamma_m) of the screened sum, and the bounds widen
+        that to 4 gamma_m, which also covers the rounding of the bounds.
+
+        The screen runs only where it pays: where its (N + 256) ceil(n/8)
+        lookups and table entries are at most half the membership entries
+        (so sparse sets never pack), and only for finite, non-negative
+        values small enough that no sum or bound overflows.  It returns None
+        otherwise.
+        """
+        sets, width = len(self), (self.n + 7) // 8
+        if 2 * (sets + 256) * width > self._flat.size:
+            return None
+        values = np.asarray(values, dtype=float)
+        # NaN fails both tests; below the limit no sum of n values nor its
+        # bound overflows
+        if not ((values >= 0).all() and values.max() < _FLOAT_MAX / (2 * self.n)):
+            return None
+        pairs = np.zeros((8 * width, 2))
+        pairs[:self.n] = values.T
+        pairs = pairs.view(complex).reshape(width, 8)
+        # entry b of a byte's table sums the items of the bits set in b
+        tables = np.zeros((width, 256), dtype=complex)
+        for bit in range(8):
+            np.add(tables[:, :1 << bit], pairs[:, bit, None],
+                   out=tables[:, 1 << bit:2 << bit])
+        tables = tables.ravel()
+        step = min(sets, max(1, _SUM_BLOCK // width))  # sets per block
+        offsets = np.arange(width) * 256
+        idx = np.empty((step, width), dtype=np.intp)
+        buf = np.empty((step, width), dtype=complex)
+        sums = np.empty(sets, dtype=complex)
+        packed = self.packed_membership
+        for lo in range(0, sets, step):
+            hi = min(lo + step, sets)
+            np.add(packed[lo:hi], offsets, out=idx[:hi - lo])
+            np.take(tables, idx[:hi - lo], out=buf[:hi - lo], mode="clip")
+            buf[:hi - lo].sum(axis=1, out=sums[lo:hi])
+        sums = sums.view(float).reshape(sets, 2).T
+        m = 8 * width
+        slack = 4 * m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+        return sums * (1 - slack), sums * (1 + slack)
+
+    def _argmax(self, values: np.ndarray, score, bounds=None) -> tuple[int, float]:
+        """Lowest id and value of the maximum of ``score(*self.set_sums(values))``.
+
+        ``score(A, B)`` maps the two rows of sums to one score per set, and
+        must not fall as A grows nor rise as B grows.  Correctly rounded
+        arithmetic keeps such a formula monotone, so with the ``bounds`` of
+        :meth:`_screen` it bounds every exact score from above and below
+        without error analysis of its own.  Then only the sets whose upper
+        score reaches the greatest lower score can hold the maximum or tie
+        it; they are scored through ``set_sums(values, ids)``, bit-identical
+        to the full sums, and the answer equals the unscreened one.
+        """
+        if bounds is None:
+            scores = score(*self.set_sums(values))
+            best = int(np.argmax(scores))
+            return best, float(scores[best])
+        lower, upper = bounds
+        ids = np.flatnonzero(score(upper[0], lower[1]) >= score(lower[0], upper[1]).max())
+        scores = score(*self.set_sums(values, ids))
+        best = int(np.argmax(scores))
+        return int(ids[best]), float(scores[best])
 
 
 @dataclass(frozen=True)
@@ -345,11 +429,19 @@ def revenue(a: Assortment, inst: Instance) -> float:
     return num / (inst.v0 + float(w.sum()))
 
 
+def _revenue_terms(inst: Instance):
+    """The rows (p o v, v) whose per-set sums give revenue, and the revenue
+    of those sums, num / (v0 + den)."""
+    def revenues(num, den):
+        return num / (inst.v0 + den)
+    return np.stack([inst.prices * inst.weights, inst.weights]), revenues
+
+
 def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:
     """Exact revenue of every set in the collection, vectorized."""
     validate_collection(c, inst)
-    num, den = c.set_sums(np.stack([inst.prices * inst.weights, inst.weights]))
-    return num / (inst.v0 + den)
+    values, revenues = _revenue_terms(inst)
+    return revenues(*c.set_sums(values))
 
 
 def normalize(inst: Instance) -> Instance:

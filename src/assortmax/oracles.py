@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
-                    collection_revenues)
+                    _revenue_terms, validate_collection)
 
 __all__ = [
     "exhaustive_search",
@@ -20,15 +20,20 @@ _BRUTE_FORCE_MAX_ITEMS = 25  # subsets blow up combinatorially past this
 
 
 def exhaustive_search(c: AssortmentCollection, inst: Instance) -> SolverResult:
-    """Exact argmax of revenue by scanning the whole collection.
+    """Exact argmax of revenue over the whole collection.
 
-    Deterministic; ties go to the lowest set index.
+    Deterministic; ties go to the lowest set index.  Where the collection's
+    lookup-table screen runs (dense sets, see ``AssortmentCollection._screen``),
+    only the sets whose screened revenue could tie or beat the best are
+    scored exactly, through the same sums and formula as
+    :func:`collection_revenues`, so the set and its revenue are those of the
+    full scan.
     """
     t0 = time.perf_counter()
-    revs = collection_revenues(c, inst)
-    best = int(np.argmax(revs))
+    validate_collection(c, inst)
+    values, revenues = _revenue_terms(inst)
+    best, r = c._argmax(values, revenues, c._screen(values))
     wall = time.perf_counter() - t0
-    r = float(revs[best])
     return SolverResult(c[best], r, (r, r), len(c), wall)
 
 

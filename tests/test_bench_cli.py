@@ -248,6 +248,17 @@ class TestCliBench:
         assert rc == 1 and "n must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-4", "2.5", ""])
+    def test_thread_count_must_be_a_positive_integer(self, threads, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("ASSORTMAX_THREADS", threads)
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--algo", "exhaustive", "--runs", "1", "--n", "5",
+                   "--num-sets", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "ASSORTMAX_THREADS must be a positive integer" in err
+        assert repr(threads) in err and not out.exists()
+
     def test_instance_flag_rejected(self, tmp_path, capsys):
         # bench draws or loads its own instance per run, so an instance
         # file must be refused, not silently ignored

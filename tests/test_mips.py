@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ class TestQueryExact:
         coll = AssortmentCollection([{1, 2}, {1, 2}], n=3)  # duplicate sets
         pts = embed_collection(coll, e1)
         assert ExactMips(pts, e1.weights).query(1.0)[0] == 0
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.2, 0.4], "weights have dimension 2, expected 3"),
+        (0.2, "weights have dimension 1, expected 3"),
+        ([[0.2, 0.4, 0.5]], "weights have dimension 1 x 3, expected 3"),
+        ([0.2, np.nan, 0.5], "weights must be finite"),
+        ([0.2, np.inf, 0.5], "weights must be finite")])
+    def test_weights_checked_at_construction(self, e1, e1_triplet, weights, message):
+        # as LshMips checks them, before any query can fail on a broadcast
+        # or answer (0, nan)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExactMips(embed_collection(e1_triplet, e1), weights)
+
+    def test_negative_weights_accepted(self, e1, e1_triplet):
+        pts = embed_collection(e1_triplet, e1)
+        assert ExactMips(pts, [0.2, -0.4, 0.5]).query(3.0) == (0, pytest.approx(1.4))
 
 
 class TestTransform:

@@ -1,0 +1,254 @@
+"""The lookup-table screen of exact scans: ``exhaustive_search`` and
+``ExactMips.query`` score exactly only the sets the screen keeps, and must
+answer as the unscreened argmax does, bit for bit, ties to the lowest id."""
+
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
+                       collection_revenues, embed_collection,
+                       exhaustive_search, generate_instance)
+from assortmax.model import _revenue_terms
+
+
+def dense_collection(rng, n, num_sets, density):
+    mask = rng.random((num_sets, n)) < density
+    mask[np.arange(num_sets), rng.integers(0, n, num_sets)] = True  # no empty set
+    return AssortmentCollection.from_membership(mask)
+
+
+def quantized_instance(rng, n):
+    # few distinct prices and weights: many sets tie in real arithmetic and
+    # differ only by rounding, where a screen without its bound picks wrong
+    prices = np.sort(rng.choice([1.0, 1.5, 2.0, 3.0, 7.0], n))[::-1].copy()
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7], n)
+    return Instance(prices, weights, float(rng.choice([0.3, 1.0])))
+
+
+def unscreened_revenue_argmax(c, inst):
+    revs = collection_revenues(c, inst)
+    best = int(np.argmax(revs))
+    return best, float(revs[best])
+
+
+def unscreened_query(c, weights, prices, K):
+    A, B = c.set_sums(np.stack([weights * prices, weights]))
+    s = A - K * B
+    best = int(np.argmax(s))
+    return best, float(s[best])
+
+
+# (n, sets, density): n = 1..8 fill one byte, the rest pad the last one
+SHAPES = [(3, 3000, 0.85), (8, 1000, 0.6), (13, 1000, 0.5), (21, 800, 0.5),
+          (64, 800, 0.4), (100, 1500, 0.5)]
+
+
+class TestScreenedScansMatchTheFullScan:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"n{s[0]}" for s in SHAPES])
+    def test_random_collections_and_thresholds(self, shape, seed):
+        n, num_sets, density = shape
+        rng = np.random.default_rng(1000 * n + seed)
+        c = dense_collection(rng, n, num_sets, density)
+        inst = quantized_instance(rng, n) if seed % 2 else Instance(
+            np.sort(rng.uniform(0, 10, n))[::-1].copy(), rng.uniform(0, 1, n), 1.0)
+        assert c._screen(_revenue_terms(inst)[0]) is not None  # the screen runs
+
+        best, rev = unscreened_revenue_argmax(c, inst)
+        res = exhaustive_search(c, inst)
+        assert res.assortment == c[best] and res.revenue == rev
+        assert res.revenue_interval == (rev, rev) and res.iterations == len(c)
+
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        revs = np.sort(collection_revenues(c, inst))[::-1]
+        # at K = the best revenue the best set maximizes A - K B, and the
+        # sets close to it in revenue come close to it in score
+        thresholds = np.r_[np.linspace(0.0, inst.p1, 17), revs[:4],
+                           np.nextafter(rev, 0), np.nextafter(rev, np.inf),
+                           2 * inst.p1, 0.5 * rev]
+        assert thresholds.size == 25
+        for K in thresholds:
+            assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
+        assert engine._bounds is not None and "_sums" not in vars(engine)
+
+    def test_the_bench_shape_takes_the_screen(self):
+        for seed in range(3):
+            inst, c = generate_instance(GenSpec(n=60, num_sets=800, seed=seed))
+            assert c._screen(_revenue_terms(inst)[0]) is not None
+
+
+class TestTies:
+    def test_duplicate_sets_give_the_lowest_id(self):
+        rng = np.random.default_rng(3)
+        n = 8
+        mask = rng.random((600, n)) < 0.6
+        mask[:, 0] = True
+        inst = quantized_instance(rng, n)
+        best, _ = unscreened_revenue_argmax(AssortmentCollection.from_membership(mask), inst)
+        copy = mask[best]
+        for at in (450, 200, 90):  # copies of the best set
+            mask = np.insert(mask, at, copy, axis=0)
+        c = AssortmentCollection.from_membership(mask)
+        values, revenues = _revenue_terms(inst)
+        assert c._screen(values) is not None
+        revs = collection_revenues(c, inst)
+        tied = np.flatnonzero(revs == revs.max())
+        assert tied.size >= 4
+        best = int(tied[0])
+        assert c._argmax(values, revenues, c._screen(values)) == (best, revs[best])
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        for K in (0.0, 0.5, 1.0, revs[best]):
+            assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
+        # at K = the best revenue, the best set and its copies maximize A - K B
+        assert engine.query(revs[best])[0] == best
+
+    def test_a_zero_weight_item_ties_and_the_lowest_id_wins(self):
+        # weights and prices are dyadic, so every sum is exact in any order
+        n = 8
+        prices = np.array([8.0, 7, 6, 5, 4, 3, 2, 1])
+        weights = np.array([0.5, 0.25, 0.0, 0.75, 0.5, 1.0, 0.25, 0.5])
+        inst = Instance(prices / 8, weights, 1.0)
+        rng = np.random.default_rng(4)
+        mask = rng.random((700, n)) < 0.5
+        mask[:, 7] = True  # weak sets: only item 8 in common
+        mask[:, :2] = False
+        best = [0, 1, 3]
+        mask[[100, 300, 500]] = False
+        mask[300, best] = True  # the best set, and at a later id with item 3
+        mask[500, best + [2]] = True
+        mask[100, best + [2]] = True  # at an earlier id too, with item 3
+        c = AssortmentCollection.from_membership(mask)
+        assert c._screen(_revenue_terms(inst)[0]) is not None
+        revs = collection_revenues(c, inst)
+        assert np.flatnonzero(revs == revs.max()).tolist() == [100, 300, 500]
+        res = exhaustive_search(c, inst)
+        assert res.assortment == c[100] and 3 in res.assortment.items
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        for K in (0.0, 0.25, revs[100]):
+            assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
+        assert engine.query(revs[100])[0] == 100
+
+
+class TestWhereTheScreenRuns:
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 13, 21, 64, 100])
+    def test_bounds_hold_every_exact_sum(self, n):
+        rng = np.random.default_rng(n)
+        c = dense_collection(rng, n, 3000, 0.9)
+        # magnitudes over 16 decades: the bound is relative, per set
+        values = 10.0 ** rng.uniform(-8, 8, (2, n))
+        bounds = c._screen(values)
+        assert bounds is not None
+        lower, upper = bounds
+        exact = c.set_sums(values)
+        assert lower.shape == upper.shape == exact.shape == (2, len(c))
+        assert (lower <= exact).all() and (exact <= upper).all()
+        assert (upper - lower <= 1e-12 * exact).all()  # and they stay tight
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_items_never_screen(self, n):
+        # n members per set: N + 256 lookups per value row cost more than
+        # half the n N entries
+        inst = Instance([2.0, 1.0][:n], [0.5, 0.5][:n], 1.0)
+        c = AssortmentCollection([range(1, n + 1)] * 5000, n=n)
+        assert c._screen(_revenue_terms(inst)[0]) is None
+        assert exhaustive_search(c, inst).revenue == (1.0 / 1.5 if n == 1 else 1.5 / 2.0)
+        assert ExactMips(embed_collection(c, inst), inst.weights).query(1.0) == \
+            unscreened_query(c, inst.weights, inst.prices, 1.0)
+        assert "packed_membership" not in vars(c)
+
+    def test_sparse_sets_never_pack(self):
+        rng = np.random.default_rng(5)
+        n = 1000
+        sets = [rng.choice(n, int(rng.integers(2, 13)), replace=False) + 1
+                for _ in range(3000)]
+        c = AssortmentCollection(sets, n=n)
+        inst = Instance(np.sort(rng.uniform(0, 10, n))[::-1].copy(),
+                        rng.uniform(0, 1, n), 1.0)
+        assert exhaustive_search(c, inst).assortment == c[unscreened_revenue_argmax(c, inst)[0]]
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        for K in (0.0, 1.0, 5.0):
+            assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
+        assert "packed_membership" not in vars(c)
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "inf", "overflowing"])
+    def test_values_the_bound_cannot_hold_are_not_screened(self, bad):
+        rng = np.random.default_rng(6)
+        c = dense_collection(rng, 16, 1000, 0.6)
+        values = rng.uniform(0, 1, (2, 16))
+        values[1, 3] = {"nan": np.nan, "negative": -1e-3, "inf": np.inf,
+                        "overflowing": 1e308}[bad]
+        assert c._screen(values) is None
+
+    def test_negative_weights_take_the_full_scan(self):
+        rng = np.random.default_rng(7)
+        n = 16
+        c = dense_collection(rng, n, 1000, 0.6)
+        prices = np.sort(rng.uniform(0, 10, n))[::-1].copy()
+        weights = rng.uniform(-1, 1, n)
+        engine = ExactMips(embed_collection(c, Instance(prices, np.abs(weights), 1.0)),
+                           weights)
+        for K in (0.0, 2.0, 7.5):
+            assert engine.query(K) == unscreened_query(c, weights, prices, K)
+        assert engine._bounds is None
+
+    def test_thresholds_outside_the_bound_read_the_full_sums(self):
+        rng = np.random.default_rng(8)
+        n = 16
+        c = dense_collection(rng, n, 1000, 0.6)
+        inst = Instance(np.sort(rng.uniform(0, 10, n))[::-1].copy(),
+                        rng.uniform(0, 1, n), 1.0)
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        for K in (-3.0, np.inf, -np.inf):
+            assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
+        best, s = engine.query(np.nan)
+        assert best == 0 and np.isnan(s)  # as the full scan answers
+
+
+class TestConcurrencyAndMemory:
+    def test_threads_get_the_serial_answer(self):
+        rng = np.random.default_rng(9)
+        n = 40
+        mask = rng.random((3000, n)) < 0.5
+        mask[:, 0] = True
+        insts = [quantized_instance(rng, n) for _ in range(4)]
+        ref = AssortmentCollection.from_membership(mask)
+        serial = [unscreened_revenue_argmax(ref, inst) for inst in insts]
+        thresholds = np.linspace(0, 7, 9)
+
+        def solve(c, inst):
+            res = exhaustive_search(c, inst)
+            engine = ExactMips(embed_collection(c, inst), inst.weights)
+            return res.assortment, res.revenue, [engine.query(K) for K in thresholds]
+
+        expect = [(ref[b], r, [unscreened_query(ref, i.weights, i.prices, K)
+                               for K in thresholds]) for (b, r), i in zip(serial, insts)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+        try:
+            for _ in range(3):
+                # unpacked: the threads also race to pack the membership
+                c = AssortmentCollection.from_membership(mask)
+                with ThreadPoolExecutor(4) as pool:  # more workers than cores
+                    got = list(pool.map(solve, [c] * 4, insts, timeout=60))
+                assert got == expect and "packed_membership" in vars(c)  # screened
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_screen_call_stays_in_small_buffers(self):
+        rng = np.random.default_rng(10)
+        c = dense_collection(rng, 1000, 8400, 0.5)
+        c.packed_membership  # packing is the collection's, made once
+        values = rng.random((2, c.n))
+        tracemalloc.start()
+        try:
+            c._screen(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex per lookup would be 16.8 MB, one float per entry 34 MB;
+        # the tables (512 KB), a block's buffers and the bounds stay under 3
+        assert peak < 3_000_000
