@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import GenSpec, ResultRecord, generate_instance, instance_from_files
 from .mips import LshParams, default_lsh_params
-from .model import AssortmentCollection, Instance, SolverResult, normalize
+from .model import AssortmentCollection, Instance, SolverResult, normalize, revenue
 from .noisy_search import assort_mnl_bz
 from .oracles import brute_force_capacitated, exhaustive_search
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
@@ -103,7 +103,7 @@ def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
         res = assort_mnl_approx(collection, normalize(inst), config.eps, config.nu,
                                 params=config.lsh_params(len(collection)), seed=seed)
         lo, hi = res.revenue_interval
-        return replace(res, revenue=res.revenue * inst.p1,
+        return replace(res, revenue=revenue(res.assortment, inst),
                        revenue_interval=(lo * inst.p1, hi * inst.p1))
     if algo == "bz":  # rescales internally; only eps needs mapping
         return assort_mnl_bz(collection, inst, config.eps * inst.p1,

@@ -13,7 +13,6 @@ vectors with random-hyperplane sign hashes: `tables` hash tables keyed by
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,11 +76,10 @@ class EmbeddedCollection(Sequence):
         self.n = inst.n
         self.dim = 2 * inst.n
 
-    @cached_property
+    @property
     def norms(self) -> np.ndarray:
-        """Read-only norm of every point, taken on first use: index builds
-        read it, exact scoring never does; an embed at prices the collection
-        last took them at reuses them."""
+        """Read-only norm of every point, as the collection keeps it: index
+        builds read it, exact scoring never does."""
         return self.source.point_norms(self.prices)
 
     def __len__(self) -> int:
@@ -109,17 +107,19 @@ class EmbeddedCollection(Sequence):
         bit-identical to the full-scan score of that point and to
         :class:`ExactMips`.
         """
-        if q.weights.size != self.n:
-            raise ValueError(
-                f"query weights have dimension {q.weights.size}, expected {self.n}")
-        A, B = self.margin_sums(q.weights, ids)
+        A, B = self.margin_sums(self._check_weights(q.weights), ids)
         return A - q.threshold * B
 
-    def _membership_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Dense float32 0/1 membership of sets lo..hi-1, from the
-        collection's cached bit matrix."""
-        rows = self.source.packed_membership[lo:hi]
-        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float32)
+    def _check_weights(self, weights) -> np.ndarray:
+        """``weights`` as floats, checked to be one finite weight per item;
+        every engine and :meth:`scores_at` check theirs here."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (self.n,):
+            dims = " x ".join(map(str, weights.shape)) if weights.ndim > 1 else weights.size
+            raise ValueError(f"weights have dimension {dims}, expected {self.n}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        return weights
 
 
 def embed_collection(collection: AssortmentCollection, inst: Instance) -> EmbeddedCollection:
@@ -263,7 +263,7 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     keys = np.empty((params.tables, n_pts), dtype=np.uint64)
     for lo in range(0, n_pts, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_pts)
-        mem = points._membership_chunk(lo, hi)  # held to the next chunk: lower peak RSS
+        mem = points.source._membership_chunk(lo, hi)  # held to the next chunk: lower peak RSS
         raw = mem @ combined
         raw /= np.float32(scale)
         raw += slack[lo:hi, None] * tail[None, :]
@@ -316,44 +316,25 @@ class ExactMips:
 
     Threshold K is answered by the argmax of A - K B over the per-set sums
     (A, B) of :meth:`EmbeddedCollection.margin_sums`, ties going to the
-    lowest set id.  The first query screens the collection
-    (``AssortmentCollection._screen``) or, where the screen does not run,
-    takes every sum once, so a solver's wall time includes that work.  A
-    screened query, for a finite K >= 0, scores exactly only the sets whose
-    screened score could tie or beat the best, with the same sums and
-    formula, so every answer equals the full scan's; any other K reads the
-    full sums.
+    lowest set id, through ``AssortmentCollection._argmax``: the screen it
+    keeps, made by the first query or the customer's ``exhaustive_search``,
+    leaves to be scored exactly only the sets that could tie or beat the
+    best, so every answer equals the full scan's.  A K outside [0, inf),
+    where A - K B may rise as B grows and the screen cannot bracket it, is
+    scored in full by :meth:`EmbeddedCollection.scores_at`.
     """
 
     def __init__(self, points: EmbeddedCollection, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (points.n,):
-            dims = " x ".join(map(str, weights.shape)) if weights.ndim > 1 else weights.size
-            raise ValueError(f"weights have dimension {dims}, expected {points.n}")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
+        self.weights = points._check_weights(weights)
         self.points = points
-        self.weights = weights
-        self._values = points._margin_rows(weights)
-
-    @cached_property
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self.points.source._screen(self._values)
-
-    @cached_property
-    def _sums(self) -> np.ndarray:
-        return self.points.source.set_sums(self._values)
 
     def query(self, threshold: float) -> tuple[int, float]:
-        def score(A, B):
-            return A - threshold * B
-
-        # only for K >= 0 does the score fall as B grows, as the bounds need
-        if 0 <= threshold < np.inf and self._bounds is not None:
-            return self.points.source._argmax(self._values, score, self._bounds)
-        s = score(*self._sums)
-        best = int(np.argmax(s))
-        return best, float(s[best])
+        if not 0 <= threshold < np.inf:
+            s = self.points.scores_at(QueryVector(self.weights, threshold))
+            best = int(np.argmax(s))
+            return best, float(s[best])
+        return self.points.source._argmax(self.points._margin_rows(self.weights),
+                                          lambda A, B: A - threshold * B)
 
 
 class LshMips:
@@ -387,11 +368,9 @@ class LshMips:
             raise ValueError("index was built over points of a different dimension")
         if index.num_points != len(points):
             raise ValueError("index size does not match the point set")
-        if np.size(weights) != points.n:
-            raise ValueError(f"weights have dimension {np.size(weights)}, expected {points.n}")
+        self.weights = points._check_weights(weights)
         self.index = index
         self.points = points
-        self.weights = np.asarray(weights, dtype=float)
         n = points.n
         proj = index.projections
         self._a = proj[:, :, :n] @ self.weights        # (tables, bits)

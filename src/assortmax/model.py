@@ -182,7 +182,7 @@ class AssortmentCollection:
         self._flat = flat
         self._lengths = lengths
         self._starts = starts
-        self._norms: tuple[np.ndarray, np.ndarray] | None = None  # see point_norms
+        self._kept: dict[str, tuple] = {}  # see _keep
         for arr in (self._flat, self._lengths, self._starts):
             arr.setflags(write=False)
 
@@ -250,17 +250,27 @@ class AssortmentCollection:
         out.setflags(write=False)
         return out
 
+    def _membership_chunk(self, lo: int, hi: int) -> np.ndarray:
+        """Dense float32 0/1 membership of sets lo..hi-1, unpacked from
+        :attr:`packed_membership`."""
+        rows = self.packed_membership[lo:hi]
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float32)
+
+    def _keep(self, name: str, key: np.ndarray, make):
+        """``make(key)``, kept under ``name`` with a copy of ``key`` and reused
+        while later keys are equal.  One pair per name, replaced whole, so
+        concurrent callers each get the value of their own key."""
+        kept = self._kept.get(name)
+        if kept is None or not np.array_equal(kept[0], key):
+            key = np.array(key, dtype=float)  # a copy, so the key cannot change
+            kept = self._kept[name] = (key, make(key))
+        return kept[1]
+
     def point_norms(self, prices: np.ndarray) -> np.ndarray:
         """Read-only norm sqrt(sum_{i in S} (p_i^2 + 1)) of each set's point
-        (p o u^S, u^S).  The last norms taken are kept with their prices, as
-        :attr:`packed_membership` is kept, and reused at equal prices."""
-        kept = self._norms
-        if kept is None or not np.array_equal(kept[0], prices):
-            prices = np.array(prices, dtype=float)  # a copy, so the key cannot change
-            norms = np.sqrt(self.set_sums(prices**2 + 1.0))
-            norms.setflags(write=False)
-            kept = self._norms = (prices, norms)
-        return kept[1]
+        (p o u^S, u^S), kept with their prices (see :meth:`_keep`)."""
+        return self._keep("norms", prices,
+                          lambda p: _frozen_array(np.sqrt(self.set_sums(p**2 + 1.0))))
 
     def set_sums(self, values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Per-item ``values`` summed over each set, or over sets ``ids`` in order.
@@ -367,27 +377,29 @@ class AssortmentCollection:
         slack = 4 * m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
         return sums * (1 - slack), sums * (1 + slack)
 
-    def _argmax(self, values: np.ndarray, score, bounds=None) -> tuple[int, float]:
+    def _argmax(self, values: np.ndarray, score) -> tuple[int, float]:
         """Lowest id and value of the maximum of ``score(*self.set_sums(values))``.
 
         ``score(A, B)`` maps the two rows of sums to one score per set, and
         must not fall as A grows nor rise as B grows.  Correctly rounded
-        arithmetic keeps such a formula monotone, so with the ``bounds`` of
+        arithmetic keeps such a formula monotone, so with the bounds of
         :meth:`_screen` it bounds every exact score from above and below
         without error analysis of its own.  Then only the sets whose upper
         score reaches the greatest lower score can hold the maximum or tie
         it; they are scored through ``set_sums(values, ids)``, bit-identical
-        to the full sums, and the answer equals the unscreened one.
+        to the full sums, and the answer equals the unscreened one.  The
+        screen, or the full sums where it does not run, is kept (:meth:`_keep`).
         """
+        bounds = self._keep("screen", values, self._screen)
         if bounds is None:
-            scores = score(*self.set_sums(values))
-            best = int(np.argmax(scores))
-            return best, float(scores[best])
-        lower, upper = bounds
-        ids = np.flatnonzero(score(upper[0], lower[1]) >= score(lower[0], upper[1]).max())
-        scores = score(*self.set_sums(values, ids))
+            ids, sums = None, self._keep("sums", values, self.set_sums)
+        else:
+            lower, upper = bounds
+            ids = np.flatnonzero(score(upper[0], lower[1]) >= score(lower[0], upper[1]).max())
+            sums = self.set_sums(values, ids)
+        scores = score(*sums)
         best = int(np.argmax(scores))
-        return int(ids[best]), float(scores[best])
+        return (best if ids is None else int(ids[best])), float(scores[best])
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,16 @@ def exhaustive_search(c: AssortmentCollection, inst: Instance) -> SolverResult:
     """Exact argmax of revenue over the whole collection.
 
     Deterministic; ties go to the lowest set index.  Where the collection's
-    lookup-table screen runs (dense sets, see ``AssortmentCollection._screen``),
+    lookup-table screen runs (dense sets, see ``AssortmentCollection._argmax``),
     only the sets whose screened revenue could tie or beat the best are
     scored exactly, through the same sums and formula as
     :func:`collection_revenues`, so the set and its revenue are those of the
-    full scan.
+    full scan; the kept screen then serves the instance's exact solve.
     """
     t0 = time.perf_counter()
     validate_collection(c, inst)
     values, revenues = _revenue_terms(inst)
-    best, r = c._argmax(values, revenues, c._screen(values))
+    best, r = c._argmax(values, revenues)
     wall = time.perf_counter() - t0
     return SolverResult(c[best], r, (r, r), len(c), wall)
 

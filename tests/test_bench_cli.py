@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from assortmax import (Assortment, BenchConfig, GenSpec, Instance,
                        generate_instance, revenue, run_bench, save_instance)
-from assortmax.bench import ALL_ALGOS, CAPACITATED_ALGOS
+from assortmax import bench
+from assortmax.bench import ALL_ALGOS, CAPACITATED_ALGOS, GENERAL_ALGOS
 from assortmax.cli import main
 
 # sha256 over repr((assortment, revenue, revenue_interval, iterations)) of
@@ -15,8 +17,19 @@ from assortmax.cli import main
 # --capacity 4 for the capacitated ones.  The command answers through
 # bench.solve, so this pins the dispatch; like the index digests in
 # test_mips.py, the hashed answers hold for the BLAS it was recorded with.
+# Re-recorded when approx began to report revenue(A, inst) instead of its
+# normalized revenue times p1: that changed the last digit of the approx
+# revenue at seeds 0 and 2 and nothing else.
 _PINNED_DISPATCH_SHA256 = (
-    "cec5003f600a4a8e277f8ca8d1d864e22d74f326bb56e5b7853eef0fe9caf8ee")
+    "096af47e2aac1c1867676cc27ffaff5fbf09850673b9c6a67cb8453a83049de9")
+
+# sha256 over repr() of every field but wall_time_s of each run_bench row,
+# per-run rows then mean rows, for BenchConfig(GENERAL_ALGOS, runs=3, n=30,
+# num_sets=400, seed=0).  Recorded once approx reported the exact revenue
+# of its set; like the other digests, the hashed rows hold for the BLAS it
+# was recorded with.
+_PINNED_BENCH_ROWS_SHA256 = (
+    "b549068bfb51c6e30ccd6d5ce6ba96d3a637b0bedd2e7a53559663a3e20138cc")
 
 
 class TestBenchHarness:
@@ -67,6 +80,31 @@ class TestBenchHarness:
             BenchConfig(algorithms=("magic",))
         with pytest.raises(ValueError, match="num_sets"):
             BenchConfig(algorithms=("exact",), num_sets=None)
+
+    def test_approx_reports_the_exact_revenue_of_its_set(self, monkeypatch):
+        # approx solves the normalized instance; scaling its revenue back by
+        # p1 differs from the set's exact revenue in the last bits
+        solved, solve = [], bench.solve
+
+        def spy(algo, inst, *args):
+            res = solve(algo, inst, *args)
+            solved.append((inst, res))
+            return res
+
+        monkeypatch.setattr(bench, "solve", spy)
+        records, _ = run_bench(BenchConfig(algorithms=("approx",), runs=40, n=60,
+                                           num_sets=800, seed=3))
+        assert len(records) == len(solved) == 40
+        for rec, (inst, res) in zip(records, solved):
+            assert rec.revenue == res.revenue == revenue(res.assortment, inst)
+
+    def test_rows_are_pinned(self):
+        records, aggregates = run_bench(BenchConfig(algorithms=GENERAL_ALGOS, runs=3,
+                                                    n=30, num_sets=400, seed=0))
+        h = hashlib.sha256()
+        for row in records + aggregates:
+            h.update(repr(replace(row, wall_time_s=None)).encode())
+        assert h.hexdigest() == _PINNED_BENCH_ROWS_SHA256
 
     def test_thread_pool_matches_serial(self, monkeypatch):
         cfg = BenchConfig(algorithms=("exact",), runs=4, n=6, num_sets=15,

@@ -129,9 +129,9 @@ class TestEmbedding:
         pts = embed_collection(coll, inst)
         assort_mnl(coll, inst, inst.p1 / 100, mips=ExactMips(pts, inst.weights))
         dense = [np.linalg.norm(pts[i]) for i in range(len(pts))]
-        assert "norms" not in vars(pts)  # exact scoring and dense points never read them
+        assert "norms" not in coll._kept  # exact scoring and dense points never read them
         build_lsh_index(pts, seed=1)
-        norms = vars(pts)["norms"]
+        norms = coll._kept["norms"][1]
         assert not norms.flags.writeable
         assert np.allclose(norms, dense, rtol=1e-12, atol=0)
 
@@ -141,7 +141,7 @@ class TestEmbedding:
         inst, coll = generate_instance(GenSpec(n=15, num_sets=90, seed=4))
         first = embed_collection(coll, inst).norms
         again = embed_collection(coll, Instance(inst.prices.copy(), inst.weights, 1.0))
-        assert "norms" not in vars(again)
+        assert coll._kept["norms"][1] is first
         assert again.norms is first
         other = embed_collection(coll, normalize(inst))
         assert other.norms is not first
@@ -234,6 +234,22 @@ class TestQueryExact:
         # or answer (0, nan)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExactMips(embed_collection(e1_triplet, e1), weights)
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.2, np.nan, 0.5], "weights must be finite"),
+        ([0.2, np.inf, 0.5], "weights must be finite"),
+        ([0.2, 0.4], "weights have dimension 2, expected 3"),
+        ([[0.2, 0.4, 0.5]], "weights have dimension 1 x 3, expected 3")])
+    @pytest.mark.parametrize("engine", [ExactMips, LshMips.build], ids=["exact", "lsh"])
+    def test_both_engines_check_weights_alike(self, e1, e1_triplet, engine, weights,
+                                              message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine(embed_collection(e1_triplet, e1), weights)
+
+    def test_rescoring_checks_the_query_weights(self, e1, e1_triplet):
+        pts = embed_collection(e1_triplet, e1)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            pts.scores_at(QueryVector([0.2, np.nan, 0.5], 1.0))
 
     def test_negative_weights_accepted(self, e1, e1_triplet):
         pts = embed_collection(e1_triplet, e1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       collection_revenues, embed_collection,
+                       assort_mnl, collection_revenues, embed_collection,
                        exhaustive_search, generate_instance)
 from assortmax.model import _revenue_terms
 
@@ -73,7 +73,10 @@ class TestScreenedScansMatchTheFullScan:
         assert thresholds.size == 25
         for K in thresholds:
             assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
-        assert engine._bounds is not None and "_sums" not in vars(engine)
+        # the engine answered from the screen the scan kept, never the full sums
+        key, bounds = c._kept["screen"]
+        assert bounds is not None and "sums" not in c._kept
+        assert np.array_equal(key, _revenue_terms(inst)[0])
 
     def test_the_bench_shape_takes_the_screen(self):
         for seed in range(3):
@@ -99,7 +102,8 @@ class TestTies:
         tied = np.flatnonzero(revs == revs.max())
         assert tied.size >= 4
         best = int(tied[0])
-        assert c._argmax(values, revenues, c._screen(values)) == (best, revs[best])
+        assert c._argmax(values, revenues) == (best, revs[best])
+        assert c._kept["screen"][1] is not None
         engine = ExactMips(embed_collection(c, inst), inst.weights)
         for K in (0.0, 0.5, 1.0, revs[best]):
             assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
@@ -193,7 +197,7 @@ class TestWhereTheScreenRuns:
                            weights)
         for K in (0.0, 2.0, 7.5):
             assert engine.query(K) == unscreened_query(c, weights, prices, K)
-        assert engine._bounds is None
+        assert c._kept["screen"][1] is None and "sums" in c._kept
 
     def test_thresholds_outside_the_bound_read_the_full_sums(self):
         rng = np.random.default_rng(8)
@@ -206,6 +210,68 @@ class TestWhereTheScreenRuns:
             assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
         best, s = engine.query(np.nan)
         assert best == 0 and np.isnan(s)  # as the full scan answers
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """Whether each call of ``AssortmentCollection._screen`` made a screen."""
+    made = []
+    screen = AssortmentCollection._screen
+
+    def spy(self, values):
+        bounds = screen(self, values)
+        made.append(bounds is not None)
+        return bounds
+
+    monkeypatch.setattr(AssortmentCollection, "_screen", spy)
+    return made
+
+
+class TestOneScreenPerCustomer:
+    def test_scan_then_exact_solve_screen_once(self, screens):
+        inst, c = generate_instance(GenSpec(n=60, num_sets=800, seed=2))
+        scan = exhaustive_search(c, inst)
+        solve = assort_mnl(c, inst, 0.1)
+        assert screens == [True]
+        assert solve.revenue >= scan.revenue - 0.1
+        # a second engine of the same customer reuses it too
+        assert ExactMips(embed_collection(c, inst), inst.weights).query(1.0) == \
+            unscreened_query(c, inst.weights, inst.prices, 1.0)
+        assert screens == [True]
+
+    def test_a_new_customer_screens_once_more(self, screens):
+        inst, c = generate_instance(GenSpec(n=60, num_sets=800, seed=2))
+        other = Instance(inst.prices, inst.weights[::-1].copy(), inst.v0)
+        for customer in (inst, other):
+            exhaustive_search(c, customer)
+            assort_mnl(c, customer, 0.1)
+        assert screens == [True, True]
+        exhaustive_search(c, inst)  # the kept pair is the last customer's
+        assert screens == [True, True, True]
+
+    def test_sparse_sets_take_their_full_sums_once(self, screens, monkeypatch):
+        full = []
+        set_sums = AssortmentCollection.set_sums
+
+        def spy(self, values, ids=None):
+            if ids is None:
+                full.append(values.shape)
+            return set_sums(self, values, ids)
+
+        monkeypatch.setattr(AssortmentCollection, "set_sums", spy)
+        rng = np.random.default_rng(11)
+        n = 1000
+        c = AssortmentCollection([rng.choice(n, int(rng.integers(2, 13)), replace=False) + 1
+                                  for _ in range(3000)], n=n)
+        inst = Instance(np.sort(rng.uniform(0, 10, n))[::-1].copy(),
+                        rng.uniform(0, 1, n), 1.0)
+        exhaustive_search(c, inst)
+        for _ in range(3):
+            engine = ExactMips(embed_collection(c, inst), inst.weights)
+            for K in (0.0, 1.0, 5.0):
+                engine.query(K)
+        assert not any(screens) and "packed_membership" not in vars(c)
+        assert full == [(2, n)]
 
 
 class TestConcurrencyAndMemory:
