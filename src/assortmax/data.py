@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AssortmentCollection, Instance, SolverResult
+from .model import AssortmentCollection, Instance, SolverResult, _pack_rows
 
 __all__ = [
     "GenSpec",
@@ -60,13 +60,12 @@ _DRAW_VALUES = 1 << 14  # uniforms per block of rows in subset sampling
 def _sample_distinct_subsets(rng: np.random.Generator, n: int,
                              count: int) -> AssortmentCollection:
     """``count`` distinct non-empty uniform subsets, in first-drawn order.
-    Rows are deduplicated by their packed bits viewed as one void value
-    each, which ``np.unique`` sorts several times faster than ``axis=0``.
-    Uniforms are drawn a block of rows at a time into one reused buffer;
-    the generator's stream is sequential, so the draws equal one
-    ``rng.random((chunk, n))`` without its chunk-sized float64 temporary.
-    Each block is packed as drawn, and the collection is built from the
-    packed rows kept, so one boolean membership is made, not three."""
+    Uniforms are drawn a block of rows at a time into one reused buffer
+    (the stream is sequential, so they equal one ``rng.random((chunk, n))``)
+    and packed as drawn, in the collection's ``packed_membership`` layout.
+    Rows are deduplicated on their packed bits, one void value each, which
+    ``np.unique`` sorts several times faster than ``axis=0``; the collection
+    keeps the packed rows, so the catalog is packed once."""
     if count > 2**n - 1:
         raise ValueError(
             f"cannot draw {count} distinct non-empty subsets of {n} items")
@@ -80,7 +79,7 @@ def _sample_distinct_subsets(rng: np.random.Generator, n: int,
             hi = min(lo + len(block), chunk)
             draws = block[:hi - lo]
             rng.random(out=draws)
-            packed[lo:hi] = np.packbits(draws < 0.5, axis=1)
+            packed[lo:hi] = _pack_rows(draws < 0.5)
         keys = packed.view(row).ravel()
         # first occurrences over the rows kept so far, then this chunk's;
         # those falling in this chunk are its new rows
@@ -88,8 +87,7 @@ def _sample_distinct_subsets(rng: np.random.Generator, n: int,
         new = np.sort(first[first >= seen.size]) - seen.size
         new = new[packed[new].any(axis=1)][:count - seen.size]
         seen = np.concatenate([seen, keys[new]])
-    rows = np.unpackbits(seen.view(np.uint8).reshape(count, -1), axis=1, count=n)
-    return AssortmentCollection.from_membership(rows.view(bool), n)
+    return AssortmentCollection._from_packed(seen.view(np.uint8).reshape(count, -1), n)
 
 
 def generate_instance(spec: GenSpec) -> tuple[Instance, AssortmentCollection | None]:

@@ -243,8 +243,6 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     matmul per chunk of rows unpacked from the collection's cached
     :attr:`~AssortmentCollection.packed_membership`.
     """
-    if len(points) == 0:
-        raise ValueError("cannot index an empty point set")
     if params is None:
         params = default_lsh_params(len(points))
     n_pts = len(points)

@@ -30,6 +30,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
+    return np.packbits(mask, axis=1, bitorder="little")
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -202,6 +206,15 @@ class AssortmentCollection:
         return obj
 
     @classmethod
+    def _from_packed(cls, packed: np.ndarray, n: int) -> "AssortmentCollection":
+        """Build from rows in the :attr:`packed_membership` layout, kept as it."""
+        obj = cls.from_membership(
+            np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool), n)
+        packed.setflags(write=False)
+        obj.__dict__["packed_membership"] = packed
+        return obj
+
+    @classmethod
     def _from_arrays(cls, n: int, flat: np.ndarray, lengths: np.ndarray) -> "AssortmentCollection":
         obj = cls.__new__(cls)
         obj._init_arrays(n, np.asarray(flat, dtype=np.int64).copy(),
@@ -235,8 +248,8 @@ class AssortmentCollection:
         Item i of set s is bit i % 8 of byte i // 8 in row s (little bit
         order, as ``np.unpackbits(..., bitorder="little")`` reads it).  The
         collection is immutable, so the matrix is built once, from
-        :attr:`flat_arrays` a chunk of rows at a time, and every index build
-        over the collection reuses it.
+        :attr:`flat_arrays` a chunk of rows at a time (a generated catalog
+        arrives with it), and every screen and index build reuses it.
         """
         sets, n = len(self), self.n
         out = np.empty((sets, (n + 7) // 8), dtype=np.uint8)
@@ -246,7 +259,7 @@ class AssortmentCollection:
             first, last = self._starts[lo], self._starts[hi - 1] + self._lengths[hi - 1]
             rows[np.repeat(np.arange(hi - lo) * n, self._lengths[lo:hi])
                  + self._flat[first:last]] = True
-            out[lo:hi] = np.packbits(rows.reshape(hi - lo, n), axis=1, bitorder="little")
+            out[lo:hi] = _pack_rows(rows.reshape(hi - lo, n))
         out.setflags(write=False)
         return out
 
@@ -406,10 +419,10 @@ class AssortmentCollection:
 class SolverResult:
     """Outcome of one solver run.
 
-    ``revenue`` is always the exact evaluation of the returned assortment,
-    never a search bound.  ``revenue_interval`` is the solver's final
-    bracket on the optimum.  ``estimate`` is set by solvers whose revenue
-    estimate can differ from the returned set's revenue (noisy search).
+    ``revenue`` is always :func:`revenue` of the returned set, its one
+    revenue (the exact scan's sum), never a search bound.  The solver's
+    final bracket on the optimum is ``revenue_interval``; ``estimate`` is
+    set by solvers whose estimate can differ from it (noisy search).
     """
 
     assortment: Assortment
@@ -429,28 +442,28 @@ class SolverResult:
 
 def revenue(a: Assortment, inst: Instance) -> float:
     """Expected revenue of offering assortment ``a``: sum of price-weighted
-    multinomial-logit pick probabilities.  The empty assortment earns 0."""
+    multinomial-logit pick probabilities.  The empty assortment earns 0.
+    A set has one revenue, the scan's: its members are summed as
+    :meth:`AssortmentCollection.set_sums` sums them, bit for bit."""
     if len(a) == 0:
         return 0.0
     idx = a.indices()
     if idx[0] < 0 or idx[-1] >= inst.n:
         bad = int(idx[0] + 1 if idx[0] < 0 else idx[-1] + 1)
         raise ValueError(f"item index {bad} out of range 1..{inst.n}")
-    w = inst.weights[idx]
-    num = float(inst.prices[idx] @ w)
-    return num / (inst.v0 + float(w.sum()))
+    values, revenues = _revenue_terms(inst, idx)
+    return revenues(*np.add.reduceat(values, [0], axis=1)[:, 0].tolist())
 
 
-def _revenue_terms(inst: Instance):
-    """The rows (p o v, v) whose per-set sums give revenue, and the revenue
-    of those sums, num / (v0 + den)."""
-    def revenues(num, den):
-        return num / (inst.v0 + den)
-    return np.stack([inst.prices * inst.weights, inst.weights]), revenues
+def _revenue_terms(inst: Instance, items=slice(None)):
+    """The rows (p o v, v) of ``items`` (all by default) whose per-set sums
+    give revenue, and the revenue of those sums, num / (v0 + den)."""
+    p, v = inst.prices[items], inst.weights[items]
+    return np.array([p * v, v]), lambda num, den: num / (inst.v0 + den)
 
 
 def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:
-    """Exact revenue of every set in the collection, vectorized."""
+    """Exact revenue of every set, vectorized; entry i is ``revenue(c[i], inst)``."""
     validate_collection(c, inst)
     values, revenues = _revenue_terms(inst)
     return revenues(*c.set_sums(values))

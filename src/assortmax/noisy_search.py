@@ -102,12 +102,10 @@ def bz_sample_selection(post: Posterior,
     u = u0 + 1
     below = float(cum[u0 - 1]) if u0 > 0 else 0.0
     upto = float(cum[u0])
+    # upto > 1/2 >= below, and doubling is exact: tau2 > 0 and tau1 >= 0
     tau1 = 1.0 - 2.0 * below
     tau2 = 2.0 * upto - 1.0
-    denom = tau1 + tau2
-    if denom <= 0.0:  # median bin mass numerically vanished
-        return post.eps * u, u
-    q = tau2 / denom
+    q = tau2 / (tau1 + tau2)
     K = post.eps * (u - 1) if rng.random() < q else post.eps * u
     return K, u
 

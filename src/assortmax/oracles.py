@@ -38,10 +38,9 @@ def exhaustive_search(c: AssortmentCollection, inst: Instance) -> SolverResult:
 
 
 def brute_force_capacitated(inst: Instance, C: int) -> SolverResult:
-    """Exact optimum over every subset of size <= C, by full enumeration.
-
-    Guarded to n <= 25; the search space is otherwise too large to scan.
-    """
+    """Exact optimum over every subset of size <= C, by full enumeration,
+    each subset scored as :func:`revenue` scores it.
+    Guarded to n <= 25; the search space is otherwise too large to scan."""
     n = inst.n
     if n > _BRUTE_FORCE_MAX_ITEMS:
         raise ValueError(
@@ -49,22 +48,16 @@ def brute_force_capacitated(inst: Instance, C: int) -> SolverResult:
     if not 0 <= C <= n:
         raise ValueError(f"capacity must lie in 0..{n}")
     t0 = time.perf_counter()
-    best_rev = 0.0
-    best: Assortment = Assortment()
-    evaluated = 1  # the empty set
-    p, v = inst.prices, inst.weights
+    best_rev, best, evaluated = 0.0, Assortment(), 1  # the empty set
+    values, revenues = _revenue_terms(inst)
     for k in range(1, C + 1):
         combos = np.array(list(combinations(range(n), k)), dtype=np.int64)
-        if combos.size == 0:
-            continue
-        num = (p[combos] * v[combos]).sum(axis=1)
-        den = inst.v0 + v[combos].sum(axis=1)
-        revs = num / den
+        # members ascend in each row, which is summed as revenue() sums a set
+        revs = revenues(*np.add.reduceat(values[:, combos], [0], axis=2)[..., 0])
         i = int(np.argmax(revs))
-        evaluated += combos.shape[0]
+        evaluated += len(combos)
         if revs[i] > best_rev:
-            best_rev = float(revs[i])
-            best = Assortment(combos[i] + 1)
+            best_rev, best = float(revs[i]), Assortment(combos[i] + 1)
     wall = time.perf_counter() - t0
     return SolverResult(best, best_rev, (best_rev, best_rev), evaluated, wall)
 

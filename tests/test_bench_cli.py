@@ -15,21 +15,24 @@ from assortmax.cli import main
 # `assortmax solve --algo A --eps 0.1 --n 12 --seed s` for s in 0..2 and A
 # in ALL_ALGOS order, with --num-sets 150 for the general algorithms and
 # --capacity 4 for the capacitated ones.  The command answers through
-# bench.solve, so this pins the dispatch; like the index digests in
-# test_mips.py, the hashed answers hold for the BLAS it was recorded with.
-# Re-recorded when approx began to report revenue(A, inst) instead of its
-# normalized revenue times p1: that changed the last digit of the approx
-# revenue at seeds 0 and 2 and nothing else.
+# bench.solve, so this pins the dispatch.  Re-recorded when revenue() and
+# brute force began to sum a set as the exact scan does: revenue moved by
+# at most 3 ulps in 9 of the 21 answers, the brute_cap bracket (r, r) with
+# it, and no set or iteration count changed.  Revenue no longer depends on
+# the BLAS; like the index digests in test_mips.py, the hashed answers
+# still hold only for the BLAS the index builds were recorded with.
 _PINNED_DISPATCH_SHA256 = (
-    "096af47e2aac1c1867676cc27ffaff5fbf09850673b9c6a67cb8453a83049de9")
+    "1f68b9baa640e84ea2d39291a04dcc4dfb322d1d4f1667ae540e81d864765c19")
 
 # sha256 over repr() of every field but wall_time_s of each run_bench row,
 # per-run rows then mean rows, for BenchConfig(GENERAL_ALGOS, runs=3, n=30,
-# num_sets=400, seed=0).  Recorded once approx reported the exact revenue
-# of its set; like the other digests, the hashed rows hold for the BLAS it
-# was recorded with.
+# num_sets=400, seed=0).  Re-recorded when revenue() began to sum a set as
+# the exact scan does: the revenue of two approx rows (one run and the
+# mean) moved by 1 ulp, their rel_error with it, and nothing else changed.
+# Revenue no longer depends on the BLAS; the hashed rows still hold only
+# for the BLAS the index builds were recorded with.
 _PINNED_BENCH_ROWS_SHA256 = (
-    "b549068bfb51c6e30ccd6d5ce6ba96d3a637b0bedd2e7a53559663a3e20138cc")
+    "bdd660106ecb803f18df37743bf41bacb02eeafc8f0dd5ba487fd5baf4bcee95")
 
 
 class TestBenchHarness:
@@ -97,6 +100,29 @@ class TestBenchHarness:
         assert len(records) == len(solved) == 40
         for rec, (inst, res) in zip(records, solved):
             assert rec.revenue == res.revenue == revenue(res.assortment, inst)
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS)
+    def test_solve_reports_the_revenue_of_its_set(self, algo):
+        # every row's revenue is revenue(A, inst), bit for bit, which is also
+        # the sum the exact scan and brute force take over A
+        general = algo in GENERAL_ALGOS
+        cfg = BenchConfig(algorithms=(algo,), n=60 if general else 16,
+                          num_sets=800 if general else None,
+                          capacity=None if general else 10)
+        for seed in range(6):
+            inst, collection = bench.load_source(cfg, seed, general)
+            res = bench.solve(algo, inst, collection, cfg, seed)
+            assert res.revenue == revenue(res.assortment, inst)
+
+    @pytest.mark.parametrize("cfg", [
+        BenchConfig(algorithms=GENERAL_ALGOS, runs=20, n=60, num_sets=800, seed=3),
+        BenchConfig(algorithms=CAPACITATED_ALGOS, runs=30, n=16, num_sets=None,
+                    capacity=10, seed=1)], ids=["general", "capacitated"])
+    def test_no_solver_beats_its_oracle(self, cfg):
+        # a set and its oracle's optimum are scored by one arithmetic, so a
+        # solver can tie the optimum but never exceed it
+        records, _ = run_bench(cfg)
+        assert all(r.rel_error >= 0 for r in records)
 
     def test_rows_are_pinned(self):
         records, aggregates = run_bench(BenchConfig(algorithms=GENERAL_ALGOS, runs=3,
@@ -258,7 +284,8 @@ class TestCliBench:
                    "--n", "6", "--num-sets", "20", "--seed", "1",
                    "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2 + 2  # per-run rows plus one mean per algo
         assert {r["algo"] for r in rows} == {"exact", "exhaustive"}
 
@@ -267,7 +294,8 @@ class TestCliBench:
         rc = main(["bench", "--algo", "exact", "--runs", "2", "--n", "8",
                    "--num-sets", "10,30,60", "--seed", "4", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         means = [r for r in rows if r["run_id"] == "mean"]
         assert [r["N"] for r in means] == ["10", "30", "60"]
 

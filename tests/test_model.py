@@ -5,11 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from assortmax import (Assortment, AssortmentCollection, Instance,
-                       SolverResult, collection_revenues, instance_from_files,
-                       normalize, revenue, validate_collection)
+from assortmax import (Assortment, AssortmentCollection, GenSpec, Instance,
+                       SolverResult, collection_revenues, generate_instance,
+                       instance_from_files, normalize, revenue, validate_collection)
 
-from conftest import random_instance
+from conftest import all_subsets, random_instance
 
 
 class TestInstance:
@@ -108,6 +108,27 @@ class TestRevenue:
         revs = collection_revenues(e1_all, e1)
         for i, a in enumerate(e1_all):
             assert revs[i] == pytest.approx(revenue(a, e1), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(13, 300), (60, 800), (1000, 2000), "sparse", "all8"],
+                             ids=["13x300", "60x800", "1000x2000", "sparse", "all8"])
+    def test_a_set_has_one_revenue(self, shape):
+        # revenue() sums a set as the scan does, so the two agree bit for
+        # bit, on dense sets (screened), sparse ones (never screened), and
+        # sets of over 128 members (pairwise blocks in the sum)
+        rng = np.random.default_rng(7)
+        if shape == "sparse":
+            c = AssortmentCollection([rng.choice(1000, int(rng.integers(2, 13)), replace=False) + 1
+                                      for _ in range(2000)], n=1000)
+            insts = [random_instance(rng, 1000) for _ in range(3)]
+        elif shape == "all8":
+            c, insts = all_subsets(8), [random_instance(rng, 8) for _ in range(3)]
+        else:
+            n, N = shape
+            generated = [generate_instance(GenSpec(n, num_sets=N, seed=s)) for s in range(3)]
+            c, insts = generated[0][1], [inst for inst, _ in generated]
+        for inst in insts:
+            revs = collection_revenues(c, inst)
+            assert [revenue(c[i], inst) for i in range(len(c))] == revs.tolist()
 
 
 class TestNormalize:
@@ -260,6 +281,19 @@ class TestCollection:
             assert np.array_equal(
                 np.unpackbits(packed, axis=1, bitorder="little"),
                 np.pad(dense, ((0, 0), (0, 8 * packed.shape[1] - coll.n))))
+
+    @pytest.mark.parametrize("n, N", [(7, 100), (13, 300), (1000, 600)])
+    def test_generated_catalog_arrives_packed(self, n, N):
+        # the generator deduplicates packed rows and hands them over, so the
+        # catalog is packed once; the packing is the one its arrays give
+        _, c = generate_instance(GenSpec(n, num_sets=N, seed=3))
+        assert "packed_membership" in vars(c)
+        packed = c.packed_membership
+        assert not packed.flags.writeable
+        flat, _, lengths = c.flat_arrays
+        rebuilt = AssortmentCollection._from_arrays(n, flat, lengths)
+        assert "packed_membership" not in vars(rebuilt)
+        assert np.array_equal(packed, rebuilt.packed_membership)
 
 
 class TestSetSums:

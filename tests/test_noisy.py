@@ -232,7 +232,10 @@ class TestAssortMnlBz:
         spy = cached_property(counted)
         spy.__set_name__(AssortmentCollection, "packed_membership")
         monkeypatch.setattr(AssortmentCollection, "packed_membership", spy)
-        inst, coll = generate_instance(GenSpec(n=20, num_sets=300, seed=4))
+        inst, generated = generate_instance(GenSpec(n=20, num_sets=300, seed=4))
+        # built from lists, so the collection packs itself (a generated
+        # catalog arrives packed)
+        coll = AssortmentCollection(list(generated), n=20)
         res = assort_mnl_bz(coll, inst, inst.p1 / 10, rounds=15, alpha=0.3, seed=2)
         assert res.iterations == 15 and packs == [coll]
         first = coll.packed_membership

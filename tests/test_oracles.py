@@ -68,3 +68,14 @@ class TestBruteForceCapacitated:
             C = int(rng.integers(1, 6))
             res = brute_force_capacitated(inst, C)
             assert len(res.assortment) <= C
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_the_revenue_of_its_set(self, seed):
+        # each subset is summed as revenue() sums it, bit for bit
+        rng = np.random.default_rng(seed)
+        for n in range(1, 13):
+            inst = random_instance(rng, n)
+            for C in range(n + 1):
+                res = brute_force_capacitated(inst, C)
+                assert res.revenue == revenue(res.assortment, inst)
+                assert res.revenue_interval == (res.revenue, res.revenue)
