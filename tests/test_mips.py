@@ -16,10 +16,11 @@ from conftest import random_instance
 # sha256 over the dtype, shape and bytes of projections, table_keys and
 # table_ids of build_lsh_index(LshParams(bits, tables=3, scan_cap=9), seed=11)
 # on generate_instance(GenSpec(n, num_sets=min(2**n - 1, 4500), seed=n)),
-# keyed by (n, bits).  n=37 spans more than one 4096-row build chunk.  The
-# build's float32 matmul goes through BLAS, so the digests hold for the BLAS
-# they were recorded with (OpenBLAS under numpy 2.4); another BLAS may round
-# a projection that is within an ulp of zero to the other sign.
+# keyed by (n, bits).  n=37's 4500 sets span five 1024-row build chunks
+# (mips._CHUNK_ROWS).  The build's float32 matmul goes through BLAS, so the
+# digests hold for the BLAS they were recorded with (OpenBLAS under numpy
+# 2.4); another BLAS may round a projection that is within an ulp of zero
+# to the other sign.
 _PINNED_INDEX_SHA256 = {
     (1, 0): "c2cc36a8002a52f9224dbdf224faf51c7a174085f2ae798a5b3b4e09c7d5a27c",
     (1, 1): "19f3994916823304af86594ca53133dd3fe1542afbda06291cd65c9b91ae3a30",

@@ -2,9 +2,14 @@
 ``ExactMips.query`` score exactly only the sets the screen keeps, and must
 answer as the unscreened argmax does, bit for bit, ties to the lowest id."""
 
+import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,10 @@ import pytest
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        assort_mnl, collection_revenues, embed_collection,
                        exhaustive_search, generate_instance)
+from assortmax import model
 from assortmax.model import _revenue_terms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense_collection(rng, n, num_sets, density):
@@ -274,35 +282,107 @@ class TestOneScreenPerCustomer:
         assert full == [(2, n)]
 
 
+def many_block_collection(seed):
+    # n=1000 holds 262 sets per block: 8400 sets are 33 blocks, which 2, 4
+    # and 5 shares do not divide
+    rng = np.random.default_rng(seed)
+    return dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
+
+
+class TestScreenShares:
+    @pytest.mark.parametrize("workers", [2, 4, 5])
+    def test_the_shared_screen_equals_the_serial_one(self, workers, monkeypatch):
+        c, values = many_block_collection(11)
+        monkeypatch.setattr(model, "_WORKERS", 1)
+        serial = c._screen(values)
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        shared = c._screen(values)
+        assert serial is not None
+        assert all(np.array_equal(a, b) for a, b in zip(serial, shared))
+
+    def test_a_one_block_screen_never_reaches_the_pool(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        c = dense_collection(rng, 40, 3000, 0.5)
+        monkeypatch.setattr(model, "_WORKERS", 4)
+        monkeypatch.setattr(model, "_screen_pool", None)  # a call would raise
+        assert c._screen(rng.random((2, 40))) is not None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_screens(self, monkeypatch):
+        monkeypatch.setattr(model, "_WORKERS", max(2, model._WORKERS))
+        c, values = many_block_collection(13)
+        expect = c._screen(values)  # the parent's pool has live threads
+        pid = os.fork()
+        if pid == 0:  # the child inherits the pool but not its threads
+            ok = False
+            try:
+                ok = all(np.array_equal(a, b) for a, b in zip(expect, c._screen(values)))
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_import_starts_no_thread_and_a_screening_script_exits(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        script = ("import threading, assortmax\n"
+                  "assert threading.active_count() == 1, threading.enumerate()\n"
+                  "import numpy as np\n"
+                  "from assortmax import model\n"
+                  "model._WORKERS = max(2, model._WORKERS)\n"
+                  "rng = np.random.default_rng(14)\n"
+                  "c = assortmax.AssortmentCollection.from_membership("
+                  "rng.random((1000, 1000)) < 0.5)\n"  # four blocks
+                  "assert c._screen(rng.random((2, 1000))) is not None\n"
+                  "assert model._pool is not None\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+def threads_get_the_serial_answer(num_sets):
+    rng = np.random.default_rng(9)
+    n = 40
+    mask = rng.random((num_sets, n)) < 0.5
+    mask[:, 0] = True
+    insts = [quantized_instance(rng, n) for _ in range(4)]
+    ref = AssortmentCollection.from_membership(mask)
+    serial = [unscreened_revenue_argmax(ref, inst) for inst in insts]
+    thresholds = np.linspace(0, 7, 9)
+
+    def solve(c, inst):
+        res = exhaustive_search(c, inst)
+        engine = ExactMips(embed_collection(c, inst), inst.weights)
+        return res.assortment, res.revenue, [engine.query(K) for K in thresholds]
+
+    expect = [(ref[b], r, [unscreened_query(ref, i.weights, i.prices, K)
+                           for K in thresholds]) for (b, r), i in zip(serial, insts)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+    try:
+        for _ in range(3):
+            # unpacked: the threads also race to pack the membership
+            c = AssortmentCollection.from_membership(mask)
+            with ThreadPoolExecutor(4) as pool:  # more workers than cores
+                got = list(pool.map(solve, [c] * 4, insts, timeout=60))
+            assert got == expect and "packed_membership" in vars(c)  # screened
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestConcurrencyAndMemory:
     def test_threads_get_the_serial_answer(self):
-        rng = np.random.default_rng(9)
-        n = 40
-        mask = rng.random((3000, n)) < 0.5
-        mask[:, 0] = True
-        insts = [quantized_instance(rng, n) for _ in range(4)]
-        ref = AssortmentCollection.from_membership(mask)
-        serial = [unscreened_revenue_argmax(ref, inst) for inst in insts]
-        thresholds = np.linspace(0, 7, 9)
+        threads_get_the_serial_answer(3000)  # one block of 40 items: no pool
 
-        def solve(c, inst):
-            res = exhaustive_search(c, inst)
-            engine = ExactMips(embed_collection(c, inst), inst.weights)
-            return res.assortment, res.revenue, [engine.query(K) for K in thresholds]
-
-        expect = [(ref[b], r, [unscreened_query(ref, i.weights, i.prices, K)
-                               for K in thresholds]) for (b, r), i in zip(serial, insts)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, mid-call
-        try:
-            for _ in range(3):
-                # unpacked: the threads also race to pack the membership
-                c = AssortmentCollection.from_membership(mask)
-                with ThreadPoolExecutor(4) as pool:  # more workers than cores
-                    got = list(pool.map(solve, [c] * 4, insts, timeout=60))
-                assert got == expect and "packed_membership" in vars(c)  # screened
-        finally:
-            sys.setswitchinterval(interval)
+    def test_threads_sharing_the_pool_get_the_serial_answer(self, monkeypatch):
+        # three blocks, so the four callers' shares meet in the module's pool
+        monkeypatch.setattr(model, "_WORKERS", max(2, model._WORKERS))
+        threads_get_the_serial_answer(14000)
 
     def test_one_screen_call_stays_in_small_buffers(self):
         rng = np.random.default_rng(10)
