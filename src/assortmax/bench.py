@@ -8,10 +8,7 @@ index shape and seed it passes on.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -177,18 +174,11 @@ def aggregate_records(records: list[ResultRecord]) -> list[ResultRecord]:
 
 
 def run_bench(config: BenchConfig) -> tuple[list[ResultRecord], list[ResultRecord]]:
-    """Execute all runs and return (per-run records, aggregate rows).
-
-    Runs go to ``ASSORTMAX_THREADS`` worker threads (default 1).  Per-run
-    seeds are spawned from the master seed, so results do not depend on
-    worker scheduling.
+    """Execute all runs, in order in the calling thread, and return
+    (per-run records, aggregate rows).  Per-run seeds are spawned from the
+    master seed.
     """
-    env = os.environ.get("ASSORTMAX_THREADS", "1")
-    if not (env.strip().isdecimal() and int(env) > 0):
-        raise ValueError(f"ASSORTMAX_THREADS must be a positive integer, got {env!r}")
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(config.seed).spawn(config.runs)]
-    with ThreadPoolExecutor(max_workers=int(env)) as pool:
-        batches = list(pool.map(partial(_run_once, config), range(config.runs), seeds))
-    records = [rec for batch in batches for rec in batch]
+    records = [rec for k, seed in enumerate(seeds) for rec in _run_once(config, k, seed)]
     return records, aggregate_records(records)

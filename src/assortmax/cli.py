@@ -2,7 +2,8 @@
 
 Metrics written by ``bench``: rel_error = (f_opt - f_alg) / f_opt and
 overlap = |A intersect A*| / |A*|, both against the exact oracle for the
-same run.  The worker pool for ``bench`` is sized by ASSORTMAX_THREADS.
+same run.  ``bench`` runs one run after another; the only threads are
+those of the exact screen's one pool, made at import and started on first use.
 """
 
 import argparse

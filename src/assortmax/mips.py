@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AssortmentCollection, Instance, validate_collection
+from .model import AssortmentCollection, Instance, _value_rows, validate_collection
 
 __all__ = [
     "QueryVector",
@@ -94,11 +94,7 @@ class EmbeddedCollection(Sequence):
 
     def margin_sums(self, weights: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Rows (A, B) per set, or per set ``ids``: A_S = sum v_i p_i, B_S = sum v_i."""
-        return self.source.set_sums(self._margin_rows(weights), ids)
-
-    def _margin_rows(self, weights: np.ndarray) -> np.ndarray:
-        """The per-item rows (v o p, v) that :meth:`margin_sums` sums."""
-        return np.stack([weights * self.prices, weights])
+        return self.source.set_sums(_value_rows(self.prices, weights), ids)
 
     def scores_at(self, q: QueryVector, ids: np.ndarray | None = None) -> np.ndarray:
         """Inner products for the points ``ids`` in the given order (all when None).
@@ -135,8 +131,10 @@ def simple_lsh_transform(x: np.ndarray, scale: float) -> np.ndarray:
     original inner products, so argmaxes are preserved.
     """
     x = np.asarray(x, dtype=float)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:  # also rejects NaN
+        raise ValueError("scale must be positive and finite")
+    if not np.isfinite(x).all():
+        raise ValueError("point must be finite")
     r2 = float(x @ x) / (scale * scale)
     if r2 > 1.0 + 1e-9:
         raise ValueError(f"point norm {math.sqrt(r2) * scale:.6g} exceeds scale {scale:.6g}")
@@ -152,6 +150,10 @@ class LshParams:
     scan_cap: int
 
     def __post_init__(self):
+        for name in ("bits", "tables", "scan_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.bits < 0 or self.bits > 64:
             raise ValueError("bits must lie in 0..64")
         if self.tables <= 0:
@@ -325,14 +327,14 @@ class ExactMips:
     def __init__(self, points: EmbeddedCollection, weights: np.ndarray):
         self.weights = points._check_weights(weights)
         self.points = points
+        self._rows = _value_rows(points.prices, self.weights)
 
     def query(self, threshold: float) -> tuple[int, float]:
         if not 0 <= threshold < np.inf:
             s = self.points.scores_at(QueryVector(self.weights, threshold))
             best = int(np.argmax(s))
             return best, float(s[best])
-        return self.points.source._argmax(self.points._margin_rows(self.weights),
-                                          lambda A, B: A - threshold * B)
+        return self.points.source._argmax(self._rows, lambda A, B: A - threshold * B)
 
 
 class LshMips:

@@ -7,7 +7,7 @@ of A is the price-weighted sum of those pick probabilities.
 """
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -33,33 +33,20 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # threads that share one screen's blocks: the CPUs this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_pool = None  # runs every share but the caller's
-_pool_lock = threading.Lock()
 
 
-def _screen_pool():
-    """The module's screen pool, made on first use, so importing starts no
-    thread."""
-    # imported here: loaded ahead of numpy it adds 0.3 MB to every peak RSS
-    from concurrent.futures import ThreadPoolExecutor
-
+def _new_pool() -> None:
+    """Make the pool that runs every share of a screen but the caller's; it
+    starts no thread before its first share."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _WORKERS - 1),
-                                       thread_name_prefix="assortmax-screen")
-        return _pool
+    _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="assortmax-screen")
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads, so a share
-    # submitted there would wait forever; the child makes its own on use
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    # a forked child inherits the pool but none of its threads, so a share
+    # submitted there would wait forever
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
@@ -70,6 +57,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _item_array(items, owner: str) -> np.ndarray:
+    """``items`` as one int64 array; an item that is not a whole number is
+    rejected, naming its ``owner``, rather than truncated."""
+    arr = items if isinstance(items, np.ndarray) else np.array(list(items))
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    whole = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all())
+    if arr.ndim != 1 or not whole:
+        raise ValueError(f"{owner} contains a non-integer item; items are indices 1..n")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,10 @@ class Assortment:
 
     def __post_init__(self):
         items = self.items
-        if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
-            # tolist() yields Python ints in one call, not one int() per member
-            items = frozenset(items.tolist())
-        else:
-            items = frozenset(int(i) for i in items)
-        object.__setattr__(self, "items", items)
+        if not (isinstance(items, np.ndarray) and items.dtype.kind in "iu"):
+            items = _item_array(items, "assortment")
+        # tolist() yields Python ints in one call, not one int() per member
+        object.__setattr__(self, "items", frozenset(items.tolist()))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -190,10 +188,9 @@ class AssortmentCollection:
 
     def __init__(self, sets: Iterable, n: int):
         members: list[np.ndarray] = []
-        for s in sets:
+        for k, s in enumerate(sets):
             items = s.items if isinstance(s, Assortment) else s
-            arr = np.fromiter((int(i) for i in items), dtype=np.int64)
-            members.append(np.unique(arr) - 1)
+            members.append(np.unique(_item_array(items, f"set {k}")) - 1)
         lengths = np.fromiter((m.size for m in members), dtype=np.int64, count=len(members))
         flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
         self._init_arrays(n, flat, lengths)
@@ -375,11 +372,11 @@ class AssortmentCollection:
         up together, as the real and imaginary parts of one complex table,
         a block of sets at a time.  The blocks are split into contiguous
         shares, one per usable CPU: the calling thread runs the first and
-        the module's pool the others (numpy releases the interpreter lock in
-        each block's lookups and sums).  Each share writes only its own
-        sets' sums, so the bounds do not depend on the share count.  The
-        calling thread makes every share's buffers, sized so that together
-        they hold one block of ``_SUM_BLOCK`` lookups.
+        the pool made at import, whose threads start on first use, the
+        others; numpy releases the interpreter lock in each block's lookups
+        and sums.  Each share writes only its own sets' sums, so the bounds
+        do not depend on the share count.  The calling thread makes every
+        share's buffers, which together hold ``_SUM_BLOCK`` lookups.
 
         The bound: a screened sum and a sum of :meth:`set_sums` both add at
         most m = 8 ceil(n/8) non-negative terms (padding included) in some
@@ -430,7 +427,7 @@ class AssortmentCollection:
                 np.take(tables, idx[k, :hi - lo], out=buf[k, :hi - lo], mode="clip")
                 buf[k, :hi - lo].sum(axis=1, out=sums[lo:hi])
 
-        others = [_screen_pool().submit(share, k) for k in range(1, shares)]
+        others = [_pool.submit(share, k) for k in range(1, shares)]
         share(0)
         for done in others:
             done.result()
@@ -504,11 +501,19 @@ def revenue(a: Assortment, inst: Instance) -> float:
     return revenues(*np.add.reduceat(values, [0], axis=1)[:, 0].tolist())
 
 
+def _value_rows(prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The per-item rows (p o v, v) whose per-set sums (A, B) give revenue
+    A / (v0 + B) and the threshold score A - K B.  Every exact path builds
+    its rows here, so a customer's screen, kept under its rows, serves the
+    scan and the exact engine alike."""
+    return np.array([prices * weights, weights])
+
+
 def _revenue_terms(inst: Instance, items=slice(None)):
-    """The rows (p o v, v) of ``items`` (all by default) whose per-set sums
-    give revenue, and the revenue of those sums, num / (v0 + den)."""
-    p, v = inst.prices[items], inst.weights[items]
-    return np.array([p * v, v]), lambda num, den: num / (inst.v0 + den)
+    """The value rows of ``items`` (all by default) and the revenue of
+    their sums, num / (v0 + den)."""
+    return (_value_rows(inst.prices[items], inst.weights[items]),
+            lambda num, den: num / (inst.v0 + den))
 
 
 def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:

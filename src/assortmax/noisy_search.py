@@ -34,6 +34,10 @@ def bz_rounds_needed(gamma: float, eps: float, p1: float, p_max: float) -> int:
     errs with probability at most p_max and alpha is set to sqrt(p_max)."""
     if not 0 < p_max < 0.25:
         raise ValueError("p_max must lie in (0, 0.25)")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    if not 0 < eps < p1:
+        raise ValueError("eps must lie in (0, p1)")
     base = 0.5 + math.sqrt(p_max)
     return math.ceil(math.log(gamma * eps / (p1 - eps)) / math.log(base))
 

@@ -17,7 +17,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
-                    revenue)
+                    _item_array, revenue)
 from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
                    embed_collection)
 
@@ -130,26 +130,13 @@ def compare_step_partitioned(K: float, inst: Instance,
     return _partitioned_compare(inst, blocks, caps)(K)
 
 
-def _block_items(block: Sequence[int]) -> np.ndarray:
-    """0-based items of one block, converted as one array; an item that is
-    not a whole number is rejected rather than truncated."""
-    arr = np.asarray(block)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    whole = arr.dtype.kind in "iu" or (
-        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all())
-    if arr.ndim != 1 or not whole:
-        raise ValueError("block contains a non-integer item; items are indices 1..n")
-    return arr.astype(np.int64) - 1
-
-
 def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
                          caps: Sequence[int]) -> "CompareFn":
     """Check that ``blocks`` partition 1..n with one non-negative cap each,
     and return the comparison over them, which trusts the check."""
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
-    arrs = [_block_items(b) for b in blocks]
+    arrs = [_item_array(b, "block") - 1 for b in blocks]  # 0-based
     items = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= inst.n):
         raise ValueError("block contains an item index outside 1..n")
@@ -270,10 +257,18 @@ def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
 
 def approx_iteration_bound(p1: float, eps: float, nu: float) -> int:
     """Worst-case comparison count for the two-threshold approximate solver."""
-    nu_hat = nu * nu + 2.0 * nu
-    if eps <= 2.0 * nu_hat:
+    if not 0 < p1 < math.inf:  # also rejects NaN
+        raise ValueError("p1 must be positive and finite")
+    _check_approx(eps, nu)
+    return max(0, math.ceil(math.log2(p1 / (eps - 2.0 * (nu * nu + 2.0 * nu)))))
+
+
+def _check_approx(eps: float, nu: float) -> None:
+    """Check that ``nu`` and ``eps`` let the two-threshold search close."""
+    if not nu >= 0:  # also rejects NaN
+        raise ValueError("nu must be non-negative")
+    if not eps > 2.0 * (nu * nu + 2.0 * nu):  # also rejects NaN
         raise ValueError("eps must exceed 2(nu^2 + 2 nu) for the search to close")
-    return max(0, math.ceil(math.log2(p1 / (eps - 2.0 * nu_hat))))
 
 
 def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
@@ -289,10 +284,7 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
     """
     if inst.p1 > 1.0 + 1e-12:
         raise ValueError("approx solver needs a normalized instance; call normalize() first")
-    if not nu >= 0:  # also rejects NaN
-        raise ValueError("nu must be non-negative")
-    if eps <= 2.0 * (nu * nu + 2.0 * nu):
-        raise ValueError("eps must exceed 2(nu^2 + 2 nu) for the search to close")
+    _check_approx(eps, nu)
     if lsh is None:
         lsh = LshMips.build(embed_collection(collection, inst), inst.weights,
                             params, seed)

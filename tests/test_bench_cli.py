@@ -132,15 +132,6 @@ class TestBenchHarness:
             h.update(repr(replace(row, wall_time_s=None)).encode())
         assert h.hexdigest() == _PINNED_BENCH_ROWS_SHA256
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        cfg = BenchConfig(algorithms=("exact",), runs=4, n=6, num_sets=15,
-                          seed=5)
-        serial, _ = run_bench(cfg)
-        monkeypatch.setenv("ASSORTMAX_THREADS", "3")
-        threaded, _ = run_bench(cfg)
-        assert [(r.run_id, r.revenue) for r in serial] == \
-               [(r.run_id, r.revenue) for r in threaded]
-
 
 class TestCliSolve:
     def test_exhaustive_json_output(self, capsys):
@@ -313,17 +304,6 @@ class TestCliBench:
                    "--num-sets", "5", "--out", str(out), "--format", "json"])
         assert rc == 1 and "n must be positive" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-4", "2.5", ""])
-    def test_thread_count_must_be_a_positive_integer(self, threads, tmp_path,
-                                                     monkeypatch, capsys):
-        monkeypatch.setenv("ASSORTMAX_THREADS", threads)
-        out = tmp_path / "r.csv"
-        rc = main(["bench", "--algo", "exhaustive", "--runs", "1", "--n", "5",
-                   "--num-sets", "10", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1 and "ASSORTMAX_THREADS must be a positive integer" in err
-        assert repr(threads) in err and not out.exists()
 
     def test_instance_flag_rejected(self, tmp_path, capsys):
         # bench draws or loads its own instance per run, so an instance

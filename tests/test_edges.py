@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from assortmax import (Assortment, AssortmentCollection, BenchConfig, GenSpec,
-                       Instance, LshMips, NoisyComparator, Posterior,
+                       Instance, LshMips, LshParams, NoisyComparator, Posterior,
                        approx_iteration_bound, assort_mnl_capacitated,
                        brute_force_capacitated, build_lsh_index,
                        bz_posterior_update, default_lsh_params,
@@ -37,6 +37,13 @@ _ERRORS = {
                             "price_range must satisfy lo <= hi"),
     "lsh scale": (lambda: simple_lsh_transform(np.ones(2), 0.0),
                   "scale must be positive"),
+    "lsh scale nan": (lambda: simple_lsh_transform(np.ones(2), float("nan")),
+                      "scale must be positive and finite"),
+    "lsh scale infinite": (lambda: simple_lsh_transform(np.ones(2), float("inf")),
+                           "scale must be positive and finite"),
+    "lsh point nan": (lambda: simple_lsh_transform(np.array([np.nan, 1.0]), 5.0),
+                      "point must be finite"),
+    "lsh params bits": (lambda: LshParams(2.5, 3, 4), "bits must be an integer, got 2.5"),
     "lsh default params": (lambda: default_lsh_params(0),
                            "num_points must be positive"),
     "instance item_ids": (lambda: Instance([2.0, 1.0], [0.5, 0.5], 1.0, item_ids=(7,)),
@@ -48,6 +55,14 @@ _ERRORS = {
         "item_ids must have one label per item"),
     "bz p_max": (lambda: bz_rounds_needed(0.1, 0.1, 1.0, 0.3),
                  "p_max must lie in (0, 0.25)"),
+    "bz gamma zero": (lambda: bz_rounds_needed(0.0, 0.1, 1.0, 0.04),
+                      "gamma must lie in (0, 1)"),
+    "bz gamma above one": (lambda: bz_rounds_needed(2.0, 0.1, 1.0, 0.04),
+                           "gamma must lie in (0, 1)"),
+    "bz eps at p1": (lambda: bz_rounds_needed(0.05, 1.0, 1.0, 0.04),
+                     "eps must lie in (0, p1)"),
+    "bz eps above p1": (lambda: bz_rounds_needed(0.05, 1.5, 1.0, 0.04),
+                        "eps must lie in (0, p1)"),
     "posterior bins": (lambda: Posterior(np.full(5, 0.2), 0.1, 1.0),
                        "expected 10 bins, got 5"),
     "posterior masses": (lambda: Posterior([1.5, -0.5], 0.5, 1.0),
@@ -71,6 +86,16 @@ _ERRORS = {
         "variant 'partitioned' needs blocks and caps"),
     "approx bound eps": (lambda: approx_iteration_bound(1.0, 0.01, 0.01),
                          "eps must exceed 2(nu^2 + 2 nu)"),
+    "approx bound nan eps": (lambda: approx_iteration_bound(1.0, float("nan"), 0.01),
+                             "eps must exceed 2(nu^2 + 2 nu)"),
+    "approx bound nan nu": (lambda: approx_iteration_bound(1.0, 0.1, float("nan")),
+                            "nu must be non-negative"),
+    "approx bound negative nu": (lambda: approx_iteration_bound(1.0, 0.1, -0.5),
+                                 "nu must be non-negative"),
+    "approx bound zero p1": (lambda: approx_iteration_bound(0.0, 0.1, 0.01),
+                             "p1 must be positive and finite"),
+    "approx bound nan p1": (lambda: approx_iteration_bound(float("nan"), 0.1, 0.01),
+                            "p1 must be positive and finite"),
 }
 
 

@@ -1,16 +1,19 @@
 """The package exports exactly the names its library modules list in
-``__all__``, and the public names and settings removed as redundant stay
-removed."""
+``__all__``, the public names and settings removed as redundant stay
+removed, and no module reads a setting from the environment."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 from dataclasses import fields
+from pathlib import Path
 
 import assortmax
 
 # the command-line entry point; the package itself does not import it
 _ENTRY_POINT = "cli"
+_ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _library_modules():
@@ -38,3 +41,12 @@ def test_redundant_names_and_settings_stay_removed():
     assert "workers" not in {f.name for f in fields(assortmax.BenchConfig)}
     assert "weight_range" not in {f.name for f in fields(assortmax.GenSpec)}
     assert list(inspect.signature(assortmax.default_lsh_params).parameters) == ["num_points"]
+
+
+def test_no_module_reads_the_environment():
+    # every setting is an argument, so no environment knob can come back unseen
+    for path in sorted(Path(assortmax.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            assert not names & _ENVIRONMENT_READS, f"{path.name}:{node.lineno}"

@@ -169,6 +169,13 @@ class TestAssortment:
         assert a == b and hash(a) == hash(b)
         assert all(type(i) is int for i in a.items)
 
+    def test_non_whole_items_rejected_whole_floats_kept(self):
+        # an item is an index: 1.7 must be refused, not truncated to 1
+        for items in ([1.7, 3], [np.nan, 2], ["1", "2"], np.array([1.5])):
+            with pytest.raises(ValueError, match="assortment contains a non-integer item"):
+                Assortment(items)
+        assert Assortment([3.0, 1.0]) == Assortment({1, 3})
+
 
 class TestCollection:
     def test_valid_collection_passes(self, e1):
@@ -200,6 +207,14 @@ class TestCollection:
             AssortmentCollection._from_arrays(3, [0, 1, 3], [1, 2])
         with pytest.raises(ValueError, match="set 0 contains item index 0"):
             AssortmentCollection._from_arrays(3, [-1, 1], [2])
+
+    def test_non_whole_items_rejected_whole_floats_kept(self):
+        with pytest.raises(ValueError, match="set 0 contains a non-integer item"):
+            AssortmentCollection([[1.5, 2]], n=3)
+        with pytest.raises(ValueError, match="set 1 contains a non-integer item"):
+            AssortmentCollection([{1}, np.array([2, np.inf])], n=3)
+        c = AssortmentCollection([[2.0, 1.0], Assortment({3})], n=3)
+        assert [a.items for a in c] == [{1, 2}, {3}]
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="at least one"):

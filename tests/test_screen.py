@@ -289,6 +289,11 @@ def many_block_collection(seed):
     return dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
 
 
+class RefusingPool:
+    def submit(self, *args):
+        raise AssertionError("a one-block screen submitted a share")
+
+
 class TestScreenShares:
     @pytest.mark.parametrize("workers", [2, 4, 5])
     def test_the_shared_screen_equals_the_serial_one(self, workers, monkeypatch):
@@ -304,7 +309,7 @@ class TestScreenShares:
         rng = np.random.default_rng(12)
         c = dense_collection(rng, 40, 3000, 0.5)
         monkeypatch.setattr(model, "_WORKERS", 4)
-        monkeypatch.setattr(model, "_screen_pool", None)  # a call would raise
+        monkeypatch.setattr(model, "_pool", RefusingPool())
         assert c._screen(rng.random((2, 40))) is not None
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -339,7 +344,8 @@ class TestScreenShares:
                   "c = assortmax.AssortmentCollection.from_membership("
                   "rng.random((1000, 1000)) < 0.5)\n"  # four blocks
                   "assert c._screen(rng.random((2, 1000))) is not None\n"
-                  "assert model._pool is not None\n")
+                  "assert any(t.name.startswith('assortmax-screen')"
+                  " for t in threading.enumerate()), threading.enumerate()\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
