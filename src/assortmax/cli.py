@@ -2,8 +2,8 @@
 
 Metrics written by ``bench``: rel_error = (f_opt - f_alg) / f_opt and
 overlap = |A intersect A*| / |A*|, both against the exact oracle for the
-same run.  ``bench`` runs one run after another; the only threads are
-those of the exact screen's one pool, made at import and started on first use.
+same run.  ``bench`` runs one run after another in the calling thread,
+and the library starts no thread of its own.
 """
 
 import argparse

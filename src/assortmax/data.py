@@ -223,7 +223,14 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
+    """Read an instance written by :func:`save_instance`; a file that is not
+    a JSON object with prices, weights and v0 raises ValueError."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: an instance file must be a JSON object")
+    for key in ("prices", "weights", "v0"):
+        if key not in payload:
+            raise ValueError(f"{path}: instance file has no {key!r}")
     return Instance(payload["prices"], payload["weights"], payload["v0"],
                     payload.get("price_scale", 1.0),
                     tuple(payload["item_ids"]) if payload.get("item_ids") else None)

@@ -6,8 +6,6 @@ is the weight of leaving without a purchase.  The seller's expected revenue
 of A is the price-weighted sum of those pick probabilities.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -27,26 +25,10 @@ __all__ = [
 
 
 _PACK_ROWS = 512  # rows densified at a time while packing the membership
-_SUM_BLOCK = 1 << 15  # entries (set_sums) or lookups (_screen) per block
+_SUM_BLOCK = 1 << 15  # membership entries per block of set_sums
+_SCREEN_LOOKUPS = 1 << 21  # lookups per block of _screen: its 2 MB byte buffer
 _UNIT_ROUNDOFF = 2.0 ** -53
 _FLOAT_MAX = float(np.finfo(float).max)
-# threads that share one screen's blocks: the CPUs this process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _new_pool() -> None:
-    """Make the pool that runs every share of a screen but the caller's; it
-    starts no thread before its first share."""
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="assortmax-screen")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool but none of its threads, so a share
-    # submitted there would wait forever
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
@@ -369,14 +351,12 @@ class AssortmentCollection:
         holds, so a 256-entry table per byte position holds their partial
         sums ("Four Russians", Arlazarov et al. 1970): a set costs ceil(n/8)
         lookups instead of one gather per member.  The two rows are looked
-        up together, as the real and imaginary parts of one complex table,
-        a block of sets at a time.  The blocks are split into contiguous
-        shares, one per usable CPU: the calling thread runs the first and
-        the pool made at import, whose threads start on first use, the
-        others; numpy releases the interpreter lock in each block's lookups
-        and sums.  Each share writes only its own sets' sums, so the bounds
-        do not depend on the share count.  The calling thread makes every
-        share's buffers, which together hold ``_SUM_BLOCK`` lookups.
+        up together, as the real and imaginary parts of one complex table.
+        A block of sets is read by byte position: its bytes are copied
+        transposed into one (ceil(n/8), sets) buffer, so each position's
+        bytes are contiguous, and each position's lookups are added into
+        the block's sums in turn.  A set's sum adds its terms in byte
+        order whatever the block size, so the bounds do not depend on it.
 
         The bound: a screened sum and a sum of :meth:`set_sums` both add at
         most m = 8 ceil(n/8) non-negative terms (padding included) in some
@@ -408,29 +388,19 @@ class AssortmentCollection:
         for bit in range(8):
             np.add(tables[:, :1 << bit], pairs[:, bit, None],
                    out=tables[:, 1 << bit:2 << bit])
-        tables = tables.ravel()
-        offsets = np.arange(width) * 256
         packed = self.packed_membership
-        sums = np.empty(sets, dtype=complex)
-        full = max(1, _SUM_BLOCK // width)  # sets per block of a one-share screen
-        blocks = -(-sets // full)
-        shares = min(_WORKERS, blocks)
-        step = min(sets, max(1, full // shares))  # sets per block of a share
-        cuts = [min(sets, blocks * k // shares * full) for k in range(shares + 1)]
-        idx = np.empty((shares, step, width), dtype=np.intp)
-        buf = np.empty((shares, step, width), dtype=complex)
-
-        def share(k: int) -> None:
-            for lo in range(cuts[k], cuts[k + 1], step):
-                hi = min(lo + step, cuts[k + 1])
-                np.add(packed[lo:hi], offsets, out=idx[k, :hi - lo])
-                np.take(tables, idx[k, :hi - lo], out=buf[k, :hi - lo], mode="clip")
-                buf[k, :hi - lo].sum(axis=1, out=sums[lo:hi])
-
-        others = [_pool.submit(share, k) for k in range(1, shares)]
-        share(0)
-        for done in others:
-            done.result()
+        sums = np.zeros(sets, dtype=complex)
+        step = min(sets, max(1, _SCREEN_LOOKUPS // width))  # sets per block
+        block = np.empty((width, step), dtype=np.uint8)
+        buf = np.empty(step, dtype=complex)
+        for lo in range(0, sets, step):
+            hi = min(lo + step, sets)
+            rows, part, out = block[:, :hi - lo], buf[:hi - lo], sums[lo:hi]
+            np.copyto(rows, packed[lo:hi].T)
+            # every byte is a valid table index, so "clip" only drops the check
+            for table, byte in zip(tables, rows):
+                np.take(table, byte, out=part, mode="clip")
+                out += part
         sums = sums.view(float).reshape(sets, 2).T
         m = 8 * width
         slack = 4 * m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)

@@ -267,6 +267,18 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and "row 2" in captured.err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"prices": [2.0, 1.0], "v0": 1.0}, "no 'weights'"),
+        ([[2.0, 1.0], [0.5, 0.5], 1.0], "must be a JSON object")])
+    def test_malformed_instance_file_is_a_clean_error(self, tmp_path, capsys,
+                                                      payload, message):
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        (tmp_path / "sets.txt").write_text("1\n1 2\n")
+        rc = main(["solve", "--algo", "exact", "--instance", str(tmp_path / "bad.json"),
+                   "--itemsets", str(tmp_path / "sets.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and message in err
+
 
 class TestCliBench:
     def test_csv_output(self, tmp_path, capsys):

@@ -204,6 +204,21 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match="distinct"):
             load_instance(path)
 
+    @pytest.mark.parametrize("key", ["prices", "weights", "v0"])
+    def test_a_missing_key_is_named(self, tmp_path, key):
+        payload = {"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": 1.0}
+        del payload[key]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"no '{key}'"):
+            load_instance(path)
+
+    def test_a_top_level_list_is_rejected(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps([[2.0, 1.0], [0.5, 0.5], 1.0]))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_instance(path)
+
 
 def _record(i=0):
     return ResultRecord(run_id=f"run{i:03d}", algo="exact", n=3, N=7, eps=0.1,

@@ -1,6 +1,7 @@
 """The package exports exactly the names its library modules list in
 ``__all__``, the public names and settings removed as redundant stay
-removed, and no module reads a setting from the environment."""
+removed, no module reads a setting from the environment, and no module
+imports a thread or process pool."""
 
 import ast
 import importlib
@@ -14,6 +15,12 @@ import assortmax
 # the command-line entry point; the package itself does not import it
 _ENTRY_POINT = "cli"
 _ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+_CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
+
+
+def _module_trees():
+    for path in sorted(Path(assortmax.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
 
 
 def _library_modules():
@@ -45,8 +52,22 @@ def test_redundant_names_and_settings_stay_removed():
 
 def test_no_module_reads_the_environment():
     # every setting is an argument, so no environment knob can come back unseen
-    for path in sorted(Path(assortmax.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in _module_trees():
+        for node in ast.walk(tree):
             names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
                      else {node.attr} if isinstance(node, ast.Attribute) else set())
             assert not names & _ENVIRONMENT_READS, f"{path.name}:{node.lineno}"
+
+
+def test_no_module_imports_a_thread_or_process_pool():
+    # the library runs in its caller's thread, so no pool can come back unseen
+    for path, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module}
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            assert not roots & _CONCURRENCY_MODULES, f"{path.name}:{node.lineno}"

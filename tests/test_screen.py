@@ -3,10 +3,8 @@
 answer as the unscreened argmax does, bit for bit, ties to the lowest id."""
 
 import os
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -282,70 +280,30 @@ class TestOneScreenPerCustomer:
         assert full == [(2, n)]
 
 
-def many_block_collection(seed):
-    # n=1000 holds 262 sets per block: 8400 sets are 33 blocks, which 2, 4
-    # and 5 shares do not divide
-    rng = np.random.default_rng(seed)
-    return dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
+class TestScreenBlocks:
+    def test_ragged_blocks_give_the_one_block_bounds(self, monkeypatch):
+        # n=1000: a block of 2^15 lookups holds 262 sets, so 8400 sets are 32
+        # full blocks and a ragged one of 16 sets
+        rng = np.random.default_rng(11)
+        c, values = dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
+        whole = c._screen(values)  # 8400 sets fit one block of 2^21 lookups
+        monkeypatch.setattr(model, "_SCREEN_LOOKUPS", 1 << 15)
+        blocked = c._screen(values)
+        assert whole is not None
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
-
-class RefusingPool:
-    def submit(self, *args):
-        raise AssertionError("a one-block screen submitted a share")
-
-
-class TestScreenShares:
-    @pytest.mark.parametrize("workers", [2, 4, 5])
-    def test_the_shared_screen_equals_the_serial_one(self, workers, monkeypatch):
-        c, values = many_block_collection(11)
-        monkeypatch.setattr(model, "_WORKERS", 1)
-        serial = c._screen(values)
-        monkeypatch.setattr(model, "_WORKERS", workers)
-        shared = c._screen(values)
-        assert serial is not None
-        assert all(np.array_equal(a, b) for a, b in zip(serial, shared))
-
-    def test_a_one_block_screen_never_reaches_the_pool(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        c = dense_collection(rng, 40, 3000, 0.5)
-        monkeypatch.setattr(model, "_WORKERS", 4)
-        monkeypatch.setattr(model, "_pool", RefusingPool())
-        assert c._screen(rng.random((2, 40))) is not None
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_a_forked_child_screens(self, monkeypatch):
-        monkeypatch.setattr(model, "_WORKERS", max(2, model._WORKERS))
-        c, values = many_block_collection(13)
-        expect = c._screen(values)  # the parent's pool has live threads
-        pid = os.fork()
-        if pid == 0:  # the child inherits the pool but not its threads
-            ok = False
-            try:
-                ok = all(np.array_equal(a, b) for a, b in zip(expect, c._screen(values)))
-            finally:
-                os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_import_starts_no_thread_and_a_screening_script_exits(self):
+    def test_importing_and_a_multi_block_screen_start_no_thread(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         script = ("import threading, assortmax\n"
                   "assert threading.active_count() == 1, threading.enumerate()\n"
                   "import numpy as np\n"
                   "from assortmax import model\n"
-                  "model._WORKERS = max(2, model._WORKERS)\n"
+                  "model._SCREEN_LOOKUPS = 1 << 15\n"
                   "rng = np.random.default_rng(14)\n"
                   "c = assortmax.AssortmentCollection.from_membership("
                   "rng.random((1000, 1000)) < 0.5)\n"  # four blocks
                   "assert c._screen(rng.random((2, 1000))) is not None\n"
-                  "assert any(t.name.startswith('assortmax-screen')"
-                  " for t in threading.enumerate()), threading.enumerate()\n")
+                  "assert threading.active_count() == 1, threading.enumerate()\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -383,11 +341,11 @@ def threads_get_the_serial_answer(num_sets):
 
 class TestConcurrencyAndMemory:
     def test_threads_get_the_serial_answer(self):
-        threads_get_the_serial_answer(3000)  # one block of 40 items: no pool
+        threads_get_the_serial_answer(3000)  # one block
 
-    def test_threads_sharing_the_pool_get_the_serial_answer(self, monkeypatch):
-        # three blocks, so the four callers' shares meet in the module's pool
-        monkeypatch.setattr(model, "_WORKERS", max(2, model._WORKERS))
+    def test_threads_racing_through_many_blocks_get_the_serial_answer(self, monkeypatch):
+        # n=40: 204 sets per block of 2^10 lookups, so 69 blocks per screen
+        monkeypatch.setattr(model, "_SCREEN_LOOKUPS", 1 << 10)
         threads_get_the_serial_answer(14000)
 
     def test_one_screen_call_stays_in_small_buffers(self):
