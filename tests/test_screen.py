@@ -280,18 +280,23 @@ class TestOneScreenPerCustomer:
         assert full == [(2, n)]
 
 
-class TestScreenBlocks:
-    def test_ragged_blocks_give_the_one_block_bounds(self, monkeypatch):
-        # n=1000: a block of 2^15 lookups holds 262 sets, so 8400 sets are 32
-        # full blocks and a ragged one of 16 sets
+class TestScreenShares:
+    @pytest.mark.parametrize("workers", [2, 4, 5])
+    def test_the_shared_screen_equals_the_serial_one(self, workers, monkeypatch):
+        # the screen cut into `workers` shares, blocks of sets read in turn,
+        # the last one ragged, gives the one-block bounds bit for bit
         rng = np.random.default_rng(11)
         c, values = dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
-        whole = c._screen(values)  # 8400 sets fit one block of 2^21 lookups
-        monkeypatch.setattr(model, "_SCREEN_LOOKUPS", 1 << 15)
-        blocked = c._screen(values)
-        assert whole is not None
-        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+        serial = c._screen(values)  # 8400 sets fit one block of 2^21 lookups
+        width, step = 125, 8400 // workers + 1  # bytes per set, sets per share
+        assert -(-8400 // step) == workers and 8400 % step
+        monkeypatch.setattr(model, "_SCREEN_LOOKUPS", width * step)
+        shared = c._screen(values)
+        assert serial is not None
+        assert all(np.array_equal(a, b) for a, b in zip(serial, shared))
 
+
+class TestScreenBlocks:
     def test_importing_and_a_multi_block_screen_start_no_thread(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         script = ("import threading, assortmax\n"
