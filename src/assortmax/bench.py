@@ -8,13 +8,13 @@ index shape and seed it passes on.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GenSpec, ResultRecord, generate_instance, instance_from_files
 from .mips import LshParams, default_lsh_params
-from .model import AssortmentCollection, Instance, SolverResult, normalize, revenue
+from .model import AssortmentCollection, Instance, SolverResult
 from .noisy_search import assort_mnl_bz
 from .oracles import brute_force_capacitated, exhaustive_search
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
@@ -85,9 +85,9 @@ class BenchConfig:
 def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
           config: BenchConfig, seed: int) -> SolverResult:
     """Solve one instance with the algorithm named ``algo``, in the
-    instance's price units.  ``approx`` and ``bz`` read ``config.eps`` on
-    the normalized price scale (top price 1), which their approximation
-    bookkeeping assumes; the hashed solvers build their own engines.
+    instance's price units.  ``approx`` and ``bz`` read ``config.eps`` as a
+    fraction of the top price, which their approximation bookkeeping
+    assumes; the hashed solvers build their own engines.
     """
     if algo == "exhaustive":
         return exhaustive_search(collection, inst)
@@ -97,12 +97,9 @@ def solve(algo: str, inst: Instance, collection: AssortmentCollection | None,
         return assort_mnl_approx_simple(collection, inst, config.eps, seed=seed,
                                         params=config.lsh_params(len(collection)))
     if algo == "approx":
-        res = assort_mnl_approx(collection, normalize(inst), config.eps, config.nu,
-                                params=config.lsh_params(len(collection)), seed=seed)
-        lo, hi = res.revenue_interval
-        return replace(res, revenue=revenue(res.assortment, inst),
-                       revenue_interval=(lo * inst.p1, hi * inst.p1))
-    if algo == "bz":  # rescales internally; only eps needs mapping
+        return assort_mnl_approx(collection, inst, config.eps * inst.p1, config.nu,
+                                 params=config.lsh_params(len(collection)), seed=seed)
+    if algo == "bz":
         return assort_mnl_bz(collection, inst, config.eps * inst.p1,
                              config.bz_rounds, config.bz_alpha,
                              params=config.lsh_params(len(collection)), seed=seed)

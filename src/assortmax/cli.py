@@ -40,7 +40,8 @@ def _add_source_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     """The flags :func:`_config` reads, shared by ``solve`` and ``bench``."""
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=float, default=0.1,
+                   help="tolerance in price units (approx, bz: a fraction of the top price)")
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--nu", type=float, default=0.01,
                    help="retrieval approximation margin for --algo approx")

@@ -211,28 +211,31 @@ def onto_instance(collection: AssortmentCollection, labels: Sequence[int],
 
 
 def save_instance(inst: Instance, path) -> None:
-    """Write an instance as JSON (prices, weights, v0, scale, labels)."""
+    """Write an instance as JSON (prices, weights, v0, labels)."""
     payload = {
         "prices": inst.prices.tolist(),
         "weights": inst.weights.tolist(),
         "v0": inst.v0,
-        "price_scale": inst.price_scale,
         "item_ids": list(inst.labels()),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_instance(path) -> Instance:
-    """Read an instance written by :func:`save_instance`; a file that is not
-    a JSON object with prices, weights and v0 raises ValueError."""
+    """Read an instance written by :func:`save_instance`, ignoring other keys
+    (older files carry a ``price_scale``); a missing or mistyped key raises
+    ValueError naming it."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: an instance file must be a JSON object")
     for key in ("prices", "weights", "v0"):
         if key not in payload:
             raise ValueError(f"{path}: instance file has no {key!r}")
+    if not isinstance(payload["v0"], (int, float)):
+        raise ValueError(f"{path}: 'v0' must be a number")
+    if not isinstance(payload.get("item_ids") or [], list):
+        raise ValueError(f"{path}: 'item_ids' must be a list")
     return Instance(payload["prices"], payload["weights"], payload["v0"],
-                    payload.get("price_scale", 1.0),
                     tuple(payload["item_ids"]) if payload.get("item_ids") else None)
 
 

@@ -59,16 +59,14 @@ class Instance:
     """Item prices and choice weights, sorted by non-increasing price.
 
     ``weights[k]`` is the preference weight of item ``k + 1`` and ``v0`` the
-    weight of walking away without buying.  ``price_scale`` carries the
-    original top price through :func:`normalize` so results can be mapped
-    back to currency units.  ``item_ids`` keeps the caller's labels when
+    weight of walking away without buying; scaling both together leaves
+    every revenue unchanged.  ``item_ids`` keeps the caller's labels when
     :meth:`from_items` had to re-sort.
     """
 
     prices: np.ndarray
     weights: np.ndarray
     v0: float
-    price_scale: float = 1.0
     item_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -83,12 +81,10 @@ class Instance:
             raise ValueError("prices must be finite and non-negative")
         if np.any(np.diff(prices) > 0):
             raise ValueError("prices must be non-increasing; use Instance.from_items to sort")
-        if not ((weights >= 0) & (weights <= 1)).all():
-            raise ValueError("weights must lie in [0, 1]")
-        if not 0.0 < self.v0 <= 1.0:
-            raise ValueError("v0 must lie in (0, 1]")
-        if not 0 < self.price_scale < np.inf:
-            raise ValueError("price_scale must be positive and finite")
+        if not (np.isfinite(weights) & (weights >= 0)).all():
+            raise ValueError("weights must be finite and non-negative")
+        if not 0.0 < self.v0 < np.inf:
+            raise ValueError("v0 must be positive and finite")
         if self.item_ids is not None:
             ids = tuple(int(i) for i in self.item_ids)
             if len(ids) != prices.size:
@@ -111,7 +107,7 @@ class Instance:
         return self.item_ids if self.item_ids is not None else tuple(range(1, self.n + 1))
 
     @classmethod
-    def from_items(cls, prices, weights, v0, item_ids=None, price_scale: float = 1.0) -> "Instance":
+    def from_items(cls, prices, weights, v0, item_ids=None) -> "Instance":
         """Build an instance from arbitrarily ordered items, sorting by price.
 
         The original labels survive in ``item_ids`` so that assortments can be
@@ -125,8 +121,7 @@ class Instance:
         if len(labels) != p.size:
             raise ValueError("item_ids must have one label per item")
         order = np.argsort(-p, kind="stable")
-        return cls(p[order], w[order], v0, price_scale,
-                   tuple(int(labels[i]) for i in order))
+        return cls(p[order], w[order], v0, tuple(int(labels[i]) for i in order))
 
 
 @dataclass(frozen=True)
@@ -494,15 +489,11 @@ def collection_revenues(c: AssortmentCollection, inst: Instance) -> np.ndarray:
 
 
 def normalize(inst: Instance) -> Instance:
-    """Rescale prices so the top price is 1, composing into ``price_scale``.
-
-    Revenue of any set scales by exactly 1/p1, so argmaxes are unchanged.
-    """
+    """Rescale prices so the top price is 1; every revenue scales by 1/p1."""
     p1 = inst.p1
     if p1 <= 0:
         raise ValueError("cannot normalize a degenerate instance with top price 0")
-    return Instance(inst.prices / p1, inst.weights, inst.v0,
-                    inst.price_scale * p1, inst.item_ids)
+    return Instance(inst.prices / p1, inst.weights, inst.v0, inst.item_ids)
 
 
 def validate_collection(c: AssortmentCollection, inst: Instance) -> None:

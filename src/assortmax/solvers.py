@@ -10,14 +10,14 @@ selection on the per-item margins v_i (p_i - K) for capacity constraints.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
-                    _item_array, revenue)
+                    _item_array, normalize, revenue)
 from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
                    embed_collection)
 
@@ -256,19 +256,19 @@ def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
 
 
 def approx_iteration_bound(p1: float, eps: float, nu: float) -> int:
-    """Worst-case comparison count for the two-threshold approximate solver."""
+    """Worst-case comparison count of :func:`assort_mnl_approx`, eps in p1's units."""
     if not 0 < p1 < math.inf:  # also rejects NaN
         raise ValueError("p1 must be positive and finite")
-    _check_approx(eps, nu)
-    return max(0, math.ceil(math.log2(p1 / (eps - 2.0 * (nu * nu + 2.0 * nu)))))
+    _check_approx(eps / p1, nu)
+    return max(0, math.ceil(math.log2(1.0 / (eps / p1 - 2.0 * (nu * nu + 2.0 * nu)))))
 
 
 def _check_approx(eps: float, nu: float) -> None:
-    """Check that ``nu`` and ``eps`` let the two-threshold search close."""
+    """Check that ``nu`` and ``eps``, a fraction of p1, let the search close."""
     if not nu >= 0:  # also rejects NaN
         raise ValueError("nu must be non-negative")
     if not eps > 2.0 * (nu * nu + 2.0 * nu):  # also rejects NaN
-        raise ValueError("eps must exceed 2(nu^2 + 2 nu) for the search to close")
+        raise ValueError("eps must exceed 2(nu^2 + 2 nu) p1 for the search to close")
 
 
 def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
@@ -277,16 +277,16 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
                       on_iteration=None) -> SolverResult:
     """Two-threshold bisection that accounts for a (1 + nu)-approximate engine.
 
-    Requires a normalized instance (top price at most 1) so the retrieval
-    guarantee K_hat = 1 + (1+nu)^2 (K - 1) <= K applies.  Each iteration
-    shrinks the bracket to at most half its width plus nu^2 + 2 nu, so the
-    loop ends within ceil(log2(p1 / (eps - 2(nu^2 + 2 nu)))) comparisons.
+    The search runs at top price 1, on ``normalize(inst)``, where the retrieval
+    guarantee K_hat = 1 + (1+nu)^2 (K - 1) <= K applies; an injected ``lsh``
+    must embed ``normalize(inst)``.  ``eps``, the bracket and the
+    ``on_iteration`` states are in ``inst``'s price units.  Each comparison
+    leaves at most half the bracket plus p1 (nu^2 + 2 nu).
     """
-    if inst.p1 > 1.0 + 1e-12:
-        raise ValueError("approx solver needs a normalized instance; call normalize() first")
-    _check_approx(eps, nu)
+    norm, scale = normalize(inst), inst.p1  # rejects a top price of 0
+    _check_approx(eps / scale, nu)
     if lsh is None:
-        lsh = LshMips.build(embed_collection(collection, inst), inst.weights,
+        lsh = LshMips.build(embed_collection(collection, norm), norm.weights,
                             params, seed)
     grow = (1.0 + nu) ** 2
 
@@ -297,10 +297,14 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
         if ans is None:
             return None
         set_id, score = ans
-        s = score / inst.v0
+        s = score / norm.v0
         K_hat = 1.0 + grow * (K - 1.0)
         if K_hat > s:
             return None
         return (K if K <= s else K_hat), lsh.points.source[set_id]
 
-    return _bisect(inst, collection[0], step, eps, on_iteration)
+    report = None if on_iteration is None else (lambda st: on_iteration(
+        replace(st, lower=st.lower * scale, upper=st.upper * scale)))
+    res = _bisect(norm, collection[0], step, eps / scale, report)
+    return replace(res, revenue=revenue(res.assortment, inst),
+                   revenue_interval=tuple(b * scale for b in res.revenue_interval))

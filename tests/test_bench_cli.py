@@ -85,7 +85,7 @@ class TestBenchHarness:
             BenchConfig(algorithms=("exact",), num_sets=None)
 
     def test_approx_reports_the_exact_revenue_of_its_set(self, monkeypatch):
-        # approx solves the normalized instance; scaling its revenue back by
+        # approx searches the normalized instance; scaling a revenue back by
         # p1 differs from the set's exact revenue in the last bits
         solved, solve = [], bench.solve
 
@@ -269,7 +269,10 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("payload, message", [
         ({"prices": [2.0, 1.0], "v0": 1.0}, "no 'weights'"),
-        ([[2.0, 1.0], [0.5, 0.5], 1.0], "must be a JSON object")])
+        ([[2.0, 1.0], [0.5, 0.5], 1.0], "must be a JSON object"),
+        ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": "1"}, "'v0' must be a number"),
+        ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": 1.0, "item_ids": 5},
+         "'item_ids' must be a list")])
     def test_malformed_instance_file_is_a_clean_error(self, tmp_path, capsys,
                                                       payload, message):
         (tmp_path / "bad.json").write_text(json.dumps(payload))

@@ -195,7 +195,15 @@ class TestInstanceJson:
         back = load_instance(path)
         assert back.prices.tolist() == inst.prices.tolist()
         assert back.weights.tolist() == inst.weights.tolist()
-        assert back.v0 == inst.v0 and back.price_scale == inst.price_scale
+        assert back.v0 == inst.v0
+
+    def test_price_scale_of_older_files_is_ignored(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"prices": [2.0, 1.0], "weights": [0.5, 0.5],
+                                    "v0": 1.0, "price_scale": 7.0}))
+        assert load_instance(path).prices.tolist() == [2.0, 1.0]
+        save_instance(load_instance(path), path)
+        assert "price_scale" not in json.loads(path.read_text())
 
     def test_repeated_labels_rejected_on_load(self, tmp_path):
         path = tmp_path / "inst.json"

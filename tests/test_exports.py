@@ -47,6 +47,8 @@ def test_redundant_names_and_settings_stay_removed():
     assert not hasattr(assortmax.Assortment, "as_tuple")
     assert "workers" not in {f.name for f in fields(assortmax.BenchConfig)}
     assert "weight_range" not in {f.name for f in fields(assortmax.GenSpec)}
+    assert "price_scale" not in {f.name for f in fields(assortmax.Instance)}
+    assert "price_scale" not in inspect.signature(assortmax.Instance.from_items).parameters
     assert list(inspect.signature(assortmax.default_lsh_params).parameters) == ["num_points"]
 
 

@@ -26,13 +26,15 @@ class TestInstance:
 
     @pytest.mark.parametrize("kwargs", [
         dict(prices=[1.0], weights=[0.5, 0.5], v0=1.0),
-        dict(prices=[1.0], weights=[1.5], v0=1.0),
+        dict(prices=[1.0], weights=[np.inf], v0=1.0),
         dict(prices=[-1.0], weights=[0.5], v0=1.0),
         dict(prices=[1.0], weights=[0.5], v0=0.0),
-        dict(prices=[1.0], weights=[0.5], v0=1.5),
+        dict(prices=[1.0], weights=[0.5], v0=np.nan),
         dict(prices=[np.nan, 1.0], weights=[0.5, 0.5], v0=1.0),
         dict(prices=[np.inf, 1.0], weights=[0.5, 0.5], v0=1.0),
         dict(prices=[1.0], weights=[np.nan], v0=1.0),
+        dict(prices=[1.0], weights=[-0.5], v0=1.0),
+        dict(prices=[1.0], weights=[0.5], v0=np.inf),
     ])
     def test_invariant_violations(self, kwargs):
         with pytest.raises(ValueError):
@@ -45,11 +47,6 @@ class TestInstance:
             Instance([2.0, 1.0], [0.5, 0.5], 1.0, item_ids=(7, 7))
         with pytest.raises(ValueError, match="distinct"):
             Instance.from_items([1.0, 2.0], [0.5, 0.5], 1.0, item_ids=(3, 3))
-
-    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
-    def test_price_scale_positive_and_finite(self, scale):
-        with pytest.raises(ValueError, match="price_scale"):
-            Instance([2.0, 1.0], [0.5, 0.5], 1.0, price_scale=scale)
 
     def test_arrays_are_read_only(self, e1):
         with pytest.raises(ValueError):
@@ -135,13 +132,11 @@ class TestNormalize:
     def test_divides_by_top_price(self, e1):
         norm = normalize(e1)
         assert norm.prices.tolist() == [1.0, 0.8, 0.5]
-        assert norm.price_scale == 10.0
 
     def test_idempotent_on_normalized(self):
         inst = Instance([1.0, 0.5], [0.3, 0.4], 0.9)
         norm = normalize(inst)
         assert norm.prices.tolist() == inst.prices.tolist()
-        assert norm.price_scale == 1.0
 
     def test_scale_equivariance(self, e1):
         norm = normalize(e1)
@@ -152,7 +147,7 @@ class TestNormalize:
             norm = normalize(inst)
             items = [i + 1 for i in range(6) if rng.random() < 0.5] or [2]
             a = Assortment(items)
-            assert revenue(a, norm) * norm.price_scale == pytest.approx(
+            assert revenue(a, norm) * inst.p1 == pytest.approx(
                 revenue(a, inst), rel=1e-9)
 
     def test_degenerate_instance(self):

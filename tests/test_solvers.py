@@ -5,8 +5,9 @@ import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        LshMips, assort_mnl, assort_mnl_approx,
-                       assort_mnl_approx_simple, assort_mnl_capacitated,
-                       approx_iteration_bound, compare_step_general,
+                       assort_mnl_approx_simple, assort_mnl_bz,
+                       assort_mnl_capacitated, approx_iteration_bound,
+                       brute_force_capacitated, compare_step_general,
                        embed_collection, exhaustive_search, generate_instance,
                        normalize, revenue)
 
@@ -183,9 +184,32 @@ class TestApproxSimple:
 
 
 class TestApprox:
-    def test_rejects_unnormalized(self, e1, e1_all):
-        with pytest.raises(ValueError, match="normalized"):
-            assort_mnl_approx(e1_all, e1, 0.1, 0.01)
+    def test_raw_instance_solves_as_its_normalized_copy(self):
+        # prices up to 1000: the search runs on normalize(inst), and the
+        # bracket and states come back multiplied by p1
+        for trial in range(10):
+            inst, coll = generate_instance(GenSpec(n=20, num_sets=150, seed=400 + trial))
+            norm, p1 = normalize(inst), inst.p1
+            raw_states, norm_states = [], []
+            res = assort_mnl_approx(coll, inst, 0.1 * p1, 0.01, seed=trial,
+                                    on_iteration=raw_states.append)
+            ref = assort_mnl_approx(coll, norm, 0.1, 0.01, seed=trial,
+                                    on_iteration=norm_states.append)
+            assert res.assortment == ref.assortment
+            assert res.iterations == ref.iterations == len(raw_states)
+            assert res.revenue_interval == tuple(b * p1 for b in ref.revenue_interval)
+            assert res.revenue == revenue(res.assortment, inst)
+            assert [(s.lower, s.upper, s.best, s.iteration) for s in raw_states] == [
+                (s.lower * p1, s.upper * p1, s.best, s.iteration) for s in norm_states]
+
+    def test_bracket_holds_the_optimum_with_an_exact_engine(self):
+        for trial in range(40):
+            inst, coll = generate_instance(GenSpec(n=12, num_sets=100, seed=450 + trial))
+            opt = exhaustive_search(coll, inst).revenue
+            res = assort_mnl_approx(coll, inst, 0.05 * inst.p1, 0.01,
+                                    lsh=exact_engine(coll, normalize(inst)))
+            lo, hi = res.revenue_interval
+            assert lo <= opt <= hi, trial
 
     def test_rejects_infeasible_tolerance(self, e1, e1_all):
         inst = normalize(e1)
@@ -251,3 +275,30 @@ class TestApprox:
             res = assort_mnl_approx(coll, inst, 0.1, nu=0.01, seed=trial)
             assert res.assortment.items in {a.items for a in coll}
             assert res.revenue >= res.revenue_interval[0] - 1e-12
+
+
+_SCALED_SOLVES = {
+    "exhaustive": lambda inst, coll: exhaustive_search(coll, inst),
+    "exact": lambda inst, coll: assort_mnl(coll, inst, 0.01),
+    "approx_simple": lambda inst, coll: assort_mnl_approx_simple(coll, inst, 0.01, seed=3),
+    "approx": lambda inst, coll: assort_mnl_approx(coll, inst, 0.05 * inst.p1, 0.01, seed=3),
+    "bz": lambda inst, coll: assort_mnl_bz(coll, inst, 0.01 * inst.p1, 8, 0.3, seed=3),
+    "topc": lambda inst, coll: assort_mnl_capacitated(inst, 4, 0.01),
+    "lb": lambda inst, coll: assort_mnl_capacitated(inst, 4, 0.01, "lb", c_min=2),
+    "partitioned": lambda inst, coll: assort_mnl_capacitated(
+        inst, None, 0.01, "partitioned", blocks=[range(1, 6), range(6, 13)], caps=[2, 3]),
+    "brute_cap": lambda inst, coll: brute_force_capacitated(inst, 4),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_SCALED_SOLVES))
+def test_scaling_weights_and_v0_together_changes_no_answer(algo):
+    # every revenue, score and hash key is a ratio or a sign of sums that
+    # all scale by 2**10, which is exact in binary floating point
+    solve = _SCALED_SOLVES[algo]
+    for seed in range(5):
+        inst, coll = generate_instance(GenSpec(n=12, num_sets=150, v0=None, seed=seed))
+        scaled = Instance(inst.prices, inst.weights * 2.0**10, inst.v0 * 2.0**10)
+        a, b = solve(inst, coll), solve(scaled, coll)
+        assert (a.assortment, a.revenue, a.revenue_interval, a.iterations, a.estimate) == (
+            b.assortment, b.revenue, b.revenue_interval, b.iterations, b.estimate)
