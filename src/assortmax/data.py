@@ -221,6 +221,12 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _json_number(x) -> bool:
+    """Is ``x`` a JSON number?  JSON true and false are not, though Python
+    counts bool as int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_instance(path) -> Instance:
     """Read an instance written by :func:`save_instance`, ignoring other keys
     (older files carry a ``price_scale``); a missing or mistyped key raises
@@ -231,10 +237,13 @@ def load_instance(path) -> Instance:
     for key in ("prices", "weights", "v0"):
         if key not in payload:
             raise ValueError(f"{path}: instance file has no {key!r}")
-    if not isinstance(payload["v0"], (int, float)):
+    if not _json_number(payload["v0"]):
         raise ValueError(f"{path}: 'v0' must be a number")
-    if not isinstance(payload.get("item_ids") or [], list):
-        raise ValueError(f"{path}: 'item_ids' must be a list")
+    for key in ("prices", "weights", "item_ids"):
+        values = payload.get(key)  # a null item_ids means no labels
+        if values is not None and not (isinstance(values, list)
+                                       and all(map(_json_number, values))):
+            raise ValueError(f"{path}: {key!r} must be a list of numbers")
     return Instance(payload["prices"], payload["weights"], payload["v0"],
                     tuple(payload["item_ids"]) if payload.get("item_ids") else None)
 

@@ -50,7 +50,7 @@ def _item_array(items, owner: str) -> np.ndarray:
     whole = arr.dtype.kind in "iu" or (
         arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all())
     if arr.ndim != 1 or not whole:
-        raise ValueError(f"{owner} contains a non-integer item; items are indices 1..n")
+        raise ValueError(f"{owner} contains a non-integer item; items are whole numbers")
     return arr.astype(np.int64, copy=False)
 
 
@@ -83,10 +83,10 @@ class Instance:
             raise ValueError("prices must be non-increasing; use Instance.from_items to sort")
         if not (np.isfinite(weights) & (weights >= 0)).all():
             raise ValueError("weights must be finite and non-negative")
-        if not 0.0 < self.v0 < np.inf:
-            raise ValueError("v0 must be positive and finite")
+        if isinstance(self.v0, (bool, np.bool_)) or not 0.0 < self.v0 < np.inf:
+            raise ValueError("v0 must be a positive finite number")
         if self.item_ids is not None:
-            ids = tuple(int(i) for i in self.item_ids)
+            ids = tuple(_item_array(self.item_ids, "item_ids").tolist())
             if len(ids) != prices.size:
                 raise ValueError("item_ids must have one label per item")
             if len(set(ids)) != len(ids):
@@ -121,7 +121,7 @@ class Instance:
         if len(labels) != p.size:
             raise ValueError("item_ids must have one label per item")
         order = np.argsort(-p, kind="stable")
-        return cls(p[order], w[order], v0, tuple(int(labels[i]) for i in order))
+        return cls(p[order], w[order], v0, tuple(labels[i] for i in order))
 
 
 @dataclass(frozen=True)

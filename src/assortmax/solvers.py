@@ -92,14 +92,27 @@ def _select(w: np.ndarray, cap: int, c_min: int) -> np.ndarray:
 
 def _compare_blocks(inst: Instance, blocks: Sequence[tuple[np.ndarray | None, int, int]],
                     K: float) -> tuple[bool, Assortment]:
-    """The one capacity-style comparison, O(n) with no sort: the witness is
-    the union of each block's selection on the margins v_i (p_i - K).
+    """The one capacity-style comparison, with no sort: the witness is the
+    union of each block's selection on the margins v_i (p_i - K).
+
+    Prices are non-increasing, so only the first m items, those priced above
+    K, can have a positive margin: a block reads the margins of its items
+    among them, in its own order, and reads all its margins only when fewer
+    than its c_min are positive.  As the bisection closes on the optimum, m
+    shrinks, so a whole solve reads about n margins, not n per comparison.
     ``blocks`` holds (0-based items or None for all, cap, c_min) per block."""
-    w = inst.weights * (inst.prices - K)
-    chosen = [_select(w, cap, lo) if items is None
-              else items[_select(w[items], cap, lo)]
-              for items, cap, lo in blocks]
-    total = sum(float(w[sel].sum()) for sel in chosen)
+    m = inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
+    chosen, total = [], 0.0
+    for items, cap, lo in blocks:
+        ids = slice(m) if items is None else items[items < m]
+        w = inst.weights[ids] * (inst.prices[ids] - K)
+        sel = _largest(w, np.flatnonzero(w > 0), cap)
+        if sel.size < lo:  # the top-up reads the whole block
+            ids = slice(None) if items is None else items
+            w = inst.weights[ids] * (inst.prices[ids] - K)
+            sel = _select(w, cap, lo)
+        chosen.append(sel if items is None else ids[sel])
+        total += float(w[sel].sum())
     return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
 
 
@@ -114,7 +127,8 @@ def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
 def compare_step_capacitated(K: float, inst: Instance, C: int,
                              c_min: int = 0) -> tuple[bool, Assortment]:
     """Does some set of c_min..C items earn at least K?  The witness holds
-    the (up to) C largest positive margins, topped up to c_min items."""
+    the (up to) C largest positive margins, topped up to c_min items.  Only
+    the items priced above K are read, unless the top-up needs the rest."""
     _check_capacity(inst, C, c_min)
     return _compare_blocks(inst, [(None, C, c_min)], K)
 

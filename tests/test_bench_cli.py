@@ -272,7 +272,12 @@ class TestCliSolve:
         ([[2.0, 1.0], [0.5, 0.5], 1.0], "must be a JSON object"),
         ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": "1"}, "'v0' must be a number"),
         ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": 1.0, "item_ids": 5},
-         "'item_ids' must be a list")])
+         "'item_ids' must be a list"),
+        ({"prices": [2.0, {}], "weights": [0.5, 0.5], "v0": 1.0},
+         "'prices' must be a list of numbers"),
+        ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": 1.0, "item_ids": [1, None]},
+         "'item_ids' must be a list of numbers"),
+        ({"prices": [2.0, 1.0], "weights": [0.5, 0.5], "v0": True}, "'v0' must be a number")])
     def test_malformed_instance_file_is_a_clean_error(self, tmp_path, capsys,
                                                       payload, message):
         (tmp_path / "bad.json").write_text(json.dumps(payload))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +43,12 @@ def brute_force_blocks(inst, blocks, caps):
     return best_rev, best
 
 
+# sorted items, revenue, bracket and iterations of 15 solves at n=20000,
+# recorded with the full-margin comparison, before it read only the prefix
+_PINNED_PREFIX_SOLVES_SHA256 = (
+    "a9699f15eabd83eaee8ed7c11719c65cc8abd93d2984386358de8b60aab24d34")
+
+
 class TestCompareCapacitated:
     def test_exists_hand_example(self, e1):
         exists, witness = compare_step_capacitated(3.0, e1, 2)
@@ -74,6 +82,84 @@ class TestCompareCapacitated:
                         for c in itertools.combinations(range(9), k)),
                        default=0.0)
             assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def full_margin_compare(inst, blocks, K):
+    """The comparison as it was before it read only the items priced above
+    K: every margin, every block in full.  The library must match it bit
+    for bit.  ``blocks`` holds (0-based items or None for all, cap, c_min)."""
+    def largest(w, idx, k):
+        cut = idx.size - k
+        if cut <= 0 or k == 0:
+            return idx[:k]
+        return idx[np.argpartition(w[idx], cut)[cut:]]
+
+    def select(w, cap, c_min):
+        sel = largest(w, np.flatnonzero(w > 0), cap)
+        if sel.size < c_min:
+            sel = np.concatenate(
+                [sel, largest(w, np.flatnonzero(w <= 0), c_min - sel.size)])
+        return sel
+
+    w = inst.weights * (inst.prices - K)
+    chosen = [select(w, cap, lo) if items is None else items[select(w[items], cap, lo)]
+              for items, cap, lo in blocks]
+    total = sum(float(w[sel].sum()) for sel in chosen)
+    return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+
+
+class TestPricedAboveK:
+    def test_matches_full_margin_comparison(self):
+        # three instances in four have integer prices and weights, so ties in
+        # price, weight and margin, and zero weights; K also lands on a
+        # price, at or above p1, below 0 and on NaN
+        rng = np.random.default_rng(44)
+        hit = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            prices = np.sort(rng.integers(0, 6, n))[::-1].astype(float)
+            inst = (Instance(prices, rng.integers(0, 3, n).astype(float),
+                             float(rng.integers(1, 3)))
+                    if rng.random() < 0.75 else random_instance(rng, n))
+            prices = inst.prices
+            kind = rng.choice(["price", "p1", "above", "negative", "nan", "uniform"])
+            K = {"price": float(rng.choice(prices)), "p1": inst.p1,
+                 "above": inst.p1 + 1.0, "negative": -1.0, "nan": np.nan,
+                 "uniform": float(rng.uniform(0, inst.p1))}[kind]
+            hit.add(kind)
+            C = int(rng.integers(1, n + 1))
+            c_min = int(rng.integers(0, C + 1))
+            if c_min > np.count_nonzero(inst.weights * (inst.prices - K) > 0):
+                hit.add("top-up")
+            got = compare_step_capacitated(K, inst, C, c_min)
+            assert got == full_margin_compare(inst, [(None, C, c_min)], K)
+            # blocks in shuffled order, with their items in shuffled order
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)),
+                                      replace=False))
+            arrs = np.split(rng.permutation(n), cuts)
+            caps = [int(rng.integers(0, len(b) + 2)) for b in arrs]
+            got = compare_step_partitioned(K, inst, [b + 1 for b in arrs], caps)
+            assert got == full_margin_compare(inst, [(b, cap, 0) for b, cap in
+                                                     zip(arrs, caps)], K)
+            # no variant gives an explicit block a c_min; the comparison
+            # still tops such a block up from its own items
+            spec = [(b, cap, int(rng.integers(0, min(cap, b.size) + 1)))
+                    for b, cap in zip(arrs, caps)]
+            assert solvers._compare_blocks(inst, spec, K) == full_margin_compare(inst, spec, K)
+        assert hit == {"price", "p1", "above", "negative", "nan", "uniform", "top-up"}
+
+    def test_one_comparison_stays_in_small_buffers(self):
+        # n = 10^5 with about 2000 items priced above K = 980: the full
+        # margins and their masks alone would take 800 KB and more
+        inst = random_instance(np.random.default_rng(24), 100_000, price_hi=1000.0)
+        assert 1500 < np.count_nonzero(inst.prices > 980.0) < 2500
+        tracemalloc.start()
+        try:
+            compare_step_capacitated(980.0, inst, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256_000
 
 
 def size_family(items, lo, hi):
@@ -289,6 +375,22 @@ class TestCapacitatedSolver:
     def test_unknown_variant(self, e1):
         with pytest.raises(ValueError, match="variant"):
             assort_mnl_capacitated(e1, 2, 0.1, variant="bogus")
+
+    def test_solves_are_pinned_where_few_items_beat_K(self):
+        # recorded before the comparison read only the items priced above K;
+        # near the optimum (about 0.99 p1) that is about 1% of the catalog
+        h = hashlib.sha256()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, 20_000, price_hi=1000.0)
+            blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
+            for res in (assort_mnl_capacitated(inst, 50, 0.1),
+                        assort_mnl_capacitated(inst, 50, 0.1, "lb", c_min=10),
+                        assort_mnl_capacitated(inst, None, 0.1, "partitioned",
+                                               blocks=blocks, caps=[20, 5, 15, 10])):
+                h.update(repr((sorted(res.assortment.items), res.revenue,
+                               res.revenue_interval, res.iterations)).encode())
+        assert h.hexdigest() == _PINNED_PREFIX_SOLVES_SHA256
 
     def test_large_instance_is_fast(self):
         rng = np.random.default_rng(23)

@@ -221,6 +221,28 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match=f"no '{key}'"):
             load_instance(path)
 
+    @pytest.mark.parametrize("change, key", [
+        ({"prices": [2.0, {}]}, "prices"),
+        ({"prices": [2.0, None]}, "prices"),
+        ({"weights": [0.5, "0.5"]}, "weights"),
+        ({"weights": [0.5, True]}, "weights"),
+        ({"item_ids": [1, None]}, "item_ids"),
+        ({"item_ids": [1, [2]]}, "item_ids"),
+        ({"v0": True}, "v0")])
+    def test_a_mistyped_value_is_named(self, tmp_path, change, key):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"prices": [2.0, 1.0], "weights": [0.5, 0.5],
+                                    "v0": 1.0, **change}))
+        with pytest.raises(ValueError, match=f"'{key}' must be a"):
+            load_instance(path)
+
+    def test_a_fractional_label_is_rejected_on_load(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"prices": [2.0, 1.0], "weights": [0.5, 0.5],
+                                    "v0": 1.0, "item_ids": [1.5, 2]}))
+        with pytest.raises(ValueError, match="item_ids contains a non-integer"):
+            load_instance(path)
+
     def test_a_top_level_list_is_rejected(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps([[2.0, 1.0], [0.5, 0.5], 1.0]))

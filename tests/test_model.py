@@ -48,6 +48,21 @@ class TestInstance:
         with pytest.raises(ValueError, match="distinct"):
             Instance.from_items([1.0, 2.0], [0.5, 0.5], 1.0, item_ids=(3, 3))
 
+    def test_labels_must_be_whole_numbers(self):
+        # a label names one item, so 1.5 must not be read as item 1
+        for ids in [(1.5, 2), (1, None), ("1", 2), (1, np.nan)]:
+            with pytest.raises(ValueError, match="item_ids contains a non-integer"):
+                Instance([2.0, 1.0], [0.5, 0.5], 1.0, item_ids=ids)
+        with pytest.raises(ValueError, match="item_ids contains a non-integer"):
+            Instance.from_items([1.0, 2.0], [0.5, 0.5], 1.0, item_ids=(1.5, 2))
+        ids = Instance([2.0, 1.0], [0.5, 0.5], 1.0, item_ids=(7.0, np.int64(3))).item_ids
+        assert ids == (7, 3) and all(type(i) is int for i in ids)
+
+    @pytest.mark.parametrize("v0", [True, np.True_])
+    def test_bool_v0_rejected(self, v0):
+        with pytest.raises(ValueError, match="v0 must be a positive finite number"):
+            Instance([1.0], [0.5], v0)
+
     def test_arrays_are_read_only(self, e1):
         with pytest.raises(ValueError):
             e1.prices[0] = 99.0
