@@ -13,8 +13,8 @@ random assortments over 500 items.
 import time
 
 from assortmax import (BenchConfig, GenSpec, LshMips, assort_mnl,
-                       assort_mnl_approx_simple, embed_collection,
-                       exhaustive_search, generate_instance)
+                       assort_mnl_approx_simple, build_lsh_index,
+                       embed_collection, exhaustive_search, generate_instance)
 
 inst, collection = generate_instance(GenSpec(n=500, num_sets=25_000, seed=7))
 print(f"instance: {inst.n} items, {len(collection)} feasible assortments")
@@ -34,7 +34,7 @@ points = embed_collection(collection, inst)
 params = BenchConfig().lsh_params(len(points))  # 20 tables, 80-candidate scan
 print(f"\nindex shape: {params}")
 t0 = time.perf_counter()
-engine = LshMips.build(points, inst.weights, params, seed=1)
+engine = LshMips(build_lsh_index(points, params, seed=1), points, inst.weights)
 build_ms = (time.perf_counter() - t0) * 1e3
 t0 = time.perf_counter()
 hashed = assort_mnl_approx_simple(collection, inst, eps=0.1, lsh=engine)

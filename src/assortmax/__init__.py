@@ -9,10 +9,9 @@ inner product search (exact, hashed, or noise-tolerant).
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
                     collection_revenues, normalize, revenue,
                     validate_collection)
-from .mips import (EmbeddedCollection, ExactMips, LshIndex, LshMips,
-                   LshParams, QueryVector, build_lsh_index, default_lsh_params,
-                   embed_collection, hash_key, load_index, save_index,
-                   simple_lsh_transform)
+from .mips import (ExactMips, LshIndex, LshMips, LshParams, QueryVector,
+                   build_lsh_index, default_lsh_params, embed_collection,
+                   hash_key, load_index, save_index, simple_lsh_transform)
 from .solvers import (SearchState, approx_iteration_bound, assort_mnl,
                       assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated, compare_step_capacitated,
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assortment", "AssortmentCollection", "Instance", "SolverResult",
     "revenue", "collection_revenues", "normalize", "validate_collection",
-    "EmbeddedCollection", "QueryVector",
-    "embed_collection", "simple_lsh_transform", "LshParams",
+    "QueryVector", "embed_collection", "simple_lsh_transform", "LshParams",
     "default_lsh_params", "LshIndex", "build_lsh_index", "hash_key",
     "save_index", "load_index", "ExactMips", "LshMips",
     "SearchState", "compare_step_general", "compare_step_capacitated",

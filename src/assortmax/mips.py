@@ -17,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AssortmentCollection, Instance, _value_rows, validate_collection
+from .model import AssortmentCollection, Instance, _frozen_array, _value_rows, validate_collection
 
 __all__ = [
     "QueryVector",
-    "EmbeddedCollection",
     "embed_collection",
     "simple_lsh_transform",
     "LshParams",
@@ -47,10 +46,9 @@ class QueryVector:
     threshold: float
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _frozen_array(self.weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("query weights must be a non-empty 1-d array")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -78,9 +76,10 @@ class EmbeddedCollection(Sequence):
 
     @property
     def norms(self) -> np.ndarray:
-        """Read-only norm of every point, as the collection keeps it: index
-        builds read it, exact scoring never does."""
-        return self.source.point_norms(self.prices)
+        """Read-only norm sqrt(sum_{i in S} (p_i^2 + 1)) of every point, kept by
+        the collection with its prices: index builds read it, exact scoring never does."""
+        return self.source._keep("norms", self.prices, lambda p: _frozen_array(
+            np.sqrt(self.source.set_sums(p**2 + 1.0))))
 
     def __len__(self) -> int:
         return len(self.source)
@@ -92,24 +91,21 @@ class EmbeddedCollection(Sequence):
         vec[self.n + mem] = 1.0
         return vec
 
-    def margin_sums(self, weights: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
-        """Rows (A, B) per set, or per set ``ids``: A_S = sum v_i p_i, B_S = sum v_i."""
-        return self.source.set_sums(_value_rows(self.prices, weights), ids)
-
     def scores_at(self, q: QueryVector, ids: np.ndarray | None = None) -> np.ndarray:
         """Inner products for the points ``ids`` in the given order (all when None).
 
-        Scores come from :meth:`margin_sums`, so a score computed here is
-        bit-identical to the full-scan score of that point and to
-        :class:`ExactMips`.
+        Scores come from :meth:`AssortmentCollection.set_sums`, so a score
+        computed here is bit-identical to the full-scan score of that point
+        and to :class:`ExactMips`.
         """
-        A, B = self.margin_sums(self._check_weights(q.weights), ids)
+        rows = _value_rows(self.prices, self._check_weights(q.weights))
+        A, B = self.source.set_sums(rows, ids)
         return A - q.threshold * B
 
     def _check_weights(self, weights) -> np.ndarray:
-        """``weights`` as floats, checked to be one finite weight per item;
-        every engine and :meth:`scores_at` check theirs here."""
-        weights = np.asarray(weights, dtype=float)
+        """A read-only float copy of ``weights``, checked to be one finite
+        weight per item; every engine and :meth:`scores_at` take theirs here."""
+        weights = _frozen_array(weights)
         if weights.shape != (self.n,):
             dims = " x ".join(map(str, weights.shape)) if weights.ndim > 1 else weights.size
             raise ValueError(f"weights have dimension {dims}, expected {self.n}")
@@ -315,13 +311,13 @@ class ExactMips:
     """Linear-scan oracle over an embedded collection.
 
     Threshold K is answered by the argmax of A - K B over the per-set sums
-    (A, B) of :meth:`EmbeddedCollection.margin_sums`, ties going to the
+    (A, B) of the engine's value rows (p o v, v), ties going to the
     lowest set id, through ``AssortmentCollection._argmax``: the screen it
     keeps, made by the first query or the customer's ``exhaustive_search``,
     leaves to be scored exactly only the sets that could tie or beat the
     best, so every answer equals the full scan's.  A K outside [0, inf),
     where A - K B may rise as B grows and the screen cannot bracket it, is
-    scored in full by :meth:`EmbeddedCollection.scores_at`.
+    scored in full by :meth:`AssortmentCollection.set_sums`.
     """
 
     def __init__(self, points: EmbeddedCollection, weights: np.ndarray):
@@ -331,7 +327,8 @@ class ExactMips:
 
     def query(self, threshold: float) -> tuple[int, float]:
         if not 0 <= threshold < np.inf:
-            s = self.points.scores_at(QueryVector(self.weights, threshold))
+            A, B = self.points.source.set_sums(self._rows)
+            s = A - threshold * B
             best = int(np.argmax(s))
             return best, float(s[best])
         return self.points.source._argmax(self._rows, lambda A, B: A - threshold * B)
@@ -357,9 +354,9 @@ class LshMips:
     key vector probes the buckets and rescores through
     :meth:`EmbeddedCollection.scores_at`; a later one probes nothing and
     answers argmax(A - K B) over the remembered candidates, with their sums
-    (A, B) taken once by :meth:`EmbeddedCollection.margin_sums`, the
-    reduction ``scores_at`` uses, so every answer is bit-identical to a
-    fresh engine's.
+    (A, B) of the engine's value rows (p o v, v) taken once by
+    :meth:`AssortmentCollection.set_sums`, the reduction ``scores_at`` uses,
+    so every answer is bit-identical to a fresh engine's.
     """
 
     def __init__(self, index: LshIndex, points: EmbeddedCollection,
@@ -371,6 +368,7 @@ class LshMips:
         self.weights = points._check_weights(weights)
         self.index = index
         self.points = points
+        self._rows = _value_rows(points.prices, self.weights)
         n = points.n
         proj = index.projections
         self._a = proj[:, :, :n] @ self.weights        # (tables, bits)
@@ -378,11 +376,6 @@ class LshMips:
         # packed key vector -> None (nothing retrieved) or [candidates,
         # their (A, B) sums once a repeat has asked for them]
         self._memo: dict[bytes, list | None] = {}
-
-    @classmethod
-    def build(cls, points: EmbeddedCollection, weights: np.ndarray,
-              params: LshParams | None = None, seed: int = 0) -> "LshMips":
-        return cls(build_lsh_index(points, params, seed), points, weights)
 
     def query(self, threshold: float) -> tuple[int, float] | None:
         """Return the best candidate retrieved for the key of q_K, or None.
@@ -409,7 +402,7 @@ class LshMips:
                 return None
             cand, sums = hit
             if sums is None:
-                sums = hit[1] = self.points.margin_sums(self.weights, cand)
+                sums = hit[1] = self.points.source.set_sums(self._rows, cand)
             scores = sums[0] - threshold * sums[1]
         best = int(np.argmax(scores))
         return int(cand[best]), float(scores[best])

@@ -285,12 +285,6 @@ class AssortmentCollection:
             kept = self._kept[name] = (key, make(key))
         return kept[1]
 
-    def point_norms(self, prices: np.ndarray) -> np.ndarray:
-        """Read-only norm sqrt(sum_{i in S} (p_i^2 + 1)) of each set's point
-        (p o u^S, u^S), kept with their prices (see :meth:`_keep`)."""
-        return self._keep("norms", prices,
-                          lambda p: _frozen_array(np.sqrt(self.set_sums(p**2 + 1.0))))
-
     def set_sums(self, values: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         """Per-item ``values`` summed over each set, or over sets ``ids`` in order.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (AssortmentCollection, Instance, SolverResult, normalize,
                     revenue)
-from .mips import LshMips, LshParams, embed_collection
+from .mips import LshMips, LshParams, build_lsh_index, embed_collection
 
 __all__ = [
     "Posterior",
@@ -187,8 +187,8 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
 
     def compare(K: float) -> int:
         nonlocal best, best_rev
-        engine = LshMips.build(points, inst_n.weights, params, next(engine_seeds))
-        ans = engine.query(K)
+        index = build_lsh_index(points, params, next(engine_seeds))
+        ans = LshMips(index, points, inst_n.weights).query(K)
         if ans is None:
             return 0
         set_id, score = ans

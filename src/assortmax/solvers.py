@@ -19,7 +19,7 @@ import numpy as np
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
                     _item_array, normalize, revenue)
 from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
-                   embed_collection)
+                   build_lsh_index, embed_collection)
 
 __all__ = [
     "SearchState",
@@ -80,37 +80,41 @@ def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return idx[np.argpartition(w[idx], cut)[cut:]]
 
 
-def _select(w: np.ndarray, cap: int, c_min: int) -> np.ndarray:
-    """Positions in ``w`` of the best block selection: up to ``cap`` largest
-    positive margins, topped up to ``c_min`` with the largest others."""
-    sel = _largest(w, np.flatnonzero(w > 0), cap)
-    if sel.size < c_min:
-        sel = np.concatenate(
-            [sel, _largest(w, np.flatnonzero(w <= 0), c_min - sel.size)])
-    return sel
+def _by_position(items: np.ndarray | None) -> tuple:
+    """A block's argsort (its items are distinct, so it is the stable one)
+    and its items sorted, which one binary search splits at any m."""
+    if items is None:  # the whole catalog
+        return None, None
+    order = np.argsort(items)
+    return order, items[order]
 
 
-def _compare_blocks(inst: Instance, blocks: Sequence[tuple[np.ndarray | None, int, int]],
-                    K: float) -> tuple[bool, Assortment]:
+def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
+                    by_position: Sequence[tuple] | None = None) -> tuple[bool, Assortment]:
     """The one capacity-style comparison, with no sort: the witness is the
-    union of each block's selection on the margins v_i (p_i - K).
+    union of each block's up to cap largest positive margins v_i (p_i - K),
+    topped up to c_min with the largest others.
 
     Prices are non-increasing, so only the first m items, those priced above
     K, can have a positive margin: a block reads the margins of its items
     among them, in its own order, and reads all its margins only when fewer
     than its c_min are positive.  As the bisection closes on the optimum, m
     shrinks, so a whole solve reads about n margins, not n per comparison.
-    ``blocks`` holds (0-based items or None for all, cap, c_min) per block."""
+    ``blocks`` holds (0-based items or None for all, cap, c_min) per block,
+    and ``by_position`` their :func:`_by_position`, taken here when None."""
+    if by_position is None:
+        by_position = [_by_position(items) for items, _, _ in blocks]
     m = inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
     chosen, total = [], 0.0
-    for items, cap, lo in blocks:
-        ids = slice(m) if items is None else items[items < m]
+    for (items, cap, lo), (order, ascending) in zip(blocks, by_position):
+        ids = slice(m) if items is None else items[np.sort(order[:ascending.searchsorted(m)])]
         w = inst.weights[ids] * (inst.prices[ids] - K)
         sel = _largest(w, np.flatnonzero(w > 0), cap)
         if sel.size < lo:  # the top-up reads the whole block
             ids = slice(None) if items is None else items
             w = inst.weights[ids] * (inst.prices[ids] - K)
-            sel = _select(w, cap, lo)
+            sel = _largest(w, np.flatnonzero(w > 0), cap)
+            sel = np.concatenate([sel, _largest(w, np.flatnonzero(w <= 0), lo - sel.size)])
         chosen.append(sel if items is None else ids[sel])
         total += float(w[sel].sum())
     return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
@@ -161,8 +165,8 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
         raise ValueError("blocks do not cover every item; they must partition 1..n")
     if any(cap < 0 for cap in caps):
         raise ValueError("capacities must be non-negative")
-    return partial(_compare_blocks, inst,
-                   [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)])
+    return partial(_compare_blocks, inst, [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)],
+                   by_position=[_by_position(arr) for arr in arrs])
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]
@@ -205,6 +209,13 @@ def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
     return SolverResult(best, revenue(best, inst), (lower, upper), iteration, wall)
 
 
+def _check_embeds(engine: MipsOracle, inst: Instance, name: str) -> None:
+    """Reject an engine that embeds other prices than ``inst``, called ``name``."""
+    if not np.array_equal(engine.points.prices, inst.prices):
+        raise ValueError(f"the engine's points embed other prices than {name}; "
+                         f"build the engine over embed_collection(collection, {name})")
+
+
 def assort_mnl(collection: AssortmentCollection, inst: Instance, eps: float,
                mips: MipsOracle | None = None,
                on_iteration: Callable[[SearchState], None] | None = None) -> SolverResult:
@@ -212,10 +223,12 @@ def assort_mnl(collection: AssortmentCollection, inst: Instance, eps: float,
 
     Performs exactly ceil(log2(p1 / eps)) comparisons; the returned set's
     exact revenue is within eps of the best feasible revenue.  An injected
-    ``mips`` engine answers the comparisons instead of the exact scan.
+    ``mips`` engine answers the comparisons instead of the exact scan; its
+    points must embed ``inst``'s prices.
     """
     if mips is None:
         mips = ExactMips(embed_collection(collection, inst), inst.weights)
+    _check_embeds(mips, inst, "inst")
     return _bisect(inst, collection[0],
                    _at_threshold(lambda K: compare_step_general(K, mips, inst)),
                    eps, on_iteration)
@@ -264,8 +277,8 @@ def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
     :func:`assort_mnl` bit for bit.
     """
     if lsh is None:
-        lsh = LshMips.build(embed_collection(collection, inst), inst.weights,
-                            params, seed)
+        points = embed_collection(collection, inst)
+        lsh = LshMips(build_lsh_index(points, params, seed), points, inst.weights)
     return assort_mnl(collection, inst, eps, mips=lsh, on_iteration=on_iteration)
 
 
@@ -300,8 +313,9 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
     norm, scale = normalize(inst), inst.p1  # rejects a top price of 0
     _check_approx(eps / scale, nu)
     if lsh is None:
-        lsh = LshMips.build(embed_collection(collection, norm), norm.weights,
-                            params, seed)
+        points = embed_collection(collection, norm)
+        lsh = LshMips(build_lsh_index(points, params, seed), points, norm.weights)
+    _check_embeds(lsh, norm, "normalize(inst)")
     grow = (1.0 + nu) ** 2
 
     def step(K: float):

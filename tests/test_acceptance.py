@@ -177,8 +177,8 @@ def test_criterion_6b_lsh_solver_at_scale():
                                                seed=9000 + trial))
         opt = exhaustive_search(coll, inst)
         pts = embed_collection(coll, inst)
-        engine = LshMips.build(pts, inst.weights, cfg.lsh_params(len(pts)),
-                               seed=trial)
+        engine = LshMips(build_lsh_index(pts, cfg.lsh_params(len(pts)), seed=trial),
+                         pts, inst.weights)
         res = assort_mnl_approx_simple(coll, inst, 0.1, lsh=engine)
         errs.append((opt.revenue - res.revenue) / opt.revenue)
         t_solve.append(res.wall_time)

@@ -11,6 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import assortmax
+from assortmax.mips import EmbeddedCollection
 
 # the command-line entry point; the package itself does not import it
 _ENTRY_POINT = "cli"
@@ -42,8 +43,14 @@ def test_package_exports_come_from_module_exports():
 def test_redundant_names_and_settings_stay_removed():
     # each returned what its callers already held, or set a value no caller set
     assert not hasattr(assortmax, "EmbeddedPoint")
-    assert not hasattr(assortmax.EmbeddedCollection, "scores")
-    assert not hasattr(assortmax.EmbeddedCollection, "max_norm")
+    # embed_collection is the one public way to embed
+    assert "EmbeddedCollection" not in assortmax.__all__
+    assert "EmbeddedCollection" not in assortmax.mips.__all__
+    assert not hasattr(assortmax, "EmbeddedCollection")
+    for name in ("scores", "max_norm", "margin_sums"):  # scores_at rescores
+        assert not hasattr(EmbeddedCollection, name)
+    assert not hasattr(assortmax.AssortmentCollection, "point_norms")  # see .norms
+    assert not hasattr(assortmax.LshMips, "build")  # LshMips(build_lsh_index(...), ...)
     assert not hasattr(assortmax.Assortment, "as_tuple")
     assert "workers" not in {f.name for f in fields(assortmax.BenchConfig)}
     assert "weight_range" not in {f.name for f in fields(assortmax.GenSpec)}

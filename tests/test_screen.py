@@ -281,19 +281,19 @@ class TestOneScreenPerCustomer:
 
 
 class TestScreenShares:
-    @pytest.mark.parametrize("workers", [2, 4, 5])
-    def test_the_shared_screen_equals_the_serial_one(self, workers, monkeypatch):
-        # the screen cut into `workers` shares, blocks of sets read in turn,
-        # the last one ragged, gives the one-block bounds bit for bit
+    @pytest.mark.parametrize("blocks", [2, 4, 5])
+    def test_the_screen_in_blocks_equals_the_serial_one(self, blocks, monkeypatch):
+        # the screen cut into `blocks` blocks of sets, read in turn, the last
+        # one ragged, gives the one-block bounds bit for bit
         rng = np.random.default_rng(11)
         c, values = dense_collection(rng, 1000, 8400, 0.5), rng.random((2, 1000))
         serial = c._screen(values)  # 8400 sets fit one block of 2^21 lookups
-        width, step = 125, 8400 // workers + 1  # bytes per set, sets per share
-        assert -(-8400 // step) == workers and 8400 % step
+        width, step = 125, 8400 // blocks + 1  # bytes per set, sets per block
+        assert -(-8400 // step) == blocks and 8400 % step
         monkeypatch.setattr(model, "_SCREEN_LOOKUPS", width * step)
-        shared = c._screen(values)
+        in_blocks = c._screen(values)
         assert serial is not None
-        assert all(np.array_equal(a, b) for a, b in zip(serial, shared))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, in_blocks))
 
 
 class TestScreenBlocks:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        LshMips, assort_mnl, assort_mnl_approx,
                        assort_mnl_approx_simple, assort_mnl_bz,
                        assort_mnl_capacitated, approx_iteration_bound,
-                       brute_force_capacitated, compare_step_general,
-                       embed_collection, exhaustive_search, generate_instance,
-                       normalize, revenue)
+                       brute_force_capacitated, build_lsh_index,
+                       compare_step_general, embed_collection,
+                       exhaustive_search, generate_instance, normalize,
+                       revenue)
 
 
 def exact_engine(collection, inst):
@@ -41,7 +43,7 @@ class TestCompareStepGeneral:
         for trial in range(20):
             inst, coll = generate_instance(GenSpec(n=12, num_sets=80, seed=300 + trial))
             pts = embed_collection(coll, inst)
-            engine = LshMips.build(pts, inst.weights, seed=trial)
+            engine = LshMips(build_lsh_index(pts, seed=trial), pts, inst.weights)
             for K in rng.uniform(0, inst.p1, 5):
                 exists, witness = compare_step_general(float(K), engine, inst)
                 if exists:
@@ -168,10 +170,10 @@ class TestApproxSimple:
     @pytest.mark.xfail(
         strict=False,
         reason="the 5% mean-revenue-error figure is not reached at n=50 with "
-               "plain sign-projection tables (measured ~12%); dispersion of "
-               "set scores is too high at this item count for the default "
-               "index shape.  The same check passes at n=1000 in the "
-               "acceptance suite.")
+               "plain sign-projection tables (measured 11.66% with this test's "
+               "seeds and shape); dispersion of set scores is too high at this "
+               "item count for the default index shape.  The same check "
+               "passes at n=1000 in the acceptance suite.")
     def test_mean_relative_error_small_instances(self):
         errs = []
         for trial in range(50):
@@ -236,6 +238,21 @@ class TestApprox:
 
     def test_iteration_bound_formula(self):
         assert approx_iteration_bound(1.0, 0.1, 0.01) == 5
+
+    def test_engines_must_embed_the_solved_prices(self):
+        # an engine over other prices would rank another instance's sets: the
+        # raw instance for approx, which searches normalize(inst), or another
+        # instance for the exact search
+        inst, coll = generate_instance(GenSpec(n=12, num_sets=80, seed=5))
+        other, _ = generate_instance(GenSpec(n=12, num_sets=80, seed=6))
+        with pytest.raises(ValueError, match=re.escape(
+                "build the engine over embed_collection(collection, normalize(inst))")):
+            assort_mnl_approx(coll, inst, 0.05 * inst.p1, 0.01, lsh=exact_engine(coll, inst))
+        for solve in (lambda e: assort_mnl(coll, inst, 0.1, mips=e),
+                      lambda e: assort_mnl_approx_simple(coll, inst, 0.1, lsh=e)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "build the engine over embed_collection(collection, inst)")):
+                solve(exact_engine(coll, other))
 
     def test_iterations_within_bound(self):
         for trial in range(25):
