@@ -65,7 +65,7 @@ def _sample_distinct_subsets(rng: np.random.Generator, n: int,
     and packed as drawn, in the collection's ``packed_membership`` layout.
     Rows are deduplicated on their packed bits, one void value each, which
     ``np.unique`` sorts several times faster than ``axis=0``; the collection
-    keeps the packed rows, so the catalog is packed once."""
+    copies the packed rows byte-major, so the catalog is packed once."""
     if count > 2**n - 1:
         raise ValueError(
             f"cannot draw {count} distinct non-empty subsets of {n} items")

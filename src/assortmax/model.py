@@ -26,13 +26,18 @@ __all__ = [
 
 _PACK_ROWS = 512  # rows densified at a time while packing the membership
 _SUM_BLOCK = 1 << 15  # membership entries per block of set_sums
-_SCREEN_LOOKUPS = 1 << 21  # lookups per block of _screen: its 2 MB byte buffer
+_SCREEN_LOOKUPS = 1 << 21  # lookups per block of _screen: its sums stay in cache
 _UNIT_ROUNDOFF = 2.0 ** -53
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
     return np.packbits(mask, axis=1, bitorder="little")
+
+
+# row b holds the 8 bits of byte b, little bit order, as float32 0/1
+_UNPACK = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                        bitorder="little").astype(np.float32)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -213,11 +218,15 @@ class AssortmentCollection:
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, n: int) -> "AssortmentCollection":
-        """Build from rows in the :attr:`packed_membership` layout, kept as it."""
+        """Build from rows in the :attr:`packed_membership` layout, copied
+        to its byte-major storage before the mask and index array exist."""
+        stored = np.empty(packed.shape[::-1], dtype=np.uint8)
+        for lo in range(0, len(packed), _PACK_ROWS):
+            stored[:, lo:lo + _PACK_ROWS] = packed[lo:lo + _PACK_ROWS].T
+        stored.setflags(write=False)
         obj = cls.from_membership(
             np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool), n)
-        packed.setflags(write=False)
-        obj.__dict__["packed_membership"] = packed
+        obj.__dict__["packed_membership"] = stored.T
         return obj
 
     @classmethod
@@ -252,28 +261,30 @@ class AssortmentCollection:
         """Read-only (sets, ceil(n/8)) bit matrix of the membership.
 
         Item i of set s is bit i % 8 of byte i // 8 in row s (little bit
-        order, as ``np.unpackbits(..., bitorder="little")`` reads it).  The
-        collection is immutable, so the matrix is built once, from
-        :attr:`flat_arrays` a chunk of rows at a time (a generated catalog
-        arrives with it), and every screen and index build reuses it.
+        order, as ``np.unpackbits(..., bitorder="little")`` reads it).  It
+        is the transposed view of one C-contiguous (ceil(n/8), sets) array,
+        so each byte position's bytes are contiguous, as the screen reads
+        them.  The collection is immutable, so the matrix is built once,
+        from :attr:`flat_arrays` a chunk of rows at a time (a generated
+        catalog arrives with it), and every screen and index build reuses it.
         """
         sets, n = len(self), self.n
-        out = np.empty((sets, (n + 7) // 8), dtype=np.uint8)
+        out = np.empty(((n + 7) // 8, sets), dtype=np.uint8)
         for lo in range(0, sets, _PACK_ROWS):
             hi = min(lo + _PACK_ROWS, sets)
             rows = np.zeros((hi - lo) * n, dtype=bool)
             first, last = self._starts[lo], self._starts[hi - 1] + self._lengths[hi - 1]
             rows[np.repeat(np.arange(hi - lo) * n, self._lengths[lo:hi])
                  + self._flat[first:last]] = True
-            out[lo:hi] = _pack_rows(rows.reshape(hi - lo, n))
+            out[:, lo:hi] = _pack_rows(rows.reshape(hi - lo, n)).T
         out.setflags(write=False)
-        return out
+        return out.T
 
     def _membership_chunk(self, lo: int, hi: int) -> np.ndarray:
         """Dense float32 0/1 membership of sets lo..hi-1, unpacked from
-        :attr:`packed_membership`."""
+        :attr:`packed_membership` by one gather through ``_UNPACK``."""
         rows = self.packed_membership[lo:hi]
-        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float32)
+        return _UNPACK.take(rows, axis=0).reshape(hi - lo, -1)[:, :self.n]
 
     def _keep(self, name: str, key: np.ndarray, make):
         """``make(key)``, kept under ``name`` with a copy of ``key`` and reused
@@ -341,11 +352,11 @@ class AssortmentCollection:
         sums ("Four Russians", Arlazarov et al. 1970): a set costs ceil(n/8)
         lookups instead of one gather per member.  The two rows are looked
         up together, as the real and imaginary parts of one complex table.
-        A block of sets is read by byte position: its bytes are copied
-        transposed into one (ceil(n/8), sets) buffer, so each position's
-        bytes are contiguous, and each position's lookups are added into
-        the block's sums in turn.  A set's sum adds its terms in byte
-        order whatever the block size, so the bounds do not depend on it.
+        A block of sets is read by byte position, in place: the membership
+        is stored byte-major, so each position's bytes are contiguous, and
+        each position's lookups are added into the block's sums in turn.
+        A set's sum adds its terms in byte order whatever the block size,
+        so the bounds do not depend on it.
 
         The bound: a screened sum and a sum of :meth:`set_sums` both add at
         most m = 8 ceil(n/8) non-negative terms (padding included) in some
@@ -377,17 +388,15 @@ class AssortmentCollection:
         for bit in range(8):
             np.add(tables[:, :1 << bit], pairs[:, bit, None],
                    out=tables[:, 1 << bit:2 << bit])
-        packed = self.packed_membership
+        packed = self.packed_membership.T  # (width, sets), C-contiguous
         sums = np.zeros(sets, dtype=complex)
         step = min(sets, max(1, _SCREEN_LOOKUPS // width))  # sets per block
-        block = np.empty((width, step), dtype=np.uint8)
         buf = np.empty(step, dtype=complex)
         for lo in range(0, sets, step):
             hi = min(lo + step, sets)
-            rows, part, out = block[:, :hi - lo], buf[:hi - lo], sums[lo:hi]
-            np.copyto(rows, packed[lo:hi].T)
+            part, out = buf[:hi - lo], sums[lo:hi]
             # every byte is a valid table index, so "clip" only drops the check
-            for table, byte in zip(tables, rows):
+            for table, byte in zip(tables, packed[:, lo:hi]):
                 np.take(table, byte, out=part, mode="clip")
                 out += part
         sums = sums.view(float).reshape(sets, 2).T

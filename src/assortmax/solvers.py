@@ -80,13 +80,23 @@ def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     return idx[np.argpartition(w[idx], cut)[cut:]]
 
 
-def _by_position(items: np.ndarray | None) -> tuple:
-    """A block's argsort (its items are distinct, so it is the stable one)
-    and its items sorted, which one binary search splits at any m."""
-    if items is None:  # the whole catalog
-        return None, None
-    order = np.argsort(items)
-    return order, items[order]
+def _by_position(blocks: Sequence[tuple], n: int) -> list:
+    """Per block, its argsort (its items are distinct, so it is the stable
+    one) and its items sorted, which one binary search splits at any m;
+    (None, None) for the whole catalog.  Explicit blocks partition 0..n-1,
+    so one stable (radix) argsort of per-item block labels lists every
+    block's sorted items, and their ranks in the block give its argsort."""
+    arrs = [items for items, _, _ in blocks]
+    if arrs[0] is None:
+        return [(None, None)]
+    labels = np.empty(n, dtype=np.min_scalar_type(len(arrs)))
+    rank = np.empty(n, dtype=np.int64)
+    for w, items in enumerate(arrs):
+        labels[items] = w
+        rank[items] = np.arange(items.size)
+    grouped = np.argsort(labels, kind="stable")
+    return [(rank[ascending], ascending) for ascending in
+            np.split(grouped, np.cumsum([items.size for items in arrs[:-1]]))]
 
 
 def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
@@ -103,7 +113,7 @@ def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
     ``blocks`` holds (0-based items or None for all, cap, c_min) per block,
     and ``by_position`` their :func:`_by_position`, taken here when None."""
     if by_position is None:
-        by_position = [_by_position(items) for items, _, _ in blocks]
+        by_position = _by_position(blocks, inst.n)
     m = inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
     chosen, total = [], 0.0
     for (items, cap, lo), (order, ascending) in zip(blocks, by_position):
@@ -165,8 +175,8 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
         raise ValueError("blocks do not cover every item; they must partition 1..n")
     if any(cap < 0 for cap in caps):
         raise ValueError("capacities must be non-negative")
-    return partial(_compare_blocks, inst, [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)],
-                   by_position=[_by_position(arr) for arr in arrs])
+    spec = [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)]
+    return partial(_compare_blocks, inst, spec, by_position=_by_position(spec, inst.n))
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]

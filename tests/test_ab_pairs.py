@@ -1,0 +1,90 @@
+"""tools/ab_pairs.py: the per-metric summary of alternating pairs, on canned
+result lines, and the command's run order and exit status with run.py's
+processes replaced by canned runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def line(correct=True, **values):
+    return {"correct": correct, "attempted": 10, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
+
+
+BETTER = {"customers_per_s": "higher", "peak_rss_mb": "lower"}
+
+
+def test_medians_quartiles_and_wins(ab):
+    results = {"before": [line(customers_per_s=v, peak_rss_mb=m, extra=1.0)
+                          for v, m in [(40, 372), (42, 372), (41, 373), (44, 371), (43, 372)]],
+               "after": [line(customers_per_s=v, peak_rss_mb=m, extra=2.0)
+                         for v, m in [(55, 372), (42, 371), (56, 372), (54, 372), (57, 373)]]}
+    summary = ab.summarize(results, BETTER)
+    after, before = summary["after"]["customers_per_s"], summary["before"]["customers_per_s"]
+    assert (before["median"], before["q1"], before["q3"]) == (42, 41, 43)
+    assert (after["median"], after["q1"], after["q3"]) == (55, 54, 56)
+    # pair 1 ties: it counts for neither side
+    assert (after["wins"], before["wins"], after["pairs"]) == (4, 0, 5)
+    rss_after, rss_before = summary["after"]["peak_rss_mb"], summary["before"]["peak_rss_mb"]
+    # lower is better: pair 0 ties, after wins pairs 1 and 2, before 3 and 4
+    assert (rss_after["wins"], rss_before["wins"]) == (2, 2)
+    assert summary["after"]["extra"]["wins"] is None  # no direction declared
+    assert summary["after"]["extra"]["unit"] == "u"
+
+
+def test_one_pair_and_metrics_missing_from_a_run(ab):
+    results = {"before": [line(customers_per_s=3.0, only_here=1.0)],
+               "after": [line(customers_per_s=2.0)]}
+    summary = ab.summarize(results, BETTER)
+    assert set(summary["after"]) == {"customers_per_s"}
+    got = summary["before"]["customers_per_s"]
+    assert (got["median"], got["q1"], got["q3"], got["wins"]) == (3.0, 3.0, 3.0, 1)
+
+
+def test_directions_come_from_benchmark_json(ab):
+    better = ab.directions(ROOT / "BENCHMARK.json")
+    assert better["customers_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
+    assert better["oracles.scan_entries_per_s"] == "higher"
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_pairs_alternate_and_a_wrong_run_fails(ab, tmp_path, monkeypatch, wrong):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append(Path(checkout).name)
+        bad = wrong and len(calls) == 4
+        return {"report": {"workload": workload},
+                "result": line(not bad, customers_per_s=float(len(calls)))}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    before, after = tmp_path / "before", tmp_path / "after"
+    after.mkdir()
+    (after / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "customers_per_s", "better": "higher"}]}))
+    code = ab.main(["--before", str(before), "--after", str(after),
+                    "--workload", "customers-6b", "--seed", "1", "--seconds", "1",
+                    "--pairs", "3", "--tag", "t", "--out-dir", str(tmp_path / "out")])
+    assert code == (1 if wrong else 0)
+    assert calls == ["before", "after", "after", "before", "before", "after"]
+    docs = {side: json.loads((tmp_path / "out" / f"BENCH_t-{side}.json").read_text())
+            for side in ("before", "after")}
+    assert [r["first"] for r in docs["before"]["runs"]] == [True, False, True]
+    assert [r["result"]["metrics"]["customers_per_s"]["value"]
+            for r in docs["after"]["runs"]] == [2.0, 3.0, 6.0]
+    # after ran second, first, second: values 2, 3, 6 against 1, 4, 5
+    assert docs["after"]["summary"]["customers_per_s"]["wins"] == 2
+    assert docs["before"]["summary"]["customers_per_s"]["wins"] == 1

@@ -284,28 +284,51 @@ class TestCollection:
             AssortmentCollection.from_membership(np.zeros((2, 3), dtype=bool))
 
     def test_packed_membership_unpacks_to_dense(self, tmp_path):
+        # every way a collection is built stores the bits once, byte-major:
+        # one read-only C-contiguous (ceil(n/8), sets) array, which the
+        # screen reads in place; packed_membership is its transposed view,
+        # with the shape and values of np.packbits over the rows
         rng = np.random.default_rng(5)
         n = 21  # not a multiple of 8: the last byte is partly padding
         mask = rng.random((5000, n)) < 0.4  # more rows than one packing chunk
         mask[:, 3] = True
+        lists = [np.flatnonzero(r) + 1 for r in mask[:1300]]
+        lengths = np.array([row.size for row in lists])
         sets = tmp_path / "sets.txt"
         sets.write_text("4 9 2\n9\n1 2 3 4 5\n")
         _, from_files = instance_from_files(sets, seed=0)
-        for coll in (AssortmentCollection([np.flatnonzero(r) + 1 for r in mask[:300]], n=n),
+        for coll in (AssortmentCollection(lists, n=n),
                      AssortmentCollection.from_membership(mask),
                      AssortmentCollection.from_membership(mask[:40, :9], n=n),
+                     AssortmentCollection._from_arrays(n, np.concatenate(lists) - 1, lengths),
+                     generate_instance(GenSpec(13, num_sets=700, seed=4))[1],
                      from_files):
             packed = coll.packed_membership
             assert packed.dtype == np.uint8
             assert packed.shape == (len(coll), (coll.n + 7) // 8)
             assert not packed.flags.writeable
+            assert packed.T.flags.c_contiguous and not packed.T.flags.writeable
             assert coll.packed_membership is packed  # built once
-            dense = np.zeros((len(coll), coll.n), dtype=np.uint8)
+            dense = np.zeros((len(coll), coll.n), dtype=bool)
             for i in range(len(coll)):
-                dense[i, coll.member_indices(i)] = 1
-            assert np.array_equal(
-                np.unpackbits(packed, axis=1, bitorder="little"),
-                np.pad(dense, ((0, 0), (0, 8 * packed.shape[1] - coll.n))))
+                dense[i, coll.member_indices(i)] = True
+            assert np.array_equal(packed, np.packbits(dense, axis=1, bitorder="little"))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 1000])
+    def test_membership_chunks_unpack_as_unpackbits(self, n):
+        # chunks of 64 rows over 300 sets: the last chunk is ragged
+        rng = np.random.default_rng(n)
+        mask = rng.random((300, n)) < 0.5
+        mask[:, 0] = True
+        coll = AssortmentCollection.from_membership(mask)
+        packed = coll.packed_membership
+        for lo in range(0, len(coll), 64):
+            hi = min(lo + 64, len(coll))
+            got = coll._membership_chunk(lo, hi)
+            expect = np.unpackbits(packed[lo:hi], axis=1, count=n,
+                                   bitorder="little").astype(np.float32)
+            assert got.dtype == np.float32 and got.shape == (hi - lo, n)
+            assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("n, N", [(7, 100), (13, 300), (1000, 600)])
     def test_generated_catalog_arrives_packed(self, n, N):

@@ -367,3 +367,19 @@ class TestConcurrencyAndMemory:
         # one complex per lookup would be 16.8 MB, one float per entry 34 MB;
         # the tables (512 KB), a block's buffers and the bounds stay under 3
         assert peak < 3_000_000
+
+    def test_a_screen_reads_the_membership_in_place(self):
+        # n=1000, N=16384 fills one block of 2^21 lookups: a transposed copy
+        # of its bytes alone would take 2 MB; the tables (512 KB), the sums,
+        # the lookup buffer and the bounds (256 KB each) stay under it
+        rng = np.random.default_rng(12)
+        c = dense_collection(rng, 1000, 16384, 0.5)
+        c.packed_membership
+        values = rng.random((2, c.n))
+        tracemalloc.start()
+        try:
+            c._screen(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
