@@ -16,11 +16,12 @@ from .data import GenSpec, ResultRecord, generate_instance, instance_from_files
 from .mips import LshParams, default_lsh_params
 from .model import AssortmentCollection, Instance, SolverResult
 from .noisy_search import assort_mnl_bz
-from .oracles import brute_force_capacitated, exhaustive_search
+from .oracles import (_BRUTE_FORCE_MAX_ITEMS, brute_force_capacitated,
+                      exhaustive_search)
 from .solvers import (assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                       assort_mnl_capacitated)
 
-__all__ = ["BenchConfig", "run_bench", "aggregate_records"]
+__all__ = ["BenchConfig", "run_bench"]
 
 GENERAL_ALGOS = ("exact", "approx_simple", "approx", "bz", "exhaustive")
 CAPACITATED_ALGOS = ("capacitated", "brute_cap")
@@ -129,12 +130,10 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
     inst, collection = load_source(config, run_seed, need_collection)
 
     general_opt = exhaustive_search(collection, inst) if need_collection else None
-    cap_opt: SolverResult | None = None
-    if any(a in CAPACITATED_ALGOS for a in config.algorithms):
-        try:
-            cap_opt = brute_force_capacitated(inst, config.capacity)
-        except ValueError:
-            cap_opt = None  # oracle infeasible at this scale; timing still reported
+    cap_opt: SolverResult | None = None  # past the oracle's size guard: timing only
+    if (any(a in CAPACITATED_ALGOS for a in config.algorithms)
+            and inst.n <= _BRUTE_FORCE_MAX_ITEMS):
+        cap_opt = brute_force_capacitated(inst, config.capacity)
 
     records: list[ResultRecord] = []
     N = len(collection) if collection is not None else None
@@ -149,7 +148,7 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
     return records
 
 
-def aggregate_records(records: list[ResultRecord]) -> list[ResultRecord]:
+def _aggregate_records(records: list[ResultRecord]) -> list[ResultRecord]:
     """One mean row per algorithm over all runs."""
     out: list[ResultRecord] = []
     for algo in sorted({r.algo for r in records}):
@@ -178,4 +177,4 @@ def run_bench(config: BenchConfig) -> tuple[list[ResultRecord], list[ResultRecor
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(config.seed).spawn(config.runs)]
     records = [rec for k, seed in enumerate(seeds) for rec in _run_once(config, k, seed)]
-    return records, aggregate_records(records)
+    return records, _aggregate_records(records)

@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AssortmentCollection, Instance, SolverResult, _pack_rows
+from .model import (AssortmentCollection, Instance, SolverResult, _check_v0,
+                    _pack_rows)
 
 __all__ = [
     "GenSpec",
@@ -35,14 +36,14 @@ class GenSpec:
 
     ``num_sets`` is the number of distinct feasible assortments to sample
     uniformly from all non-empty subsets; None means a capacity-style
-    instance with no explicit collection.  ``v0`` of None draws the
-    no-purchase weight uniformly from (0, 1].
+    instance with no explicit collection.  ``v0`` is the no-purchase weight,
+    a positive finite number as :class:`Instance` requires.
     """
 
     n: int
     num_sets: int | None = None
     price_range: tuple[float, float] = (0.0, 1000.0)
-    v0: float | None = 1.0
+    v0: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -52,6 +53,7 @@ class GenSpec:
             raise ValueError("num_sets must be positive when given")
         if self.price_range[0] > self.price_range[1]:
             raise ValueError("price_range must satisfy lo <= hi")
+        _check_v0(self.v0)
 
 
 _DRAW_VALUES = 1 << 14  # uniforms per block of rows in subset sampling
@@ -99,8 +101,7 @@ def generate_instance(spec: GenSpec) -> tuple[Instance, AssortmentCollection | N
     rng = np.random.default_rng(spec.seed)
     prices = np.sort(rng.uniform(*spec.price_range, size=spec.n))[::-1].copy()
     weights = rng.uniform(0.0, 1.0, size=spec.n)
-    v0 = spec.v0 if spec.v0 is not None else float(1.0 - rng.random())
-    inst = Instance(prices, weights, v0)
+    inst = Instance(prices, weights, spec.v0)
     if spec.num_sets is None:
         return inst, None
     return inst, _sample_distinct_subsets(rng, spec.n, spec.num_sets)

@@ -20,14 +20,11 @@ import numpy as np
 from .model import AssortmentCollection, Instance, _frozen_array, _value_rows, validate_collection
 
 __all__ = [
-    "QueryVector",
     "embed_collection",
-    "simple_lsh_transform",
     "LshParams",
     "default_lsh_params",
     "LshIndex",
     "build_lsh_index",
-    "hash_key",
     "save_index",
     "load_index",
     "ExactMips",

@@ -6,6 +6,7 @@ is the weight of leaving without a purchase.  The seller's expected revenue
 of A is the price-weighted sum of those pick probabilities.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -59,6 +60,12 @@ def _item_array(items, owner: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _check_v0(v0) -> None:
+    # a bool is an int; a string or None would fail the comparison with TypeError
+    if isinstance(v0, bool) or not isinstance(v0, numbers.Real) or not 0.0 < v0 < np.inf:
+        raise ValueError("v0 must be a positive finite number")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Item prices and choice weights, sorted by non-increasing price.
@@ -88,8 +95,7 @@ class Instance:
             raise ValueError("prices must be non-increasing; use Instance.from_items to sort")
         if not (np.isfinite(weights) & (weights >= 0)).all():
             raise ValueError("weights must be finite and non-negative")
-        if isinstance(self.v0, (bool, np.bool_)) or not 0.0 < self.v0 < np.inf:
-            raise ValueError("v0 must be a positive finite number")
+        _check_v0(self.v0)
         if self.item_ids is not None:
             ids = tuple(_item_array(self.item_ids, "item_ids").tolist())
             if len(ids) != prices.size:

@@ -20,9 +20,6 @@ from .model import (AssortmentCollection, Instance, SolverResult, normalize,
 from .mips import LshMips, LshParams, build_lsh_index, embed_collection
 
 __all__ = [
-    "Posterior",
-    "bz_sample_selection",
-    "bz_posterior_update",
     "bz_rounds_needed",
     "run_noisy_bisection",
     "assort_mnl_bz",
@@ -151,6 +148,8 @@ def run_noisy_bisection(p1: float, eps: float, rounds: int, alpha: float,
     Returns the final posterior and its median.  ``compare(K)`` should be 1
     when some feasible revenue is believed to reach K.
     """
+    if not 0.0 < alpha < 0.5:  # before any comparison, even with no rounds
+        raise ValueError("alpha must lie in (0, 0.5)")
     post = Posterior.uniform(p1, eps)
     for j in range(rounds):
         K, _ = bz_sample_selection(post, rng)

@@ -22,10 +22,6 @@ from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
                    build_lsh_index, embed_collection)
 
 __all__ = [
-    "SearchState",
-    "compare_step_general",
-    "compare_step_capacitated",
-    "compare_step_partitioned",
     "assort_mnl",
     "assort_mnl_capacitated",
     "assort_mnl_approx",

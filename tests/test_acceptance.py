@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec,
-                       Instance, LshMips, LshParams, NoisyComparator, QueryVector,
+                       Instance, LshMips, LshParams, NoisyComparator,
                        assort_mnl, assort_mnl_approx, assort_mnl_approx_simple,
                        assort_mnl_capacitated, brute_force_capacitated,
                        build_lsh_index, embed_collection, exhaustive_search,
-                       generate_instance, hash_key, load_itemsets,
+                       generate_instance, load_itemsets,
                        revenue, run_noisy_bisection)
 from assortmax.bench import BenchConfig
+from assortmax.mips import QueryVector, hash_key
 from assortmax.solvers import approx_iteration_bound
 
 from test_capacitated import brute_force_blocks, brute_force_size_range

@@ -317,6 +317,17 @@ class TestCliBench:
         assert rc == 1 and "eps must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_capacity_out_of_range_is_an_error(self, tmp_path, capsys):
+        # only the oracle's size guard (n > 25) skips brute force; a capacity
+        # above n is the caller's mistake, not an oracle out of its depth
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--algo", "brute_cap", "--capacity", "30", "--n", "12",
+                   "--runs", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: capacity must lie in 0..12\n"
+        assert not out.exists()
+
     def test_zero_items_rejected(self, tmp_path, capsys):
         # --n 0 must not be replaced by the default of 100 items
         out = tmp_path / "o.json"

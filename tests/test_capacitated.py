@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from assortmax import (Assortment, Instance, assort_mnl_capacitated,
-                       brute_force_capacitated, compare_step_capacitated,
-                       compare_step_partitioned, revenue)
+                       brute_force_capacitated, revenue)
 from assortmax import solvers
+from assortmax.solvers import compare_step_capacitated, compare_step_partitioned
 
 from conftest import random_instance
 
@@ -271,6 +271,34 @@ class TestComparePartitioned:
             compare_step_partitioned(1.0, e1, [[1], [1, 2, 3]], [1, 1])
         with pytest.raises(ValueError, match="partition"):
             compare_step_partitioned(1.0, e1, [[1], [2]], [1, 1])
+
+
+class TestBracketsContainTheOptimum:
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 5.0])
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_every_bracket_holds_the_brute_force_optimum(self, variant, eps):
+        # n = 10 with random C and c_min, or three blocks with random caps
+        rng = np.random.default_rng({"topc": 50, "lb": 51, "partitioned": 52}[variant])
+        for _ in range(20):
+            inst = random_instance(rng, 10)
+            C = int(rng.integers(1, 11))
+            if variant == "topc":
+                opt, kwargs = brute_force_capacitated(inst, C).revenue, {}
+            elif variant == "lb":
+                c_min = int(rng.integers(0, C + 1))
+                opt, kwargs = brute_force_size_range(inst, c_min, C)[0], {"c_min": c_min}
+            else:
+                cuts = np.sort(rng.choice(np.arange(1, 10), 2, replace=False))
+                blocks = [b.tolist() for b in np.split(rng.permutation(10) + 1, cuts)]
+                caps = [int(rng.integers(0, len(b) + 2)) for b in blocks]
+                C, kwargs = None, {"blocks": blocks, "caps": caps}
+                opt = brute_force_blocks(inst, blocks, caps)[0]
+            states = []
+            res = assort_mnl_capacitated(inst, C, eps, variant,
+                                         on_iteration=states.append, **kwargs)
+            lo, hi = res.revenue_interval
+            assert lo <= opt <= hi
+            assert all(s.lower <= opt <= s.upper for s in states)
 
 
 class TestCapacitatedSolver:

@@ -69,10 +69,6 @@ class TestGenerate:
         inst, coll = generate_instance(GenSpec(n=20, num_sets=None, seed=3))
         assert coll is None and inst.n == 20
 
-    def test_v0_drawn_when_unspecified(self):
-        inst, _ = generate_instance(GenSpec(n=4, num_sets=3, v0=None, seed=4))
-        assert 0.0 < inst.v0 <= 1.0
-
 
 class TestLoadItemsets:
     def test_parses_support_annotations(self, tmp_path):

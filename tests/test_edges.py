@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from assortmax import (Assortment, AssortmentCollection, BenchConfig, GenSpec,
-                       Instance, LshMips, LshParams, NoisyComparator, Posterior,
-                       approx_iteration_bound, assort_mnl_capacitated,
-                       brute_force_capacitated, build_lsh_index,
-                       bz_posterior_update, default_lsh_params,
-                       embed_collection, generate_instance, hash_key,
-                       load_index, load_itemsets, run_bench, save_index,
-                       simple_lsh_transform)
+                       Instance, LshMips, LshParams, NoisyComparator,
+                       approx_iteration_bound, assort_mnl_bz,
+                       assort_mnl_capacitated, brute_force_capacitated,
+                       build_lsh_index, default_lsh_params, embed_collection,
+                       generate_instance, load_index, load_itemsets, run_bench,
+                       save_index)
 from assortmax import bench
 from assortmax.cli import main
-from assortmax.noisy_search import bz_rounds_needed
+from assortmax.mips import hash_key, simple_lsh_transform
+from assortmax.noisy_search import (Posterior, bz_posterior_update,
+                                    bz_rounds_needed)
 
 E1 = Instance([10.0, 8.0, 5.0], [0.2, 0.4, 0.5], 1.0)
 
@@ -35,6 +36,9 @@ _ERRORS = {
                          "num_sets must be positive when given"),
     "genspec price_range": (lambda: GenSpec(5, price_range=(2.0, 1.0)),
                             "price_range must satisfy lo <= hi"),
+    "genspec v0": (lambda: GenSpec(5, v0=0.0), "v0 must be a positive finite number"),
+    "genspec v0 nan": (lambda: GenSpec(5, v0=float("nan")),
+                       "v0 must be a positive finite number"),
     "lsh scale": (lambda: simple_lsh_transform(np.ones(2), 0.0),
                   "scale must be positive"),
     "lsh scale nan": (lambda: simple_lsh_transform(np.ones(2), float("nan")),
@@ -67,6 +71,9 @@ _ERRORS = {
                        "expected 10 bins, got 5"),
     "posterior masses": (lambda: Posterior([1.5, -0.5], 0.5, 1.0),
                          "bin masses must be non-negative"),
+    "bz alpha with no rounds": (
+        lambda: assort_mnl_bz(AssortmentCollection([{1}, {2, 3}], n=3), E1, 1.0, 0, 0.9),
+        "alpha must lie in (0, 0.5)"),
     "posterior update u": (
         lambda: bz_posterior_update(Posterior.uniform(1.0, 0.1), 11, 1, 0.3),
         "u must lie in 0..10"),

@@ -10,6 +10,8 @@ import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import assortmax
 from assortmax.mips import EmbeddedCollection
 
@@ -17,6 +19,14 @@ from assortmax.mips import EmbeddedCollection
 _ENTRY_POINT = "cli"
 _ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 _CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
+# read only by tests or by their own module, which import them from there
+_MODULE_ONLY = {
+    "mips": ("QueryVector", "simple_lsh_transform", "hash_key"),
+    "solvers": ("SearchState", "compare_step_general", "compare_step_capacitated",
+                "compare_step_partitioned"),
+    "noisy_search": ("Posterior", "bz_sample_selection", "bz_posterior_update"),
+    "bench": ("_aggregate_records",),
+}
 
 
 def _module_trees():
@@ -57,6 +67,21 @@ def test_redundant_names_and_settings_stay_removed():
     assert "price_scale" not in {f.name for f in fields(assortmax.Instance)}
     assert "price_scale" not in inspect.signature(assortmax.Instance.from_items).parameters
     assert list(inspect.signature(assortmax.default_lsh_params).parameters) == ["num_points"]
+    assert len(assortmax.__all__) == 40
+    every_all = set().union(*(mod.__all__ for mod in _library_modules()))
+    for module, names in _MODULE_ONLY.items():
+        mod = importlib.import_module(f"assortmax.{module}")
+        for name in names:
+            assert name not in every_all and not hasattr(assortmax, name), name
+            assert callable(getattr(mod, name)), name
+    assert not hasattr(assortmax, "aggregate_records")
+    assert not hasattr(assortmax.bench, "aggregate_records")
+    # v0 is a number: no sentinel draws one, and no other type reaches a compare
+    with pytest.raises(ValueError, match="v0 must be a positive finite number"):
+        assortmax.GenSpec(3, v0=None)
+    for v0 in (None, "1"):
+        with pytest.raises(ValueError, match="v0 must be a positive finite number"):
+            assortmax.Instance([1.0], [1.0], v0)
 
 
 def test_no_module_reads_the_environment():

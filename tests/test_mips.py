@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       LshIndex, LshMips, LshParams, QueryVector, assort_mnl,
+                       LshIndex, LshMips, LshParams, assort_mnl,
                        assort_mnl_approx, assort_mnl_approx_simple,
                        build_lsh_index, default_lsh_params, embed_collection,
-                       generate_instance, hash_key, load_index, normalize,
-                       save_index, simple_lsh_transform)
+                       generate_instance, load_index, normalize, save_index)
+from assortmax.mips import QueryVector, hash_key, simple_lsh_transform
 
 from conftest import random_instance
 

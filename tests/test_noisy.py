@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from assortmax import (AssortmentCollection, GenSpec, Instance,
-                       NoisyComparator, Posterior, assort_mnl_bz,
-                       build_lsh_index, bz_posterior_update,
-                       bz_sample_selection, embed_collection,
-                       exhaustive_search, generate_instance,
+                       NoisyComparator, assort_mnl_bz, build_lsh_index,
+                       embed_collection, exhaustive_search, generate_instance,
                        run_noisy_bisection)
-from assortmax.noisy_search import bz_rounds_needed
+from assortmax.noisy_search import (Posterior, bz_posterior_update,
+                                    bz_rounds_needed, bz_sample_selection)
 
 
 class TestPosterior:
@@ -95,9 +94,15 @@ class TestPosteriorUpdate:
 
     def test_alpha_range_enforced(self):
         post = Posterior.uniform(1.0, 0.25)
-        for alpha in (0.0, 0.5, 0.9):
+        for alpha in (0.0, 0.5, 0.9, math.nan):
             with pytest.raises(ValueError, match="alpha"):
                 bz_posterior_update(post, 2, 1, alpha)
+            asked = []  # the loop checks alpha before its first comparison
+            with pytest.raises(ValueError, match="alpha"):
+                run_noisy_bisection(1.0, 0.25, 3, alpha,
+                                    lambda K: asked.append(K) or 0,
+                                    np.random.default_rng(0))
+            assert asked == []
 
 
 class TestNoisyComparator:

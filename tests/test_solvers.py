@@ -9,9 +9,9 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        assort_mnl_approx_simple, assort_mnl_bz,
                        assort_mnl_capacitated, approx_iteration_bound,
                        brute_force_capacitated, build_lsh_index,
-                       compare_step_general, embed_collection,
-                       exhaustive_search, generate_instance, normalize,
-                       revenue)
+                       embed_collection, exhaustive_search,
+                       generate_instance, normalize, revenue)
+from assortmax.solvers import compare_step_general
 
 
 def exact_engine(collection, inst):
@@ -314,7 +314,8 @@ def test_scaling_weights_and_v0_together_changes_no_answer(algo):
     # all scale by 2**10, which is exact in binary floating point
     solve = _SCALED_SOLVES[algo]
     for seed in range(5):
-        inst, coll = generate_instance(GenSpec(n=12, num_sets=150, v0=None, seed=seed))
+        v0 = float(1.0 - np.random.default_rng(seed).random())  # in (0, 1]
+        inst, coll = generate_instance(GenSpec(n=12, num_sets=150, v0=v0, seed=seed))
         scaled = Instance(inst.prices, inst.weights * 2.0**10, inst.v0 * 2.0**10)
         a, b = solve(inst, coll), solve(scaled, coll)
         assert (a.assortment, a.revenue, a.revenue_interval, a.iterations, a.estimate) == (
