@@ -131,8 +131,10 @@ def _run_once(config: BenchConfig, run_index: int, run_seed: int) -> list[Result
 
     general_opt = exhaustive_search(collection, inst) if need_collection else None
     cap_opt: SolverResult | None = None  # past the oracle's size guard: timing only
-    if (any(a in CAPACITATED_ALGOS for a in config.algorithms)
-            and inst.n <= _BRUTE_FORCE_MAX_ITEMS):
+    # past the guard, brute force runs (and raises) for a brute_cap that no
+    # capacitated row comes with: alone, it would write no row at all
+    if any(a in CAPACITATED_ALGOS for a in config.algorithms) and (
+            inst.n <= _BRUTE_FORCE_MAX_ITEMS or "capacitated" not in config.algorithms):
         cap_opt = brute_force_capacitated(inst, config.capacity)
 
     records: list[ResultRecord] = []

@@ -292,16 +292,44 @@ def save_index(index: LshIndex, path) -> None:
     )
 
 
+_INDEX_FIELDS = ("version", "seed", "bits", "tables", "scan_cap", "scale",
+                 "num_points", "projections", "table_keys", "table_ids")
+
+
 def load_index(path) -> LshIndex:
+    """The index :func:`save_index` wrote.  An archive of another version,
+    with a field missing, or whose tables do not match its stated shape is
+    rejected with a ``ValueError`` naming the field, before any query."""
     with np.load(path) as data:
+        for name in _INDEX_FIELDS:
+            if name not in data.files:
+                raise ValueError(f"index archive has no field {name!r}")
         version = int(data["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
         params = LshParams(int(data["bits"]), int(data["tables"]),
                            int(data["scan_cap"]))
-        return LshIndex(params, int(data["seed"]), float(data["scale"]),
-                        data["projections"].copy(), data["table_keys"].copy(),
-                        data["table_ids"].copy(), int(data["num_points"]))
+        num_points = int(data["num_points"])
+        index = LshIndex(params, int(data["seed"]), float(data["scale"]),
+                         data["projections"].copy(), data["table_keys"].copy(),
+                         data["table_ids"].copy(), num_points)
+    shape = index.projections.shape
+    if len(shape) != 3 or shape[:2] != (params.tables, params.bits):
+        raise ValueError(f"index field 'projections' has shape {shape}, expected "
+                         f"(tables, bits, dim) = ({params.tables}, {params.bits}, dim)")
+    for name, kinds in (("table_keys", "u"), ("table_ids", "iu")):
+        arr = getattr(index, name)
+        if arr.shape != (params.tables, num_points) or arr.dtype.kind not in kinds:
+            raise ValueError(
+                f"index field {name!r} is {arr.dtype} of shape {arr.shape}, expected "
+                f"{'unsigned ' if kinds == 'u' else ''}integers of shape "
+                f"(tables, num_points) = ({params.tables}, {num_points})")
+    ids = index.table_ids
+    if ids.size and not (ids.min() >= 0 and ids.max() < num_points):
+        raise ValueError(f"index field 'table_ids' holds ids outside 0..{num_points - 1}")
+    if (index.table_keys[:, 1:] < index.table_keys[:, :-1]).any():
+        raise ValueError("index field 'table_keys' is not sorted within each table")
+    return index
 
 
 class ExactMips:

@@ -28,8 +28,9 @@ __all__ = [
 _PACK_ROWS = 512  # rows densified at a time while packing the membership
 _SUM_BLOCK = 1 << 15  # membership entries per block of set_sums
 _SCREEN_LOOKUPS = 1 << 21  # lookups per block of _screen: its sums stay in cache
-_UNIT_ROUNDOFF = 2.0 ** -53
-_FLOAT_MAX = float(np.finfo(float).max)
+_SINGLE_ROUNDOFF = 2.0 ** -24  # of float32, in which the screen adds
+_SINGLE_TINY = float(np.finfo(np.float32).tiny)  # 2^-126, smallest normal
+_SINGLE_MAX = float(np.finfo(np.float32).max)
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
@@ -358,33 +359,44 @@ class AssortmentCollection:
         sums ("Four Russians", Arlazarov et al. 1970): a set costs ceil(n/8)
         lookups instead of one gather per member.  The two rows are looked
         up together, as the real and imaginary parts of one complex table.
+        The tables are built in float64 and rounded once to complex64, so a
+        lookup moves 8 bytes, and the sums are accumulated in complex64.
         A block of sets is read by byte position, in place: the membership
         is stored byte-major, so each position's bytes are contiguous, and
         each position's lookups are added into the block's sums in turn.
         A set's sum adds its terms in byte order whatever the block size,
         so the bounds do not depend on it.
 
-        The bound: a screened sum and a sum of :meth:`set_sums` both add at
-        most m = 8 ceil(n/8) non-negative terms (padding included) in some
-        order, so each lies within gamma_m = m u / (1 - m u), u = 2^-53, of
-        the set's true sum (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2002, sec. 4.2).  They differ by at most
-        2 gamma_m / (1 - gamma_m) of the screened sum, and the bounds widen
-        that to 4 gamma_m, which also covers the rounding of the bounds.
+        The bound, with w = ceil(n/8), u = 2^-24 and gamma_k(u) = k u /
+        (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, secs. 3.1 and 4.2).  Let s be a set's true sum.  A table entry
+        adds at most 8 values in float64, within gamma_7(2^-53) <= u of
+        their sum, and is rounded once to float32, within u more: every
+        value is 0 or at least float32's smallest normal, so every entry is
+        too, and rounding it is relative.  A screened sum adds w entries in
+        float32, starting from zero, so w - 1 roundings; in all, it lies
+        within a = gamma_(w+1)(u) of s (Higham's lemma 3.3).  A sum of
+        :meth:`set_sums` adds at most m = 8w terms in float64, so it lies
+        within b = gamma_m(2^-53) of s, and b < a / 2^25.  The two differ
+        by at most (a + b) / (1 - a) < 2a of the screened sum, and the
+        bounds widen that to delta = 4a, which also covers the rounding of
+        delta and of the two products; at n = 1000, delta = 3.0e-5.
 
-        The screen runs only where it pays: where its (N + 256) ceil(n/8)
-        lookups and table entries are at most half the membership entries
-        (so sparse sets never pack), and only for finite, non-negative
-        values small enough that no sum or bound overflows.  It returns None
-        otherwise.
+        The screen runs only where it pays: where its (N + 256) w lookups
+        and table entries are at most half the membership entries (so
+        sparse sets never pack), and only for finite values, each 0 or
+        between float32's smallest normal and float32's largest value over
+        2n, so no entry, sum or bound overflows.  It returns None otherwise.
         """
         sets, width = len(self), (self.n + 7) // 8
-        if 2 * (sets + 256) * width > self._flat.size:
+        k_u = (width + 1) * _SINGLE_ROUNDOFF  # the bound needs a <= 1/4: k_u <= 1/5
+        if 2 * (sets + 256) * width > self._flat.size or 5 * k_u > 1:
             return None
         values = np.asarray(values, dtype=float)
-        # NaN fails both tests; below the limit no sum of n values nor its
-        # bound overflows
-        if not ((values >= 0).all() and values.max() < _FLOAT_MAX / (2 * self.n)):
+        # NaN fails every test; a negative value or a nonzero one below the
+        # smallest normal fails the first
+        if not (((values == 0) | (values >= _SINGLE_TINY)).all()
+                and values.max() < _SINGLE_MAX / (2 * self.n)):
             return None
         pairs = np.zeros((8 * width, 2))
         pairs[:self.n] = values.T
@@ -394,21 +406,25 @@ class AssortmentCollection:
         for bit in range(8):
             np.add(tables[:, :1 << bit], pairs[:, bit, None],
                    out=tables[:, 1 << bit:2 << bit])
+        tables = tables.astype(np.complex64)  # each entry rounded once
         packed = self.packed_membership.T  # (width, sets), C-contiguous
-        sums = np.zeros(sets, dtype=complex)
+        sums = np.zeros(sets, dtype=np.complex64)
         step = min(sets, max(1, _SCREEN_LOOKUPS // width))  # sets per block
-        buf = np.empty(step, dtype=complex)
+        buf = np.empty(step, dtype=np.complex64)
         for lo in range(0, sets, step):
             hi = min(lo + step, sets)
             part, out = buf[:hi - lo], sums[lo:hi]
-            # every byte is a valid table index, so "clip" only drops the check
+            # every byte is a valid table index, so "clip" only drops the
+            # check; the method skips np.take's wrapper, 500 calls a screen
+            # at n=1000, N=51200
             for table, byte in zip(tables, packed[:, lo:hi]):
-                np.take(table, byte, out=part, mode="clip")
+                table.take(byte, out=part, mode="clip")
                 out += part
-        sums = sums.view(float).reshape(sets, 2).T
-        m = 8 * width
-        slack = 4 * m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
-        return sums * (1 - slack), sums * (1 + slack)
+        lower = sums.view(np.float32).reshape(sets, 2).T.astype(float)
+        delta = 4 * k_u / (1 - k_u)
+        upper = lower * (1 + delta)
+        lower *= 1 - delta
+        return lower, upper
 
     def _argmax(self, values: np.ndarray, score) -> tuple[int, float]:
         """Lowest id and value of the maximum of ``score(*self.set_sums(values))``.

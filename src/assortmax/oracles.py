@@ -42,11 +42,11 @@ def brute_force_capacitated(inst: Instance, C: int) -> SolverResult:
     each subset scored as :func:`revenue` scores it.
     Guarded to n <= 25; the search space is otherwise too large to scan."""
     n = inst.n
-    if n > _BRUTE_FORCE_MAX_ITEMS:
-        raise ValueError(
-            f"refusing brute force for n = {n} > {_BRUTE_FORCE_MAX_ITEMS}")
     if not 0 <= C <= n:
         raise ValueError(f"capacity must lie in 0..{n}")
+    if n > _BRUTE_FORCE_MAX_ITEMS:
+        raise ValueError(f"refusing brute force for n = {n}: it needs "
+                         f"n <= {_BRUTE_FORCE_MAX_ITEMS}")
     t0 = time.perf_counter()
     best_rev, best, evaluated = 0.0, Assortment(), 1  # the empty set
     values, revenues = _revenue_terms(inst)

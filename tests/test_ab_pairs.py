@@ -88,3 +88,40 @@ def test_pairs_alternate_and_a_wrong_run_fails(ab, tmp_path, monkeypatch, wrong)
     # after ran second, first, second: values 2, 3, 6 against 1, 4, 5
     assert docs["after"]["summary"]["customers_per_s"]["wins"] == 2
     assert docs["before"]["summary"]["customers_per_s"]["wins"] == 1
+
+
+def test_solver_medians_are_summarised_without_wins(ab, tmp_path, monkeypatch, capsys):
+    scans = iter([12.0, 10.0, 13.0, 11.0, 12.5, 10.5])  # before, after, after, before, ...
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        scan = next(scans)
+        solvers = {"scan_ms.p50": {"value": scan, "unit": "ms", "samples": 9},
+                   "scan_ms.p90": {"value": 2 * scan, "unit": "ms", "samples": 9},
+                   "fail_rate": {"value": 0.0, "unit": "ratio"}}
+        if Path(checkout).name == "after":  # a solver only one side reports
+            solvers["hashed_ms.p50"] = {"value": 1.0, "unit": "ms", "samples": 9}
+        return {"report": {"workload": workload, "solvers": solvers},
+                "result": line(customers_per_s=1.0)}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    before, after = tmp_path / "before", tmp_path / "after"
+    after.mkdir()
+    (after / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "customers_per_s", "better": "higher"}]}))
+    assert ab.main(["--before", str(before), "--after", str(after),
+                    "--workload", "customers-6b", "--seed", "1", "--seconds", "1",
+                    "--pairs", "3", "--tag", "t", "--out-dir", str(tmp_path)]) == 0
+    docs = {side: json.loads((tmp_path / f"BENCH_t-{side}.json").read_text())
+            for side in ("before", "after")}
+    # only the p50 entries that every report carries
+    assert set(docs["after"]["solvers"]) == set(docs["before"]["solvers"]) == {"scan_ms.p50"}
+    got = {side: docs[side]["solvers"]["scan_ms.p50"] for side in docs}
+    assert (got["before"]["median"], got["before"]["q1"], got["before"]["q3"]) == (12.0, 11.5, 12.25)
+    assert (got["after"]["median"], got["after"]["q1"], got["after"]["q3"]) == (10.5, 10.25, 11.75)
+    assert got["after"]["wins"] is got["before"]["wins"] is None
+    assert got["after"]["unit"] == "ms" and got["after"]["pairs"] == 3
+    # the result-line summary is unchanged by them
+    assert set(docs["after"]["summary"]) == {"customers_per_s"}
+    out = capsys.readouterr().out
+    assert "scan_ms.p50: median 12 -> 10.5 (before IQR 11.5..12.25)\n" in out
+    assert "customers_per_s: median 1 -> 1 (before IQR 1..1); after won 0 of 3 pairs" in out

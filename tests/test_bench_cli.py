@@ -328,6 +328,21 @@ class TestCliBench:
         assert captured.err == "error: capacity must lie in 0..12\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("capacity, message", [
+        ("30", "refusing brute force for n = 30: it needs n <= 25"),
+        ("-3", "capacity must lie in 0..30")])
+    def test_brute_cap_past_its_size_guard_is_an_error(self, capacity, message,
+                                                       tmp_path, capsys):
+        # alone, brute_cap past n = 25 would write no row; the capacity
+        # range is checked before the size guard
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--algo", "brute_cap", "--capacity", capacity, "--n", "30",
+                   "--runs", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_items_rejected(self, tmp_path, capsys):
         # --n 0 must not be replaced by the default of 100 items
         out = tmp_path / "o.json"

@@ -156,7 +156,10 @@ class TestWhereTheScreenRuns:
         exact = c.set_sums(values)
         assert lower.shape == upper.shape == exact.shape == (2, len(c))
         assert (lower <= exact).all() and (exact <= upper).all()
-        assert (upper - lower <= 1e-12 * exact).all()  # and they stay tight
+        # delta = 4 gamma_(w+1)(2^-24), w = ceil(n/8), as _screen derives it
+        k_u = (-(-n // 8) + 1) * 2.0 ** -24
+        delta = 4 * k_u / (1 - k_u)
+        assert (upper - lower <= 2 * delta * (1 + delta) * exact).all()  # and they stay tight
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_items_never_screen(self, n):
@@ -184,14 +187,58 @@ class TestWhereTheScreenRuns:
             assert engine.query(K) == unscreened_query(c, inst.weights, inst.prices, K)
         assert "packed_membership" not in vars(c)
 
-    @pytest.mark.parametrize("bad", ["nan", "negative", "inf", "overflowing"])
+    @pytest.mark.parametrize("bad", ["nan", "negative", "inf", "overflowing",
+                                     "below float32 normals", "float32 overflowing"])
     def test_values_the_bound_cannot_hold_are_not_screened(self, bad):
         rng = np.random.default_rng(6)
         c = dense_collection(rng, 16, 1000, 0.6)
         values = rng.uniform(0, 1, (2, 16))
+        # 1e-40 is subnormal in float32, so its rounding error is not
+        # relative; 1e38 is below float32's largest value, but a few such
+        # values, or a table entry of them, overflow float32
         values[1, 3] = {"nan": np.nan, "negative": -1e-3, "inf": np.inf,
-                        "overflowing": 1e308}[bad]
+                        "overflowing": 1e308, "below float32 normals": 1e-40,
+                        "float32 overflowing": 1e38}[bad]
         assert c._screen(values) is None
+        if bad.startswith(("below", "float32")):  # valid weights: a scan answers
+            inst = Instance(np.sort(rng.uniform(0, 10, 16))[::-1].copy(), values[1], 1.0)
+            assert _revenue_terms(inst)[0][1, 3] == values[1, 3]
+            res = exhaustive_search(c, inst)
+            best, rev = unscreened_revenue_argmax(c, inst)
+            assert res.assortment == c[best] and res.revenue == rev
+            assert c._kept["screen"][1] is None
+
+    def test_a_screen_past_the_proven_range_of_widths_does_not_run(self, monkeypatch):
+        # the bound needs (w + 1) u <= 1/5; with u = 0.1 and w = 2 that fails
+        rng = np.random.default_rng(6)
+        c = dense_collection(rng, 16, 1000, 0.6)
+        values = rng.uniform(0, 1, (2, 16))
+        assert c._screen(values) is not None
+        monkeypatch.setattr(model, "_SINGLE_ROUNDOFF", 0.1)
+        assert c._screen(values) is None
+
+    def test_a_dense_scan_rescores_few_sets(self, monkeypatch):
+        # the float32 bounds are about 1e-5 wide here; measured at this shape
+        # (n=200, N=4000, seeds 0..11), the argmax and every threshold query
+        # rescored exactly 1 set, and bounds 10 times wider rescored 2 in
+        # one query of seed 4
+        rescored = []
+        set_sums = AssortmentCollection.set_sums
+
+        def spy(self, values, ids=None):
+            if ids is not None:
+                rescored.append(len(ids))
+            return set_sums(self, values, ids)
+
+        monkeypatch.setattr(AssortmentCollection, "set_sums", spy)
+        for seed in range(12):
+            inst, c = generate_instance(GenSpec(n=200, num_sets=4000, seed=seed))
+            rescored.clear()
+            opt = exhaustive_search(c, inst).revenue
+            engine = ExactMips(embed_collection(c, inst), inst.weights)
+            for share in (0.5, 0.9, 0.99, 1.0, 1.01):
+                engine.query(share * opt)
+            assert len(rescored) == 6 and max(rescored) <= 1, (seed, rescored)
 
     def test_negative_weights_take_the_full_scan(self):
         rng = np.random.default_rng(7)

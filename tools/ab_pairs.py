@@ -15,8 +15,12 @@ side's runs, the report and result lines as ``run.py`` prints them, and per
 metric of the result line the median, the quartiles and the pairs that side
 won.  A pair goes to the side whose value is better in the direction that
 the after checkout's BENCHMARK.json gives; a tie counts for neither side, and
-a metric BENCHMARK.json does not name has no wins.  The command exits 1 when
-any run answered wrongly (``"correct": false``), after writing both files.
+a metric BENCHMARK.json does not name has no wins.  Under ``solvers`` each
+file also summarises the report's per-solver medians (its ``*.p50``
+entries, such as ``scan_ms.p50`` and ``hashed_ms.p50``) the same way, with
+no wins, so a change in a result line can be traced to the solver that
+moved.  The command exits 1 when any run answered wrongly
+(``"correct": false``), after writing both files.
 
 Only the standard library is used, and the code under test is reached only
 through ``benchmark/run.py``'s command line.
@@ -77,6 +81,12 @@ def summarize(results: dict, better: dict) -> dict:
     return summary
 
 
+def solver_medians(report: dict) -> dict:
+    """The report's per-solver ``*.p50`` entries, as result-line metrics."""
+    return {"metrics": {name: entry for name, entry in report.get("solvers", {}).items()
+                        if name.endswith(".p50")}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -102,19 +112,24 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: {json.dumps(run['result'])}", file=sys.stderr)
     summary = summarize({side: [r["result"] for r in runs[side]] for side in SIDES},
                         directions(args.after / "BENCHMARK.json"))
+    solvers = summarize({side: [solver_medians(r["report"]) for r in runs[side]]
+                         for side in SIDES}, {})
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for side in SIDES:
         doc = {"tag": args.tag, "side": side, "workload": args.workload,
                "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
-               "pairs": args.pairs, "summary": summary[side], "runs": runs[side]}
+               "pairs": args.pairs, "summary": summary[side],
+               "solvers": solvers[side], "runs": runs[side]}
         path = args.out_dir / f"BENCH_{args.tag}-{side}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(path)
-    for name, after in summary["after"].items():
-        before = summary["before"][name]
-        print(f"{name}: median {before['median']:.6g} -> {after['median']:.6g} "
-              f"(before IQR {before['q1']:.6g}..{before['q3']:.6g}); "
-              f"after won {after['wins']} of {after['pairs']} pairs")
+    for table in (summary, solvers):
+        for name, after in table["after"].items():
+            before = table["before"][name]
+            won = ("" if after["wins"] is None
+                   else f"; after won {after['wins']} of {after['pairs']} pairs")
+            print(f"{name}: median {before['median']:.6g} -> {after['median']:.6g} "
+                  f"(before IQR {before['q1']:.6g}..{before['q3']:.6g}){won}")
     wrong = [(side, r["pair"]) for side in SIDES for r in runs[side]
              if not r["result"]["correct"]]
     if wrong:
