@@ -36,7 +36,7 @@ post, median = run_noisy_bisection(1.0, 0.1, rounds=12, alpha=0.2,
 print(f"\nposterior median {median:.3f} vs target {theta_star} "
       f"(off by {abs(median - theta_star):.3f})")
 
-# the same machinery on an actual instance, with one fresh index per round
+# the same machinery on an actual instance, with fresh hash functions every round
 inst, collection = generate_instance(GenSpec(n=100, num_sets=2000, seed=21))
 oracle = exhaustive_search(collection, inst)
 res = assort_mnl_bz(collection, inst, eps=inst.p1 / 10, rounds=20, alpha=0.3,

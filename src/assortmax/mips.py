@@ -205,14 +205,9 @@ _SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., bits) boolean array into uint64 keys, bit t at position t."""
-    # With the bit axis outermost in memory, the OR runs over whole
-    # contiguous planes, which is several times faster in bulk than a
-    # reduction along the short last axis.
-    nd = bits.ndim
-    moved = bits.transpose(nd - 1, *range(nd - 1)).astype(np.uint64, order="C")
-    moved <<= _SHIFTS[(slice(bits.shape[-1]),) + (None,) * (nd - 1)]
-    return np.bitwise_or.reduce(moved, axis=0)
+    """Pack a (..., bits) boolean array into uint64 keys, bit t at position t;
+    query keys are packed here, index keys in bulk by :func:`_hash_keys`."""
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << _SHIFTS[:bits.shape[-1]], axis=-1)
 
 
 def hash_key(x_transformed: np.ndarray, table: int, index: LshIndex) -> int:
@@ -228,48 +223,72 @@ def hash_key(x_transformed: np.ndarray, table: int, index: LshIndex) -> int:
     return int(_pack_bits(raw >= 0.0))
 
 
+def _projections(params: LshParams, seed: int, dim: int) -> np.ndarray:
+    """The (tables, bits, dim) hyperplanes an index of ``seed`` hashes with."""
+    return np.random.default_rng(seed).standard_normal((params.tables, params.bits, dim))
+
+
+def _hash_keys(points: EmbeddedCollection, projections: np.ndarray,
+               ids: np.ndarray | None = None) -> np.ndarray:
+    """Keys of the points ``ids`` (all when None), in order, under
+    ``projections`` of shape (tables, bits, dim): shape (tables, points), in
+    the narrowest unsigned dtype that holds ``bits`` bits.
+
+    For structured points (p o u, u) the head projection collapses to a
+    membership-matrix product, one float32 matmul per chunk of rows unpacked
+    from the collection's cached :attr:`~AssortmentCollection.packed_membership`.
+    Points are scaled by the largest norm; bit t is set where
+    raw/scale >= -(slack * tail), which equals fl(raw/scale + slack * tail) >= 0
+    exactly, as a nonzero sum of two floats never rounds to zero and rounding
+    is monotone.  A point's key does not depend on which others are hashed
+    with it, up to the BLAS's rounding of its product.
+    """
+    tables, bits, dim = projections.shape
+    n = points.n
+    flat = projections.reshape(tables * bits, dim)
+    # head . z for z = (p o u, u) equals u . (p o head_front + head_back)
+    combined = (flat[:, :n] * points.prices + flat[:, n:2 * n]).T.astype(np.float32)
+    neg_tail = -flat[:, 2 * n].astype(np.float32)
+    norms = points.norms
+    scale = float(norms.max())
+    if ids is not None:
+        norms = norms[ids]
+    slack = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2)).astype(np.float32)
+    dtype = np.min_scalar_type((1 << bits) - 1)
+    width = 8 * dtype.itemsize
+    keys = np.empty((tables, norms.size), dtype=dtype)
+    # every chunk is unpacked into one buffer: at noisy-12k, a buffer per
+    # chunk let the peak RSS creep up from one bz solve to the next
+    buf = np.empty((min(_CHUNK_ROWS, norms.size), (n + 7) // 8, 8), dtype=np.float32)
+    for lo in range(0, norms.size, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, norms.size)
+        mem = points.source._membership_rows(
+            slice(lo, hi) if ids is None else ids[lo:hi], buf)
+        raw = mem @ combined
+        raw /= np.float32(scale)
+        padded = np.zeros((hi - lo, tables, width), dtype=bool)
+        padded[:, :, :bits] = (raw >= slack[lo:hi, None] * neg_tail).reshape(hi - lo, tables, bits)
+        packed = np.packbits(padded.reshape(-1), bitorder="little")
+        keys[:, lo:hi] = packed.view(dtype.newbyteorder("<")).reshape(hi - lo, tables).T
+    return keys
+
+
 def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
                     seed: int = 0) -> LshIndex:
     """Hash every embedded point into ``tables`` buckets, deterministically per seed.
 
     The scale is the largest point norm, so all points fit the unit-ball
-    transform.  Hashing is done in bulk: for structured points (p o u, u) the
-    head projection collapses to a membership-matrix product, one float32
-    matmul per chunk of rows unpacked from the collection's cached
-    :attr:`~AssortmentCollection.packed_membership`.
+    transform; the keys are those of :func:`_hash_keys`, hashed in bulk.
     """
     if params is None:
         params = default_lsh_params(len(points))
-    n_pts = len(points)
-    dim = points.dim + 1
-    rng = np.random.default_rng(seed)
-    projections = rng.standard_normal((params.tables, params.bits, dim))
-    scale = float(points.norms.max())
-
-    flat_proj = projections.reshape(params.tables * params.bits, dim)
-    # head . z for z = (p o u, u) equals u . (p o head_front + head_back)
-    n = points.n
-    combined = (flat_proj[:, :n] * points.prices + flat_proj[:, n:2 * n]).T.astype(np.float32)
-    tail = flat_proj[:, 2 * n].astype(np.float32)
-    slack = np.sqrt(np.maximum(0.0, 1.0 - (points.norms / scale) ** 2)).astype(np.float32)
-
-    keys = np.empty((params.tables, n_pts), dtype=np.uint64)
-    for lo in range(0, n_pts, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_pts)
-        mem = points.source._membership_chunk(lo, hi)  # held to the next chunk: lower peak RSS
-        raw = mem @ combined
-        raw /= np.float32(scale)
-        raw += slack[lo:hi, None] * tail[None, :]
-        chunk_bits = (raw >= 0.0).reshape(hi - lo, params.tables, params.bits)
-        keys[:, lo:hi] = _pack_bits(chunk_bits).T  # all zero with 0 bits
-
-    # numpy radix-sorts integers of 16 bits or fewer; the narrowed keys have
-    # the same values, so the stable order is the same
-    order = np.argsort(keys.astype(np.min_scalar_type((1 << params.bits) - 1)),
-                       axis=1, kind="stable")
-    table_keys = np.take_along_axis(keys, order, axis=1)
-    table_ids = order.astype(np.int32)
-    return LshIndex(params, seed, scale, projections, table_keys, table_ids, n_pts)
+    projections = _projections(params, seed, points.dim + 1)
+    keys = _hash_keys(points, projections)
+    # numpy radix-sorts integers of 16 bits or fewer, as the narrow keys are
+    order = np.argsort(keys, axis=1, kind="stable")
+    table_keys = np.take_along_axis(keys, order, axis=1).astype(np.uint64)
+    return LshIndex(params, seed, float(points.norms.max()), projections, table_keys,
+                    order.astype(np.int32), len(points))
 
 
 _FORMAT_VERSION = 1
@@ -298,8 +317,11 @@ _INDEX_FIELDS = ("version", "seed", "bits", "tables", "scan_cap", "scale",
 
 def load_index(path) -> LshIndex:
     """The index :func:`save_index` wrote.  An archive of another version,
-    with a field missing, or whose tables do not match its stated shape is
-    rejected with a ``ValueError`` naming the field, before any query."""
+    with a field missing, whose tables do not match its stated shape, or
+    that no query could read right (projections not finite float64, a scale
+    not positive and finite, ids not a permutation per table, keys unsorted
+    or wider than ``bits``) is rejected with a ``ValueError`` naming the
+    field, before any query."""
     with np.load(path) as data:
         for name in _INDEX_FIELDS:
             if name not in data.files:
@@ -324,12 +346,49 @@ def load_index(path) -> LshIndex:
                 f"index field {name!r} is {arr.dtype} of shape {arr.shape}, expected "
                 f"{'unsigned ' if kinds == 'u' else ''}integers of shape "
                 f"(tables, num_points) = ({params.tables}, {num_points})")
-    ids = index.table_ids
+    if index.projections.dtype != np.float64:
+        raise ValueError(f"index field 'projections' is {index.projections.dtype}, "
+                         f"expected float64")
+    if not np.isfinite(index.projections).all():
+        raise ValueError("index field 'projections' holds non-finite values")
+    if not 0 < index.scale < math.inf:  # also rejects NaN
+        raise ValueError(f"index field 'scale' is {index.scale}, expected positive and finite")
+    ids, keys = index.table_ids, index.table_keys
     if ids.size and not (ids.min() >= 0 and ids.max() < num_points):
         raise ValueError(f"index field 'table_ids' holds ids outside 0..{num_points - 1}")
-    if (index.table_keys[:, 1:] < index.table_keys[:, :-1]).any():
+    if (np.sort(ids, axis=1) != np.arange(num_points)).any():
+        raise ValueError(f"index field 'table_ids' is not a permutation of "
+                         f"0..{num_points - 1} within each table")
+    if (keys[:, 1:] < keys[:, :-1]).any():
         raise ValueError("index field 'table_keys' is not sorted within each table")
+    if params.bits < 64 and keys.size and (keys[:, -1] >> np.uint64(params.bits)).any():
+        raise ValueError(f"index field 'table_keys' holds keys of more than "
+                         f"{params.bits} bits, which no query reaches")
     return index
+
+
+def _retrieve(bucket, qkeys: np.ndarray, params: LshParams) -> np.ndarray | None:
+    """Probe ``bucket(t, qkeys[t])`` for each table t in order until
+    ``scan_cap`` retrievals (duplicates included) have been seen; return the
+    distinct ids in first-retrieval order, so ties stay deterministic, or
+    None when every probed bucket is empty."""
+    budget = params.scan_cap
+    retrieved: list[np.ndarray] = []
+    count = 0
+    for t in range(params.tables):
+        ids = bucket(t, qkeys[t])
+        if ids.size == 0:
+            continue
+        take = ids[:budget - count]
+        retrieved.append(take)
+        count += int(take.size)
+        if count >= budget:
+            break
+    if not retrieved:
+        return None
+    cand = np.concatenate(retrieved)
+    _, first = np.unique(cand, return_index=True)
+    return cand[np.sort(first)]
 
 
 class ExactMips:
@@ -411,12 +470,12 @@ class LshMips:
         are scored with their true inner product in the original space.
         Returns None when every probed bucket is empty, meaning no
         high-scoring set was found.  Only the first query with a given key
-        vector probes the tables (see :meth:`_retrieve`).
+        vector probes the tables (see :func:`_retrieve`).
         """
         qkeys = _pack_bits(self._a - threshold * self._b >= 0.0)
         memo_key = qkeys.tobytes()
         if memo_key not in self._memo:
-            cand = self._retrieve(qkeys)
+            cand = _retrieve(self.index.bucket, qkeys, self.index.params)
             self._memo[memo_key] = None if cand is None else [cand, None]
             if cand is None:
                 return None
@@ -431,27 +490,3 @@ class LshMips:
             scores = sums[0] - threshold * sums[1]
         best = int(np.argmax(scores))
         return int(cand[best]), float(scores[best])
-
-    def _retrieve(self, qkeys: np.ndarray) -> np.ndarray | None:
-        """Probe one bucket per table, in table order, until ``scan_cap``
-        retrievals (duplicates included) have been seen; return the
-        distinct ids in first-retrieval order, so ties stay deterministic,
-        or None when every probed bucket is empty."""
-        index = self.index
-        budget = index.params.scan_cap
-        retrieved: list[np.ndarray] = []
-        count = 0
-        for t in range(index.params.tables):
-            ids = index.bucket(t, qkeys[t])
-            if ids.size == 0:
-                continue
-            take = ids[:budget - count]
-            retrieved.append(take)
-            count += int(take.size)
-            if count >= budget:
-                break
-        if not retrieved:
-            return None
-        cand = np.concatenate(retrieved)
-        _, first = np.unique(cand, return_index=True)
-        return cand[np.sort(first)]

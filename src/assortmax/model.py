@@ -287,11 +287,18 @@ class AssortmentCollection:
         out.setflags(write=False)
         return out.T
 
-    def _membership_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Dense float32 0/1 membership of sets lo..hi-1, unpacked from
-        :attr:`packed_membership` by one gather through ``_UNPACK``."""
-        rows = self.packed_membership[lo:hi]
-        return _UNPACK.take(rows, axis=0).reshape(hi - lo, -1)[:, :self.n]
+    def _membership_rows(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """Dense float32 0/1 membership of the sets ``rows``, a slice or an
+        array of set ids, unpacked from :attr:`packed_membership` by one
+        gather through ``_UNPACK``, into the head of ``out``, of shape
+        (at least len(rows), ceil(n/8), 8), when one is given."""
+        packed = self.packed_membership[rows]
+        if out is not None:
+            out = out[:len(packed)]
+        # a byte always indexes one of _UNPACK's 256 rows, so "clip" only
+        # drops the bounds check, and with it np.take's buffering of ``out``
+        dense = _UNPACK.take(packed, axis=0, out=out, mode="clip")
+        return dense.reshape(len(packed), -1)[:, :self.n]
 
     def _keep(self, name: str, key: np.ndarray, make):
         """``make(key)``, kept under ``name`` with a copy of ``key`` and reused

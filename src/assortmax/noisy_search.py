@@ -15,15 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (AssortmentCollection, Instance, SolverResult, normalize,
-                    revenue)
-from .mips import LshMips, LshParams, build_lsh_index, embed_collection
+from .model import (AssortmentCollection, Instance, SolverResult, _value_rows,
+                    normalize, revenue)
+from .mips import (LshParams, _hash_keys, _pack_bits, _projections, _retrieve,
+                   default_lsh_params, embed_collection)
 
 __all__ = [
     "bz_rounds_needed",
     "run_noisy_bisection",
     "assort_mnl_bz",
 ]
+
+_PREFIX_BITS = 5  # key bits per table that a bz round hashes for every set
 
 
 def bz_rounds_needed(gamma: float, eps: float, p1: float, p_max: float) -> int:
@@ -164,14 +167,21 @@ def run_noisy_bisection(p1: float, eps: float, rounds: int, alpha: float,
 def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
                   rounds: int, alpha: float, params: LshParams | None = None,
                   seed: int = 0) -> SolverResult:
-    """Noise-tolerant assortment search with one fresh hash index per round.
+    """Noise-tolerant assortment search with fresh hash functions every round.
 
     The instance is normalized internally so the bin grid spans [0, 1];
-    querying an independently seeded index each round keeps comparison
-    errors independent across rounds.  Returns the best witness seen (the
-    first member of the collection when no round retrieves one), with
-    ``estimate`` = max(posterior median, witness revenue) mapped back to the
-    original price scale.
+    drawing the hyperplanes of each round from its own seed keeps
+    comparison errors independent across rounds.  A round answers as
+    ``LshMips(build_lsh_index(points, params, seed_r), points, w).query(K)``
+    would, but builds no index, since it asks only one question: one pass
+    over the membership hashes the first min(bits, 5) key bits of every
+    table for every set, and each table the probe reaches hashes all its
+    bits only for the sets whose prefix is the query's, about N/32 of them.
+    Those keys are the built index's up to the BLAS's rounding of the
+    smaller products.  Returns the best witness seen (the first member of
+    the collection when no round retrieves one), with ``estimate`` =
+    max(posterior median, witness revenue) mapped back to the original
+    price scale.
     """
     inst_n = normalize(inst)  # rejects a top price of 0
     if rounds < 0:
@@ -180,22 +190,40 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
     scale = inst.p1
 
     points = embed_collection(collection, inst_n)
+    if params is None:
+        params = default_lsh_params(len(points))
+    n, weights = points.n, inst_n.weights
+    rows = _value_rows(inst_n.prices, weights)
+    prefix = min(params.bits, _PREFIX_BITS)
+    low = np.uint64((1 << prefix) - 1)
     children = np.random.SeedSequence(seed).spawn(rounds + 1)
     engine_seeds = iter([int(c.generate_state(1)[0]) for c in children[1:]])
     best, best_rev = collection[0], revenue(collection[0], inst_n)
 
     def compare(K: float) -> int:
         nonlocal best, best_rev
-        index = build_lsh_index(points, params, next(engine_seeds))
-        ans = LshMips(index, points, inst_n.weights).query(K)
-        if ans is None:
+        proj = _projections(params, next(engine_seeds), points.dim + 1)
+        qkeys = _pack_bits(proj[:, :, :n] @ weights - K * (proj[:, :, n:2 * n] @ weights) >= 0.0)
+        heads = _hash_keys(points, proj[:, :prefix])
+
+        def bucket(t: int, key: np.uint64) -> np.ndarray:
+            ids = np.flatnonzero(heads[t] == heads.dtype.type(key & low))
+            if prefix < params.bits and ids.size:
+                # all the table's bits: a product of one column takes another BLAS path
+                ids = ids[_hash_keys(points, proj[t:t + 1], ids)[0] == key]
+            return ids
+
+        cand = _retrieve(bucket, qkeys, params)
+        if cand is None:
             return 0
-        set_id, score = ans
-        witness = collection[set_id]
+        A, B = collection.set_sums(rows, cand)
+        scores = A - K * B
+        at = int(np.argmax(scores))
+        witness = collection[int(cand[at])]
         wrev = revenue(witness, inst_n)
         if wrev > best_rev:
             best, best_rev = witness, wrev
-        return int(K <= score / inst_n.v0)
+        return int(K <= float(scores[at]) / inst_n.v0)
 
     t0 = time.perf_counter()
     _, median = run_noisy_bisection(inst_n.p1, eps / scale, rounds, alpha, compare,

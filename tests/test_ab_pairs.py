@@ -125,3 +125,54 @@ def test_solver_medians_are_summarised_without_wins(ab, tmp_path, monkeypatch, c
     out = capsys.readouterr().out
     assert "scan_ms.p50: median 12 -> 10.5 (before IQR 11.5..12.25)\n" in out
     assert "customers_per_s: median 1 -> 1 (before IQR 1..1); after won 0 of 3 pairs" in out
+
+
+BEFORE = [40, 41, 42, 43, 44, 40, 41, 42, 43, 44]  # median 42, IQR 41..43
+
+
+@pytest.mark.parametrize("name, before, after, verdict", [
+    # 9 of 10 pairs won, median 50 against 42: the gap 8 exceeds the IQR 2
+    ("customers_per_s", BEFORE, [50] * 9 + [30], "gain"),
+    # 9 of 10 won, but the median gap 1 is inside the before IQR
+    ("customers_per_s", BEFORE, [b + 1 for b in BEFORE[:9]] + [30], "within bound"),
+    # a wide gap, but only 8 of 10 won
+    ("customers_per_s", BEFORE, [50] * 8 + [30, 30], "within bound"),
+    # 30% below a median 42, past the 25% bound
+    ("customers_per_s", BEFORE, [0.7 * b for b in BEFORE], "worse than bound"),
+    # lower is better: 4% more is within the 5% bound, 6% more is not
+    ("peak_rss_mb", [100] * 10, [104] * 10, "within bound"),
+    ("peak_rss_mb", [100] * 10, [106] * 10, "worse than bound"),
+    ("peak_rss_mb", [100 + i % 2 for i in range(10)], [90] * 10, "gain"),
+    ("extra", BEFORE, [50] * 10, None),  # no bound: no verdict
+])
+def test_verdicts(ab, name, before, after, verdict):
+    results = {"before": [line(**{name: v}) for v in before],
+               "after": [line(**{name: v}) for v in after]}
+    summary = ab.summarize(results, BETTER, {"customers_per_s": 0.25, "peak_rss_mb": 0.05})
+    assert summary["after"][name]["verdict"] == summary["before"][name]["verdict"] == verdict
+
+
+def test_verdicts_are_printed_and_recorded(ab, tmp_path, monkeypatch, capsys):
+    values = iter([40.0, 50.0, 51.0, 41.0, 42.0, 52.0])  # before, after, after, before, ...
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return {"report": {"workload": workload},
+                "result": line(customers_per_s=next(values), peak_rss_mb=100.0)}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    before, after = tmp_path / "before", tmp_path / "after"
+    after.mkdir()
+    (after / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "customers_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+    assert ab.main(["--before", str(before), "--after", str(after),
+                    "--workload", "noisy-12k", "--seed", "1", "--seconds", "1",
+                    "--pairs", "3", "--tag", "t", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert ("customers_per_s: median 41 -> 51 (before IQR 40.5..41.5); "
+            "after won 3 of 3 pairs; gain\n") in out
+    assert ("peak_rss_mb: median 100 -> 100 (before IQR 100..100); "
+            "after won 0 of 3 pairs; within bound\n") in out
+    for side in ("before", "after"):
+        doc = json.loads((tmp_path / f"BENCH_t-{side}.json").read_text())
+        assert doc["summary"]["customers_per_s"]["verdict"] == "gain"

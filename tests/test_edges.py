@@ -165,7 +165,13 @@ class TestMips:
         ("ids that are not integers", r"index field 'table_ids' is float64 of shape"),
         ("an id past the points", r"index field 'table_ids' holds ids outside 0\.\.299"),
         ("a negative id", r"index field 'table_ids' holds ids outside 0\.\.299"),
-        ("unsorted keys", "index field 'table_keys' is not sorted within each table")])
+        ("unsorted keys", "index field 'table_keys' is not sorted within each table"),
+        ("float32 projections", "index field 'projections' is float32, expected float64"),
+        ("a NaN projection", "index field 'projections' holds non-finite values"),
+        ("a NaN scale", "index field 'scale' is nan, expected positive and finite"),
+        ("a negative scale", "index field 'scale' is -1.0, expected positive and finite"),
+        ("a key past its bits", "index field 'table_keys' holds keys of more than 6 bits"),
+        ("a duplicate id", r"index field 'table_ids' is not a permutation of 0\.\.299")])
     def test_load_index_rejects_a_malformed_archive(self, case, message, tmp_path):
         # unchecked, each of these archives loads and then fails at its
         # first query or answers queries; one missing a field raises KeyError
@@ -196,8 +202,20 @@ class TestMips:
             ids[2, 7] = 10 ** 6
         elif case == "a negative id":
             ids[0, 0] = -1
-        else:
+        elif case == "unsorted keys":
             keys[1] = keys[1, ::-1]
+        elif case == "float32 projections":
+            fields["projections"] = fields["projections"].astype(np.float32)
+        elif case == "a NaN projection":
+            fields["projections"][2, 3, 4] = np.nan
+        elif case == "a NaN scale":
+            fields["scale"] = np.float64(np.nan)
+        elif case == "a negative scale":
+            fields["scale"] = np.float64(-1.0)
+        elif case == "a key past its bits":
+            keys[3, -1] = 64  # still sorted, but no 6-bit query reaches it
+        else:  # the set first in table 2 is gone from it, the next one listed twice
+            ids[2, 0] = ids[2, 1]
         np.savez(tmp_path / "bad.npz", **fields)
         with pytest.raises(ValueError, match=message):
             load_index(tmp_path / "bad.npz")

@@ -9,7 +9,8 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        assort_mnl_approx, assort_mnl_approx_simple,
                        build_lsh_index, default_lsh_params, embed_collection,
                        generate_instance, load_index, normalize, save_index)
-from assortmax.mips import QueryVector, hash_key, simple_lsh_transform
+from assortmax.mips import (_CHUNK_ROWS, QueryVector, _hash_keys, _pack_bits, _projections,
+                            hash_key, simple_lsh_transform)
 
 from conftest import random_instance
 
@@ -418,6 +419,35 @@ class TestIndex:
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == _PINNED_INDEX_SHA256[n, bits]
+
+    @pytest.mark.parametrize("num_sets", [1023, 1024, 1025])
+    @pytest.mark.parametrize("bits", [0, 1, 8, 9, 16, 17, 32, 33, 64])
+    def test_hash_keys_match_the_divide_add_compare(self, bits, num_sets):
+        # the reference is the rule the build used before keys were packed
+        # narrow: raw / scale + slack * tail rounded in float32 and compared
+        # with 0, packed into uint64 by _pack_bits, over the same chunks
+        inst, coll = generate_instance(GenSpec(n=40, num_sets=num_sets, seed=bits))
+        pts = embed_collection(coll, inst)
+        tables, n = 3, pts.n
+        proj = _projections(LshParams(bits, tables, scan_cap=9), num_sets, pts.dim + 1)
+        flat = proj.reshape(tables * bits, pts.dim + 1)
+        combined = (flat[:, :n] * pts.prices + flat[:, n:2 * n]).T.astype(np.float32)
+        tail = flat[:, 2 * n].astype(np.float32)
+        scale = float(pts.norms.max())
+        slack = np.sqrt(np.maximum(0.0, 1.0 - (pts.norms / scale) ** 2)).astype(np.float32)
+        assert slack[np.argmax(pts.norms)] == 0.0  # the largest-norm set
+        expect = np.empty((tables, num_sets), dtype=np.uint64)
+        for lo in range(0, num_sets, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, num_sets)
+            raw = coll._membership_rows(slice(lo, hi)) @ combined
+            raw /= np.float32(scale)
+            raw += slack[lo:hi, None] * tail
+            expect[:, lo:hi] = _pack_bits((raw >= 0.0).reshape(hi - lo, tables, bits)).T
+        keys = _hash_keys(pts, proj)
+        assert keys.dtype == np.dtype(f"uint{next(w for w in (8, 16, 32, 64) if bits <= w)}")
+        assert np.array_equal(keys.astype(np.uint64), expect)
+        ids = np.arange(1, num_sets, 3)
+        assert np.array_equal(_hash_keys(pts, proj, ids), keys[:, ids])
 
     def test_every_point_in_every_table(self, e1, e1_all):
         pts = embed_collection(e1_all, e1)

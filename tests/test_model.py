@@ -324,11 +324,14 @@ class TestCollection:
         packed = coll.packed_membership
         for lo in range(0, len(coll), 64):
             hi = min(lo + 64, len(coll))
-            got = coll._membership_chunk(lo, hi)
+            got = coll._membership_rows(slice(lo, hi))
             expect = np.unpackbits(packed[lo:hi], axis=1, count=n,
                                    bitorder="little").astype(np.float32)
             assert got.dtype == np.float32 and got.shape == (hi - lo, n)
             assert np.array_equal(got, expect)
+        ids = rng.permutation(len(coll))[:50]  # or any ids, in any order
+        expect = np.unpackbits(packed[ids], axis=1, count=n, bitorder="little")
+        assert np.array_equal(coll._membership_rows(ids), expect.astype(np.float32))
 
     @pytest.mark.parametrize("n, N", [(7, 100), (13, 300), (1000, 600)])
     def test_generated_catalog_arrives_packed(self, n, N):

@@ -4,9 +4,10 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from assortmax import (AssortmentCollection, GenSpec, Instance,
-                       NoisyComparator, assort_mnl_bz, build_lsh_index,
-                       embed_collection, exhaustive_search, generate_instance,
+from assortmax import (AssortmentCollection, BenchConfig, GenSpec, Instance,
+                       LshMips, LshParams, NoisyComparator, assort_mnl_bz,
+                       build_lsh_index, embed_collection, exhaustive_search,
+                       generate_instance, normalize, revenue,
                        run_noisy_bisection)
 from assortmax.noisy_search import (Posterior, bz_posterior_update,
                                     bz_rounds_needed, bz_sample_selection)
@@ -246,3 +247,66 @@ class TestAssortMnlBz:
         first = coll.packed_membership
         build_lsh_index(embed_collection(coll, inst), seed=9)
         assert coll.packed_membership is first and packs == [coll]
+
+
+def _bz_on_built_indexes(coll, inst, eps, rounds, alpha, params, seed):
+    """What assort_mnl_bz answered when each round built its own index and
+    asked it LshMips(build_lsh_index(points, params, seed_r), points, w).query(K):
+    (assortment, revenue, revenue_interval, estimate), and the rounds whose
+    probed buckets were all empty."""
+    inst_n = normalize(inst)
+    points = embed_collection(coll, inst_n)
+    children = np.random.SeedSequence(seed).spawn(rounds + 1)
+    seeds = iter([int(c.generate_state(1)[0]) for c in children[1:]])
+    best, best_rev = coll[0], revenue(coll[0], inst_n)
+    empty = 0
+
+    def compare(K):
+        nonlocal best, best_rev, empty
+        index = build_lsh_index(points, params, next(seeds))
+        ans = LshMips(index, points, inst_n.weights).query(K)
+        if ans is None:
+            empty += 1
+            return 0
+        witness = coll[ans[0]]
+        if revenue(witness, inst_n) > best_rev:
+            best, best_rev = witness, revenue(witness, inst_n)
+        return int(K <= ans[1] / inst_n.v0)
+
+    _, median = run_noisy_bisection(inst_n.p1, eps / inst.p1, rounds, alpha, compare,
+                                    np.random.default_rng(children[0]))
+    theta = max(median, best_rev) * inst.p1
+    return (best, revenue(best, inst), (max(0.0, theta - eps), theta + eps), theta), empty
+
+
+class TestBzAgainstBuiltIndexes:
+    """Each bz round hashes a key prefix for every set and full keys only for
+    the sets a probe reaches; its answers must be those of an index built
+    every round."""
+
+    @pytest.mark.parametrize("n, num_sets, params, customers", [
+        (1000, 12800, BenchConfig().lsh_params(12800), 3),  # the noisy-12k shape
+        (200, 3000, LshParams(bits=10, tables=20, scan_cap=80), 2),  # buckets of ~90 sets
+        (60, 800, LshParams(bits=6, tables=8, scan_cap=24), 3),  # one bit past the prefix
+        (60, 800, LshParams(bits=64, tables=8, scan_cap=24), 2),  # keys as wide as they go
+        (60, 800, LshParams(bits=4, tables=8, scan_cap=24), 2),  # no stage past the prefix
+    ])
+    def test_answers_equal_built_indexes(self, n, num_sets, params, customers):
+        inst, coll = generate_instance(GenSpec(n=n, num_sets=num_sets, seed=n))
+        rng = np.random.default_rng(num_sets)
+        for _ in range(customers):
+            cust = Instance(inst.prices, rng.uniform(0.0, 1.0, n), inst.v0)
+            seed = int(rng.integers(2**32))
+            res = assort_mnl_bz(coll, cust, 0.1 * cust.p1, 15, 0.3, params, seed)
+            expect, _ = _bz_on_built_indexes(coll, cust, 0.1 * cust.p1, 15, 0.3, params, seed)
+            assert (res.assortment, res.revenue, res.revenue_interval, res.estimate) == expect
+
+    def test_rounds_whose_probes_are_all_empty(self):
+        # 12-bit keys over 300 sets: most buckets are empty, so some rounds
+        # retrieve nothing and answer "no" while others find a witness
+        inst, coll = generate_instance(GenSpec(n=30, num_sets=300, seed=5))
+        params = LshParams(bits=12, tables=2, scan_cap=6)
+        res = assort_mnl_bz(coll, inst, 0.1 * inst.p1, 15, 0.3, params, seed=7)
+        expect, empty = _bz_on_built_indexes(coll, inst, 0.1 * inst.p1, 15, 0.3, params, 7)
+        assert 0 < empty < 15
+        assert (res.assortment, res.revenue, res.revenue_interval, res.estimate) == expect

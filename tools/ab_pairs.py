@@ -15,12 +15,17 @@ side's runs, the report and result lines as ``run.py`` prints them, and per
 metric of the result line the median, the quartiles and the pairs that side
 won.  A pair goes to the side whose value is better in the direction that
 the after checkout's BENCHMARK.json gives; a tie counts for neither side, and
-a metric BENCHMARK.json does not name has no wins.  Under ``solvers`` each
-file also summarises the report's per-solver medians (its ``*.p50``
-entries, such as ``scan_ms.p50`` and ``hashed_ms.p50``) the same way, with
-no wins, so a change in a result line can be traced to the solver that
-moved.  The command exits 1 when any run answered wrongly
-(``"correct": false``), after writing both files.
+a metric BENCHMARK.json does not name has no wins.  Each end-to-end metric
+with a bound there also gets a verdict, printed and recorded on both sides:
+"gain" when the after side won at least 9 of 10 pairs and its median beats
+the before median by more than the before side's interquartile range, else
+"within bound" or "worse than bound" by whether the after median is worse
+than the before median by more than the bound, a fraction of the before
+median.  Under ``solvers`` each file also summarises the report's
+per-solver medians (its ``*.p50`` entries, such as ``scan_ms.p50`` and
+``hashed_ms.p50``) the same way, with no wins, so a change in a result line
+can be traced to the solver that moved.  The command exits 1 when any run
+answered wrongly (``"correct": false``), after writing both files.
 
 Only the standard library is used, and the code under test is reached only
 through ``benchmark/run.py``'s command line.
@@ -55,10 +60,29 @@ def directions(benchmark_json: Path) -> dict:
             for m in spec.get(key, [])}
 
 
-def summarize(results: dict, better: dict) -> dict:
+def bounds(benchmark_json: Path) -> dict:
+    """End-to-end metric name -> its relative bound, as BENCHMARK.json declares it."""
+    spec = json.loads(benchmark_json.read_text())
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
+
+
+def verdict(before: dict, after: dict, better: str, bound: float) -> str:
+    """The verdict on one metric: "gain" when the after side won at least 9
+    of 10 pairs and its median beats the before median by more than the
+    before side's IQR, else "within bound" or "worse than bound", by
+    whether the after median is worse than the before median by more than
+    ``bound`` times the before median."""
+    gap = (after["median"] - before["median"]) * (1 if better == "higher" else -1)
+    if 10 * after["wins"] >= 9 * after["pairs"] and gap > before["q3"] - before["q1"]:
+        return "gain"
+    return "within bound" if -gap <= bound * abs(before["median"]) else "worse than bound"
+
+
+def summarize(results: dict, better: dict, limits: dict | None = None) -> dict:
     """Per side, per metric present in every result line: unit, median,
-    quartiles and the pairs won.  ``results[side][i]`` is the result line of
-    pair i on that side."""
+    quartiles, the pairs won and, for a metric with a bound in ``limits``,
+    the :func:`verdict` on the pairs (None for the others).
+    ``results[side][i]`` is the result line of pair i on that side."""
     common = set.intersection(*(set(r["metrics"]) for side in SIDES
                                 for r in results[side]))
     summary = {side: {} for side in SIDES}
@@ -78,6 +102,12 @@ def summarize(results: dict, better: dict) -> dict:
                 "unit": results[side][0]["metrics"][name].get("unit"),
                 "median": statistics.median(vals), "q1": q1, "q3": q3,
                 "wins": None if wins is None else wins[side], "pairs": len(vals)}
+        found = None
+        if wins is not None and name in (limits or {}):
+            found = verdict(summary["before"][name], summary["after"][name],
+                            better[name], limits[name])
+        for side in SIDES:
+            summary[side][name]["verdict"] = found
     return summary
 
 
@@ -110,8 +140,9 @@ def main(argv=None) -> int:
             runs[side].append({"pair": i, "first": (side == "before") == (i % 2 == 0),
                                **run})
             print(f"pair {i} {side}: {json.dumps(run['result'])}", file=sys.stderr)
+    spec = args.after / "BENCHMARK.json"
     summary = summarize({side: [r["result"] for r in runs[side]] for side in SIDES},
-                        directions(args.after / "BENCHMARK.json"))
+                        directions(spec), bounds(spec))
     solvers = summarize({side: [solver_medians(r["report"]) for r in runs[side]]
                          for side in SIDES}, {})
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -128,6 +159,8 @@ def main(argv=None) -> int:
             before = table["before"][name]
             won = ("" if after["wins"] is None
                    else f"; after won {after['wins']} of {after['pairs']} pairs")
+            if after["verdict"] is not None:
+                won += f"; {after['verdict']}"
             print(f"{name}: median {before['median']:.6g} -> {after['median']:.6g} "
                   f"(before IQR {before['q1']:.6g}..{before['q3']:.6g}){won}")
     wrong = [(side, r["pair"]) for side in SIDES for r in runs[side]
