@@ -11,7 +11,6 @@ selection on the per-item margins v_i (p_i - K) for capacity constraints.
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -95,6 +94,12 @@ def _by_position(blocks: Sequence[tuple], n: int) -> list:
             np.split(grouped, np.cumsum([items.size for items in arrs[:-1]]))]
 
 
+def _priced_above(inst: Instance, K: float) -> int:
+    """How many items are priced above K: prices do not increase, so they
+    are the first ones (none for a NaN K)."""
+    return inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
+
+
 def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
                     by_position: Sequence[tuple] | None = None) -> tuple[bool, Assortment]:
     """The one capacity-style comparison, with no sort: the witness is the
@@ -104,13 +109,37 @@ def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
     Prices are non-increasing, so only the first m items, those priced above
     K, can have a positive margin: a block reads the margins of its items
     among them, in its own order, and reads all its margins only when fewer
-    than its c_min are positive.  As the bisection closes on the optimum, m
-    shrinks, so a whole solve reads about n margins, not n per comparison.
-    ``blocks`` holds (0-based items or None for all, cap, c_min) per block,
-    and ``by_position`` their :func:`_by_position`, taken here when None."""
+    than its c_min are positive.  ``blocks`` holds (0-based items or None
+    for all, cap, c_min) per block, and ``by_position`` their
+    :func:`_by_position`, taken here when None.
+
+    A solve first asks :func:`_prefix_witness`, which reads only the top
+    t = 2k items by price, k the sum of the caps, and answers "yes" when
+    their selection proves that this comparison would.  The margins w_i are
+    the same floats in both reads, and all positive where they are summed.
+    A block's top cap positive margins among t items sum to no more than
+    its top cap among the m > t items priced above K, so the real sums obey
+    R_t <= R_m.  Each sum adds at most k terms, in any order, so with u =
+    2^-53 and gamma_k = k u / (1 - k u) its float lies within gamma_k of
+    the real one (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 4.2): T_t <= R_t (1 + gamma_k) and T_m >= R_m (1 - gamma_k).
+    The prefix accepts when K <= fl(fl(T_t / v0) s) with s = 1 - 8(k + 2) u,
+    so T_t / v0 >= K / (s (1 + u)^2), and then
+    fl(T_m / v0) >= (T_m / v0)(1 - u) >= K (1 - gamma_k)(1 - u) /
+    ((1 + gamma_k) s (1 + u)^2) >= K, since the factor there is at least
+    (1 - 2 gamma_k - 3 u) / s >= (1 - 4 k u - 3 u) / s > 1, also after s is
+    rounded: the full read's test K <= total / v0 holds too.  The bounds
+    are relative, so the prefix asks for a finite quotient, which excludes
+    overflow, and for K at least 4 times float64's smallest normal, which
+    keeps both quotients normal.  A block with fewer than its c_min
+    positives among the t items proves nothing; one with c_min or more has
+    as many among the m, so the full read would need no top-up either.
+    The real sum of the prefix's witness exceeds K v0, so its revenue
+    exceeds K.
+    """
     if by_position is None:
         by_position = _by_position(blocks, inst.n)
-    m = inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
+    m = _priced_above(inst, K)
     chosen, total = [], 0.0
     for (items, cap, lo), (order, ascending) in zip(blocks, by_position):
         ids = slice(m) if items is None else items[np.sort(order[:ascending.searchsorted(m)])]
@@ -124,6 +153,35 @@ def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
         chosen.append(sel if items is None else ids[sel])
         total += float(w[sel].sum())
     return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+
+
+_SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the prefix's quotients normal
+
+
+def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
+                    by_position: Sequence[tuple]) -> Assortment | None:
+    """A witness read from the top 2k items by price alone, k the sum of
+    the caps, that proves :func:`_compare_blocks` would answer "yes" at K;
+    None when they prove nothing, or when no more than 2k items are priced
+    above K, so the full read is no larger.  A block reads its items among
+    them in ascending order; the accept margin is derived in
+    :func:`_compare_blocks`."""
+    k = sum(cap for _, cap, _ in blocks)
+    top = 2 * k
+    if not K >= _SMALLEST_K or _priced_above(inst, K) <= top:
+        return None
+    chosen, total = [], 0.0
+    for (items, cap, lo), (_, ascending) in zip(blocks, by_position):
+        ids = slice(top) if items is None else ascending[:ascending.searchsorted(top)]
+        w = inst.weights[ids] * (inst.prices[ids] - K)
+        sel = _largest(w, np.flatnonzero(w > 0), cap)
+        if sel.size < lo:
+            return None
+        chosen.append(sel if items is None else ids[sel])
+        total += float(w[sel].sum())
+    if not K <= total / inst.v0 * (1.0 - (k + 2) * 2.0 ** -50) < math.inf:
+        return None
+    return Assortment(np.concatenate(chosen) + 1)
 
 
 def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
@@ -151,13 +209,15 @@ def compare_step_partitioned(K: float, inst: Instance,
     ``blocks`` must partition 1..n; block w contributes its top-caps[w]
     positive margins independently.
     """
-    return _partitioned_compare(inst, blocks, caps)(K)
+    spec, by_position = _partitioned_compare(inst, blocks, caps)
+    return _compare_blocks(inst, spec, K, by_position)
 
 
 def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
-                         caps: Sequence[int]) -> "CompareFn":
+                         caps: Sequence[int]) -> tuple[list, list]:
     """Check that ``blocks`` partition 1..n with one non-negative cap each,
-    and return the comparison over them, which trusts the check."""
+    and return the comparison's blocks over them, which trust the check,
+    with their :func:`_by_position`."""
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
     arrs = [_item_array(b, "block") - 1 for b in blocks]  # 0-based
@@ -172,13 +232,15 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
     if any(cap < 0 for cap in caps):
         raise ValueError("capacities must be non-negative")
     spec = [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)]
-    return partial(_compare_blocks, inst, spec, by_position=_by_position(spec, inst.n))
+    return spec, _by_position(spec, inst.n)
 
 
 CompareFn = Callable[[float], tuple[bool, Assortment | None]]
 # A bisection step answers threshold K with the raised lower bound and its
 # witness, or None when the upper bound drops to K.
 StepFn = Callable[[float], tuple[float, Assortment] | None]
+# A settle step replaces the search's final witness once, after its loop.
+SettleFn = Callable[[Assortment], Assortment]
 
 
 def _at_threshold(compare: CompareFn) -> StepFn:
@@ -189,11 +251,44 @@ def _at_threshold(compare: CompareFn) -> StepFn:
     return step
 
 
+def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
+                      by_position: Sequence[tuple]) -> tuple[StepFn, SettleFn]:
+    """The bisection step of one capacity-style solve, and the read that
+    settles its answer after the loop.  A step takes the prefix's witness
+    when :func:`_prefix_witness` proves "yes", and reads the comparison in
+    full otherwise.  The prefix's margins fall as K rises while K v0 rises,
+    so once it proves nothing at some K, it is not asked again at any K at
+    least as high.  When the last "yes" came from the prefix, ``settle``
+    reads that comparison in full, so the solve returns the witness that
+    reading every comparison in full would."""
+    early = None  # the threshold of the last "yes", while only the prefix read it
+    failed = math.inf  # the least threshold at which the prefix proved nothing
+
+    def step(K: float):
+        nonlocal early, failed
+        witness = _prefix_witness(inst, blocks, K, by_position) if K < failed else None
+        if witness is not None:
+            early = K
+            return K, witness
+        failed = min(failed, K)
+        exists, witness = _compare_blocks(inst, blocks, K, by_position)
+        if not exists:
+            return None
+        early = None
+        return K, witness
+
+    def settle(best: Assortment) -> Assortment:
+        return best if early is None else _compare_blocks(inst, blocks, early, by_position)[1]
+    return step, settle
+
+
 def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
-            on_iteration: Callable[[SearchState], None] | None = None) -> SolverResult:
+            on_iteration: Callable[[SearchState], None] | None = None,
+            settle: SettleFn | None = None) -> SolverResult:
     """The one search loop: halve [0, p1] until it is within eps.
 
     ``start`` must be feasible; it is returned when no comparison succeeds.
+    ``settle``, when given, replaces the final witness, within the timing.
     """
     if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
@@ -211,6 +306,8 @@ def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
         iteration += 1
         if on_iteration is not None:
             on_iteration(SearchState(lower, upper, best, iteration))
+    if settle is not None:
+        best = settle(best)
     wall = time.perf_counter() - t0
     return SolverResult(best, revenue(best, inst), (lower, upper), iteration, wall)
 
@@ -258,17 +355,19 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
             raise ValueError("variant 'topc' needs a capacity C" if variant == "topc"
                              else "variant 'lb' needs C and c_min")
         _check_capacity(inst, C, lo)
-        compare: CompareFn = partial(_compare_blocks, inst, [(None, C, lo)])
+        spec = [(None, C, lo)]
+        by_position = _by_position(spec, inst.n)
         # the top max(1, lo) items: within 1..C, and at least c_min for lb
         start = Assortment(range(1, max(1, lo) + 1))
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")
-        compare = _partitioned_compare(inst, blocks, caps)
+        spec, by_position = _partitioned_compare(inst, blocks, caps)
         start = Assortment()  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _bisect(inst, start, _at_threshold(compare), eps, on_iteration)
+    step, settle = _capacitated_step(inst, spec, by_position)
+    return _bisect(inst, start, step, eps, on_iteration, settle)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -427,3 +428,169 @@ class TestCapacitatedSolver:
             res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min)
             assert res.wall_time < 1.0
             assert c_min <= len(res.assortment) <= 50
+
+
+def _answer(res):
+    """What a solve returns, but its timing."""
+    return (sorted(res.assortment.items), res.revenue, res.revenue_interval,
+            res.iterations)
+
+
+def _feasible(assortment, C, c_min, blocks, caps):
+    if blocks is None:
+        return c_min <= len(assortment) <= C
+    return all(len(assortment.items & set(b)) <= cap for b, cap in zip(blocks, caps))
+
+
+def hostile_case(rng, variant):
+    """An instance and solve arguments built to meet rounding at its
+    edges: integer prices with ties and p1 = 8, so that bisection
+    thresholds land on prices, zero weights, (weights, v0) scaled by
+    2^-30 or 2^30, caps of 0 and c_min = C.  Returns the instance, the
+    positional and keyword solve arguments and the features it has."""
+    n = int(rng.integers(10, 300))
+    if rng.random() < 0.5:
+        prices = np.sort(rng.integers(0, 9, n))[::-1].astype(float)
+        prices[0] = 8.0
+        weights, v0 = rng.integers(0, 3, n).astype(float), float(rng.integers(1, 3))
+        has = {"integer"}
+    else:
+        inst = random_instance(rng, n)
+        prices, weights, v0 = inst.prices, inst.weights.copy(), inst.v0
+        weights[rng.random(n) < 0.2] = 0.0
+        has = {"zero weight"}
+    scale = 2.0 ** float(rng.choice([-30, 0, 30]))
+    has |= {"scaled"} if scale != 1.0 else set()
+    inst = Instance(prices, weights * scale, v0 * scale)
+    eps = inst.p1 * float(rng.choice([2.0 ** -12, 1e-3, 0.3]))
+    if variant == "partitioned":
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, 5)), replace=False))
+        blocks = [b.tolist() for b in np.split(rng.permutation(n) + 1, cuts)]
+        caps = [int(rng.integers(0, 4)) for _ in blocks]
+        has |= {"zero cap"} if 0 in caps else set()
+        return inst, (None, eps, variant), {"blocks": blocks, "caps": caps}, has
+    C = int(rng.integers(1, 6))
+    c_min = 0
+    if variant == "lb":
+        c_min = C if rng.random() < 0.3 else int(rng.integers(0, C + 1))
+        has |= {"c_min = C"} if c_min == C else set()
+    return inst, (C, eps, variant), {"c_min": c_min}, has
+
+
+def record_prefix(monkeypatch):
+    """Patch the prefix step to list each threshold it answers "yes"."""
+    proved, prefix = [], solvers._prefix_witness
+
+    def recorded(inst, blocks, K, by_position):
+        witness = prefix(inst, blocks, K, by_position)
+        if witness is not None:
+            proved.append(K)
+        return witness
+
+    monkeypatch.setattr(solvers, "_prefix_witness", recorded)
+    return proved
+
+
+class TestPrefixAccept:
+    """A capacitated solve answers "yes" from the top 2·sum(caps) items by
+    price when they prove it; every answer must equal the full read's."""
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_early_accept_never_changes_an_answer(self, variant, monkeypatch):
+        rng = np.random.default_rng({"topc": 60, "lb": 61, "partitioned": 62}[variant])
+        proved, hit = record_prefix(monkeypatch), set()
+        for _ in range(150):
+            inst, args, kwargs, has = hostile_case(rng, variant)
+            proved.clear()
+            early_states = []
+            res = assort_mnl_capacitated(inst, *args, on_iteration=early_states.append,
+                                         **kwargs)
+            if proved:
+                hit |= has | {"prefix"}
+                if proved[-1] == res.revenue_interval[0]:
+                    hit.add("settled")
+                if any(K in inst.prices for K in proved):
+                    hit.add("K on a price")
+            with monkeypatch.context() as full:
+                full.setattr(solvers, "_prefix_witness", lambda *args: None)
+                states = []
+                want = assort_mnl_capacitated(inst, *args, on_iteration=states.append,
+                                              **kwargs)
+            assert _answer(res) == _answer(want)
+            assert [(s.lower, s.upper) for s in early_states] == \
+                [(s.lower, s.upper) for s in states]
+        expected = {"prefix", "settled", "K on a price", "integer", "zero weight",
+                    "scaled"} | {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(
+                        variant, set())
+        assert hit == expected
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_every_state_certifies_its_bound(self, variant, monkeypatch):
+        # an early-accepted state reports the prefix's witness, not the
+        # full read's; it must still be feasible and earn its lower bound
+        rng = np.random.default_rng({"topc": 63, "lb": 64, "partitioned": 65}[variant])
+        early = 0
+        for _ in range(100):
+            inst, args, kwargs, _ = hostile_case(rng, variant)
+            states = []
+            assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
+            C = args[0]
+            for s in states:
+                assert _feasible(s.best, C, kwargs.get("c_min", 0),
+                                 kwargs.get("blocks"), kwargs.get("caps"))
+                assert revenue(s.best, inst) >= s.lower
+            full_states = []
+            with monkeypatch.context() as full:
+                full.setattr(solvers, "_prefix_witness", lambda *args: None)
+                assort_mnl_capacitated(inst, *args, on_iteration=full_states.append,
+                                       **kwargs)
+            early += sum(s.best != f.best for s, f in zip(states, full_states))
+        assert early > 0
+
+    def test_reads_count_2c_margins_when_the_prefix_answers(self, monkeypatch):
+        # count the margins each comparison hands to the selection: a
+        # comparison the prefix answers reads 2C = 100 of them
+        inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
+        reads, proved, per_step = [], record_prefix(monkeypatch), []
+        largest = solvers._largest
+
+        def counted_largest(w, idx, k):
+            if not any(w is seen for seen in reads):
+                reads.append(w)
+            return largest(w, idx, k)
+
+        def step_done(state):
+            per_step.append((sum(w.size for w in reads), bool(proved)))
+            reads.clear()
+            proved.clear()
+
+        monkeypatch.setattr(solvers, "_largest", counted_largest)
+        totals = {}
+        for variant, c_min in [("topc", 0), ("lb", 10)]:
+            per_step.clear()
+            res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min,
+                                         on_iteration=step_done)
+            settle = sum(w.size for w in reads)
+            reads.clear()
+            early = [count for count, from_prefix in per_step if from_prefix]
+            assert early == [100] * 7
+            assert res.iterations == len(per_step) == 14
+            totals[variant] = sum(count for count, _ in per_step) + settle
+        # measured; reading every comparison in full reads 23,684 in each
+        assert totals == {"topc": 4_340, "lb": 4_340}
+
+    def test_wall_time_covers_the_settling_read(self, monkeypatch):
+        # eps = p1/8 stops after three comparisons, all answered from the
+        # prefix, so the solve reads the last one in full after the loop
+        inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
+        compare, calls, states = solvers._compare_blocks, [], []
+
+        def slow_compare(*args):
+            calls.append(len(states))
+            time.sleep(0.05)
+            return compare(*args)
+
+        monkeypatch.setattr(solvers, "_compare_blocks", slow_compare)
+        res = assort_mnl_capacitated(inst, 50, inst.p1 / 8, on_iteration=states.append)
+        assert res.iterations == 3 and calls == [3]
+        assert res.wall_time >= 0.05
