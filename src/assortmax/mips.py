@@ -180,7 +180,7 @@ class LshIndex:
         self.seed = int(seed)
         self.scale = float(scale)
         self.projections = projections          # (tables, bits, dim)
-        self.table_keys = table_keys            # (tables, N) uint64, sorted per table
+        self.table_keys = table_keys            # (tables, N) unsigned, sorted per table
         self.table_ids = table_ids              # (tables, N) int32, aligned with keys
         self.num_points = int(num_points)
         for arr in (self.projections, self.table_keys, self.table_ids):
@@ -191,13 +191,20 @@ class LshIndex:
         return int(self.projections.shape[2])
 
     def bucket(self, table: int, key: int) -> np.ndarray:
-        """Set ids stored under ``key`` in one table, in ascending id order."""
+        """Set ids stored under ``key`` in one table, in ascending id order.
+
+        The search runs in the keys' own type; a key of another type is
+        converted to it first (numpy would compare a Python int with uint64
+        keys in float64, which merges neighbouring keys at or above 2**53),
+        and one that type cannot hold finds an empty bucket."""
         keys = self.table_keys[table]
-        # a Python int key would make numpy compare in float64, which is
-        # slow and merges neighbouring keys at or above 2**53
-        key = np.uint64(key)
-        lo = int(np.searchsorted(keys, key, side="left"))
-        hi = int(np.searchsorted(keys, key, side="right"))
+        if type(key) is not keys.dtype.type:
+            key = int(key)
+            if key < 0 or key >> 8 * keys.itemsize:
+                return self.table_ids[table, :0]
+            key = keys.dtype.type(key)
+        lo = keys.searchsorted(key, side="left")
+        hi = keys.searchsorted(key, side="right")
         return self.table_ids[table, lo:hi]
 
 
@@ -221,6 +228,11 @@ def hash_key(x_transformed: np.ndarray, table: int, index: LshIndex) -> int:
         raise ValueError(f"vector has dimension {x.size}, expected {index.dim}")
     raw = index.projections[table] @ x
     return int(_pack_bits(raw >= 0.0))
+
+
+def _key_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds ``bits``-bit keys."""
+    return np.min_scalar_type((1 << bits) - 1)
 
 
 def _projections(params: LshParams, seed: int, dim: int) -> np.ndarray:
@@ -254,7 +266,7 @@ def _hash_keys(points: EmbeddedCollection, projections: np.ndarray,
     if ids is not None:
         norms = norms[ids]
     slack = np.sqrt(np.maximum(0.0, 1.0 - (norms / scale) ** 2)).astype(np.float32)
-    dtype = np.min_scalar_type((1 << bits) - 1)
+    dtype = _key_dtype(bits)
     width = 8 * dtype.itemsize
     keys = np.empty((tables, norms.size), dtype=dtype)
     # every chunk is unpacked into one buffer: at noisy-12k, a buffer per
@@ -278,7 +290,8 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     """Hash every embedded point into ``tables`` buckets, deterministically per seed.
 
     The scale is the largest point norm, so all points fit the unit-ball
-    transform; the keys are those of :func:`_hash_keys`, hashed in bulk.
+    transform; the keys are those of :func:`_hash_keys`, hashed in bulk and
+    kept in its narrow dtype (2 bytes a key up to 16 bits).
     """
     if params is None:
         params = default_lsh_params(len(points))
@@ -286,9 +299,9 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     keys = _hash_keys(points, projections)
     # numpy radix-sorts integers of 16 bits or fewer, as the narrow keys are
     order = np.argsort(keys, axis=1, kind="stable")
-    table_keys = np.take_along_axis(keys, order, axis=1).astype(np.uint64)
-    return LshIndex(params, seed, float(points.norms.max()), projections, table_keys,
-                    order.astype(np.int32), len(points))
+    return LshIndex(params, seed, float(points.norms.max()), projections,
+                    np.take_along_axis(keys, order, axis=1), order.astype(np.int32),
+                    len(points))
 
 
 _FORMAT_VERSION = 1
@@ -321,7 +334,9 @@ def load_index(path) -> LshIndex:
     that no query could read right (projections not finite float64, a scale
     not positive and finite, ids not a permutation per table, keys unsorted
     or wider than ``bits``) is rejected with a ``ValueError`` naming the
-    field, before any query."""
+    field, before any query.  Keys stored wider than :func:`_hash_keys`
+    makes them, as uint64 in archives written before keys were kept narrow,
+    are narrowed once checked, so the index equals the one saved."""
     with np.load(path) as data:
         for name in _INDEX_FIELDS:
             if name not in data.files:
@@ -364,6 +379,8 @@ def load_index(path) -> LshIndex:
     if params.bits < 64 and keys.size and (keys[:, -1] >> np.uint64(params.bits)).any():
         raise ValueError(f"index field 'table_keys' holds keys of more than "
                          f"{params.bits} bits, which no query reaches")
+    index.table_keys = keys.astype(_key_dtype(params.bits), copy=False)
+    index.table_keys.setflags(write=False)
     return index
 
 
@@ -434,8 +451,10 @@ class LshMips:
     thresholds an engine sees at most tables * bits + 1 distinct key
     vectors, and a bisection settles into one of them after a step or two.
     The engine therefore remembers, per key vector, what its probes
-    retrieved (at most tables * bits + 1 entries).  The first query with a
-    key vector probes the buckets and rescores through
+    retrieved (at most tables * bits + 1 entries), under the bytes of the
+    query's (tables, bits) sign vector, so a repeat packs no key.  The first
+    query with a key vector packs it in the index's key dtype, probes the
+    buckets and rescores through
     :meth:`EmbeddedCollection.scores_at`; a later one probes nothing and
     answers argmax(A - K B) over the remembered candidates, with their sums
     (A, B) of the engine's value rows (p o v, v) taken once by
@@ -457,7 +476,8 @@ class LshMips:
         proj = index.projections
         self._a = proj[:, :, :n] @ self.weights        # (tables, bits)
         self._b = proj[:, :, n:2 * n] @ self.weights   # (tables, bits)
-        # packed key vector -> None (nothing retrieved) or [candidates,
+        self._key_dtype = index.table_keys.dtype
+        # sign vector bytes -> None (nothing retrieved) or [candidates,
         # their (A, B) sums once a repeat has asked for them]
         self._memo: dict[bytes, list | None] = {}
 
@@ -472,9 +492,10 @@ class LshMips:
         high-scoring set was found.  Only the first query with a given key
         vector probes the tables (see :func:`_retrieve`).
         """
-        qkeys = _pack_bits(self._a - threshold * self._b >= 0.0)
-        memo_key = qkeys.tobytes()
+        signs = self._a - threshold * self._b >= 0.0
+        memo_key = signs.tobytes()
         if memo_key not in self._memo:
+            qkeys = _pack_bits(signs).astype(self._key_dtype)
             cand = _retrieve(self.index.bucket, qkeys, self.index.params)
             self._memo[memo_key] = None if cand is None else [cand, None]
             if cand is None:

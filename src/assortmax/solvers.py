@@ -57,13 +57,8 @@ def compare_step_general(K: float, mips: MipsOracle,
     false negative: the returned candidate's score is its true inner
     product, so a positive answer is always certified.
     """
-    ans = mips.query(K)
-    if ans is None:
-        return False, None
-    set_id, score = ans
-    if K <= score / inst.v0:
-        return True, mips.points.source[set_id]
-    return False, None
+    raised = _general_step(mips, inst)(K)
+    return (False, None) if raised is None else (True, mips.points.source[raised[1]])
 
 
 def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
@@ -102,9 +97,16 @@ def _priced_above(inst: Instance, K: float) -> int:
 
 def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
                     by_position: Sequence[tuple] | None = None) -> tuple[bool, Assortment]:
-    """The one capacity-style comparison, with no sort: the witness is the
-    union of each block's up to cap largest positive margins v_i (p_i - K),
-    topped up to c_min with the largest others.
+    """:func:`_compare_items` with its witness as an :class:`Assortment`."""
+    exists, items = _compare_items(inst, blocks, K, by_position)
+    return exists, Assortment(items + 1)
+
+
+def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
+                   by_position: Sequence[tuple] | None = None) -> tuple[bool, np.ndarray]:
+    """The one capacity-style comparison, with no sort: the witness, as
+    0-based items, is the union of each block's up to cap largest positive
+    margins v_i (p_i - K), topped up to c_min with the largest others.
 
     Prices are non-increasing, so only the first m items, those priced above
     K, can have a positive margin: a block reads the margins of its items
@@ -152,20 +154,22 @@ def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
             sel = np.concatenate([sel, _largest(w, np.flatnonzero(w <= 0), lo - sel.size)])
         chosen.append(sel if items is None else ids[sel])
         total += float(w[sel].sum())
-    return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+    # no block is left when every cap is 0 (see _partitioned_compare)
+    items = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    return bool(K <= total / inst.v0), items
 
 
 _SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the prefix's quotients normal
 
 
 def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
-                    by_position: Sequence[tuple]) -> Assortment | None:
-    """A witness read from the top 2k items by price alone, k the sum of
-    the caps, that proves :func:`_compare_blocks` would answer "yes" at K;
-    None when they prove nothing, or when no more than 2k items are priced
-    above K, so the full read is no larger.  A block reads its items among
-    them in ascending order; the accept margin is derived in
-    :func:`_compare_blocks`."""
+                    by_position: Sequence[tuple]) -> np.ndarray | None:
+    """A witness, as 0-based items, read from the top 2k items by price
+    alone, k the sum of the caps, that proves :func:`_compare_items` would
+    answer "yes" at K; None when they prove nothing, or when no more than
+    2k items are priced above K, so the full read is no larger.  A block
+    reads its items among them in ascending order; the accept margin is
+    derived in :func:`_compare_items`."""
     k = sum(cap for _, cap, _ in blocks)
     top = 2 * k
     if not K >= _SMALLEST_K or _priced_above(inst, K) <= top:
@@ -181,7 +185,7 @@ def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
         total += float(w[sel].sum())
     if not K <= total / inst.v0 * (1.0 - (k + 2) * 2.0 ** -50) < math.inf:
         return None
-    return Assortment(np.concatenate(chosen) + 1)
+    return np.concatenate(chosen)  # K > 0, so some block selected items
 
 
 def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
@@ -217,7 +221,7 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
                          caps: Sequence[int]) -> tuple[list, list]:
     """Check that ``blocks`` partition 1..n with one non-negative cap each,
     and return the comparison's blocks over them, which trust the check,
-    with their :func:`_by_position`."""
+    with their :func:`_by_position`; blocks of cap 0 are left out."""
     if len(blocks) != len(caps):
         raise ValueError("need one capacity per block")
     arrs = [_item_array(b, "block") - 1 for b in blocks]  # 0-based
@@ -232,63 +236,85 @@ def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
     if any(cap < 0 for cap in caps):
         raise ValueError("capacities must be non-negative")
     spec = [(arr, int(cap), 0) for arr, cap in zip(arrs, caps)]
-    return spec, _by_position(spec, inst.n)
+    by_position = _by_position(spec, inst.n)
+    # a block of cap 0 selects nothing and adds 0.0 to every sum, so no
+    # read visits it
+    kept = [w for w, (_, cap, _) in enumerate(spec) if cap]
+    return [spec[w] for w in kept], [by_position[w] for w in kept]
 
 
-CompareFn = Callable[[float], tuple[bool, Assortment | None]]
 # A bisection step answers threshold K with the raised lower bound and its
-# witness, or None when the upper bound drops to K.
-StepFn = Callable[[float], tuple[float, Assortment] | None]
-# A settle step replaces the search's final witness once, after its loop.
-SettleFn = Callable[[Assortment], Assortment]
+# witness, in the form its solve carries witnesses in, or None when the
+# upper bound drops to K.
+StepFn = Callable[[float], tuple[float, object] | None]
+# Builds the set a witness stands for.
+BuildFn = Callable[[object], Assortment]
 
 
-def _at_threshold(compare: CompareFn) -> StepFn:
-    """Step that raises the lower bound to K whenever ``compare(K)`` says yes."""
+def _general_step(mips: MipsOracle, inst: Instance) -> StepFn:
+    """Step that raises the lower bound to K whenever the engine's set
+    scores at least K v0, carrying that set's id in the engine's collection."""
     def step(K: float):
-        exists, witness = compare(K)
-        return (K, witness) if exists else None
+        ans = mips.query(K)
+        if ans is None or not K <= ans[1] / inst.v0:  # also "no" on a NaN score
+            return None
+        return K, ans[0]
     return step
 
 
+def _set_builder(collection: AssortmentCollection, mips: MipsOracle) -> BuildFn:
+    """Builds a witness id's set from the engine's collection, and the
+    start, the witness None, as ``collection``'s first set."""
+    source = mips.points.source
+    return lambda set_id: collection[0] if set_id is None else source[set_id]
+
+
+def _build_items(witness: tuple) -> Assortment:
+    """The set of a capacity-style witness: (0-based items, the threshold
+    when only the prefix read it, else None)."""
+    return Assortment(witness[0] + 1)
+
+
 def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
-                      by_position: Sequence[tuple]) -> tuple[StepFn, SettleFn]:
-    """The bisection step of one capacity-style solve, and the read that
-    settles its answer after the loop.  A step takes the prefix's witness
-    when :func:`_prefix_witness` proves "yes", and reads the comparison in
-    full otherwise.  The prefix's margins fall as K rises while K v0 rises,
-    so once it proves nothing at some K, it is not asked again at any K at
-    least as high.  When the last "yes" came from the prefix, ``settle``
-    reads that comparison in full, so the solve returns the witness that
-    reading every comparison in full would."""
-    early = None  # the threshold of the last "yes", while only the prefix read it
+                      by_position: Sequence[tuple]) -> tuple[StepFn, BuildFn]:
+    """The bisection step of one capacity-style solve, and the build of the
+    set it returns; a step's witness is that of :func:`_build_items`.  A
+    step takes the prefix's witness when :func:`_prefix_witness` proves
+    "yes", and reads the comparison in full otherwise.  The prefix's margins
+    fall as K rises while K v0 rises, so once it proves nothing at some K,
+    it is not asked again at any K at least as high.  When the last "yes"
+    came from the prefix, ``finish`` reads that comparison in full, so the
+    solve returns the witness that reading every comparison in full would."""
     failed = math.inf  # the least threshold at which the prefix proved nothing
 
     def step(K: float):
-        nonlocal early, failed
-        witness = _prefix_witness(inst, blocks, K, by_position) if K < failed else None
-        if witness is not None:
-            early = K
-            return K, witness
-        failed = min(failed, K)
-        exists, witness = _compare_blocks(inst, blocks, K, by_position)
-        if not exists:
-            return None
-        early = None
-        return K, witness
+        nonlocal failed
+        if K < failed:
+            items = _prefix_witness(inst, blocks, K, by_position)
+            if items is not None:
+                return K, (items, K)
+            failed = K
+        exists, items = _compare_items(inst, blocks, K, by_position)
+        return (K, (items, None)) if exists else None
 
-    def settle(best: Assortment) -> Assortment:
-        return best if early is None else _compare_blocks(inst, blocks, early, by_position)[1]
-    return step, settle
+    def finish(witness: tuple) -> Assortment:
+        early = witness[1]
+        return (_build_items(witness) if early is None
+                else _compare_blocks(inst, blocks, early, by_position)[1])
+    return step, finish
 
 
-def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
+def _bisect(inst: Instance, start: object, step: StepFn, eps: float, build: BuildFn,
             on_iteration: Callable[[SearchState], None] | None = None,
-            settle: SettleFn | None = None) -> SolverResult:
+            finish: BuildFn | None = None) -> SolverResult:
     """The one search loop: halve [0, p1] until it is within eps.
 
-    ``start`` must be feasible; it is returned when no comparison succeeds.
-    ``settle``, when given, replaces the final witness, within the timing.
+    ``start`` and each raised bound's witness are carried in the solve's
+    own form; ``start`` must stand for a feasible set, and is returned when
+    no comparison succeeds.  ``build`` makes the set a witness stands for,
+    for each state given to ``on_iteration``; ``finish`` (``build`` when
+    None) makes the one set the solve returns, after the loop and within
+    the timing.
     """
     if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
@@ -305,11 +331,10 @@ def _bisect(inst: Instance, start: Assortment, step: StepFn, eps: float,
             lower, best = raised
         iteration += 1
         if on_iteration is not None:
-            on_iteration(SearchState(lower, upper, best, iteration))
-    if settle is not None:
-        best = settle(best)
+            on_iteration(SearchState(lower, upper, build(best), iteration))
+    chosen = (finish or build)(best)
     wall = time.perf_counter() - t0
-    return SolverResult(best, revenue(best, inst), (lower, upper), iteration, wall)
+    return SolverResult(chosen, revenue(chosen, inst), (lower, upper), iteration, wall)
 
 
 def _check_embeds(engine: MipsOracle, inst: Instance, name: str) -> None:
@@ -332,9 +357,8 @@ def assort_mnl(collection: AssortmentCollection, inst: Instance, eps: float,
     if mips is None:
         mips = ExactMips(embed_collection(collection, inst), inst.weights)
     _check_embeds(mips, inst, "inst")
-    return _bisect(inst, collection[0],
-                   _at_threshold(lambda K: compare_step_general(K, mips, inst)),
-                   eps, on_iteration)
+    return _bisect(inst, None, _general_step(mips, inst), eps,
+                   _set_builder(collection, mips), on_iteration)
 
 
 def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
@@ -358,16 +382,16 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
         spec = [(None, C, lo)]
         by_position = _by_position(spec, inst.n)
         # the top max(1, lo) items: within 1..C, and at least c_min for lb
-        start = Assortment(range(1, max(1, lo) + 1))
+        start = np.arange(max(1, lo))
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")
         spec, by_position = _partitioned_compare(inst, blocks, caps)
-        start = Assortment()  # block caps may all be zero
+        start = np.empty(0, dtype=np.int64)  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    step, settle = _capacitated_step(inst, spec, by_position)
-    return _bisect(inst, start, step, eps, on_iteration, settle)
+    step, finish = _capacitated_step(inst, spec, by_position)
+    return _bisect(inst, (start, None), step, eps, _build_items, on_iteration, finish)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
@@ -434,10 +458,10 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
         K_hat = 1.0 + grow * (K - 1.0)
         if K_hat > s:
             return None
-        return (K if K <= s else K_hat), lsh.points.source[set_id]
+        return (K if K <= s else K_hat), set_id
 
     report = None if on_iteration is None else (lambda st: on_iteration(
         replace(st, lower=st.lower * scale, upper=st.upper * scale)))
-    res = _bisect(norm, collection[0], step, eps / scale, report)
+    res = _bisect(norm, None, step, eps / scale, _set_builder(collection, lsh), report)
     return replace(res, revenue=revenue(res.assortment, inst),
                    revenue_interval=tuple(b * scale for b in res.revenue_interval))

@@ -50,6 +50,13 @@ _PINNED_PREFIX_SOLVES_SHA256 = (
     "a9699f15eabd83eaee8ed7c11719c65cc8abd93d2984386358de8b60aab24d34")
 
 
+# sorted items, revenue, bracket and iterations, then every state's
+# (lower, upper, sorted best items, iteration), of the partitioned solves of
+# TestZeroCapBlocks, recorded while every block was read at every comparison
+_PINNED_ZERO_CAP_SHA256 = (
+    "41610936f0b6cff93f8a4639e8131e4077debb4686f10dd439bf9b0dd23040a5")
+
+
 class TestCompareCapacitated:
     def test_exists_hand_example(self, e1):
         exists, witness = compare_step_capacitated(3.0, e1, 2)
@@ -594,3 +601,46 @@ class TestPrefixAccept:
         res = assort_mnl_capacitated(inst, 50, inst.p1 / 8, on_iteration=states.append)
         assert res.iterations == 3 and calls == [3]
         assert res.wall_time >= 0.05
+
+
+class TestZeroCapBlocks:
+    """A block of cap 0 selects nothing and adds 0.0, so no read visits it."""
+
+    @staticmethod
+    def _cases():
+        for seed in (1708, 7):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, 20_000, price_hi=1000.0)
+            blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
+            for caps in ([20, 0, 15, 0], [0, 0, 0, 0]):
+                yield inst, blocks, caps
+
+    def test_solves_and_states_are_pinned(self):
+        h = hashlib.sha256()
+        for inst, blocks, caps in self._cases():
+            for eps in (0.1, inst.p1 / 8):
+                states = []
+                res = assort_mnl_capacitated(inst, None, eps, "partitioned", blocks=blocks,
+                                             caps=caps, on_iteration=states.append)
+                h.update(repr((sorted(res.assortment.items), res.revenue,
+                               res.revenue_interval, res.iterations)).encode())
+                for s in states:
+                    h.update(repr((s.lower, s.upper, sorted(s.best.items),
+                                   s.iteration)).encode())
+                if not any(caps):  # nothing is ever selected: the empty start
+                    assert res.assortment == Assortment() and res.revenue == 0.0
+                    assert res.revenue_interval[0] == 0.0 and res.iterations > 0
+                    assert all(len(s.best) == 0 for s in states)
+        assert h.hexdigest() == _PINNED_ZERO_CAP_SHA256
+
+    def test_comparisons_match_the_full_read_and_skip_zero_caps(self, monkeypatch):
+        selected, largest = [], solvers._largest
+        monkeypatch.setattr(solvers, "_largest",
+                            lambda w, idx, k: selected.append(k) or largest(w, idx, k))
+        for inst, blocks, caps in self._cases():
+            spec = [(b - 1, cap, 0) for b, cap in zip(blocks, caps)]
+            for K in (0.0, 500.0, 900.0, 970.0, float(inst.prices[30]), inst.p1):
+                selected.clear()
+                got = compare_step_partitioned(K, inst, blocks, caps)
+                assert 0 not in selected and len(selected) == np.count_nonzero(caps)
+                assert got == full_margin_compare(inst, spec, K)

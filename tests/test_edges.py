@@ -137,6 +137,76 @@ class TestLoadItemsets:
             load_itemsets(path)
 
 
+_MALFORMED = [
+    ("no scale", "index archive has no field 'scale'"),
+    ("more tables stated", r"index field 'projections' has shape \(4, 6, 25\)"),
+    ("projections of two dimensions", "index field 'projections' has shape"),
+    ("a bit short", "index field 'projections' has shape"),
+    ("a point short of keys", r"index field 'table_keys' is uint64 of shape \(4, 299\)"),
+    ("signed keys", r"index field 'table_keys' is int64 of shape \(4, 300\)"),
+    ("a table short of ids", r"index field 'table_ids' is int32 of shape \(3, 300\)"),
+    ("ids that are not integers", r"index field 'table_ids' is float64 of shape"),
+    ("an id past the points", r"index field 'table_ids' holds ids outside 0\.\.299"),
+    ("a negative id", r"index field 'table_ids' holds ids outside 0\.\.299"),
+    ("unsorted keys", "index field 'table_keys' is not sorted within each table"),
+    ("float32 projections", "index field 'projections' is float32, expected float64"),
+    ("a NaN projection", "index field 'projections' holds non-finite values"),
+    ("a NaN scale", "index field 'scale' is nan, expected positive and finite"),
+    ("a negative scale", "index field 'scale' is -1.0, expected positive and finite"),
+    ("a key past its bits", "index field 'table_keys' holds keys of more than 6 bits"),
+    ("a duplicate id", r"index field 'table_ids' is not a permutation of 0\.\.299")]
+
+
+def _malformed_archive(case: str, tmp_path, key_dtype):
+    """The path of a 6-bit, 4-table index archive over 300 points, its keys
+    stored as ``key_dtype``, broken as ``case`` says."""
+    points, _ = _points(12, 300)
+    save_index(build_lsh_index(points, seed=0, params=LshParams(6, 4, 20)),
+               tmp_path / "index.npz")
+    with np.load(tmp_path / "index.npz") as data:
+        fields = {name: data[name].copy() for name in data.files}
+    assert fields["table_keys"].dtype == np.uint8
+    fields["table_keys"] = fields["table_keys"].astype(key_dtype)
+    keys, ids = fields["table_keys"], fields["table_ids"]
+    assert keys.shape == ids.shape == (4, 300) and (keys[1, 0] < keys[1, -1])
+    if case == "no scale":
+        del fields["scale"]
+    elif case == "more tables stated":
+        fields["tables"] = np.int64(5)
+    elif case == "projections of two dimensions":
+        fields["projections"] = fields["projections"][:, :, 0]
+    elif case == "a bit short":
+        fields["projections"] = fields["projections"][:, 1:]
+    elif case == "a point short of keys":
+        fields["table_keys"] = keys[:, 1:]
+    elif case == "signed keys":
+        fields["table_keys"] = keys.astype(np.int64)
+    elif case == "a table short of ids":
+        fields["table_ids"] = ids[1:]
+    elif case == "ids that are not integers":
+        fields["table_ids"] = ids + 0.5
+    elif case == "an id past the points":
+        ids[2, 7] = 10 ** 6
+    elif case == "a negative id":
+        ids[0, 0] = -1
+    elif case == "unsorted keys":
+        keys[1] = keys[1, ::-1]
+    elif case == "float32 projections":
+        fields["projections"] = fields["projections"].astype(np.float32)
+    elif case == "a NaN projection":
+        fields["projections"][2, 3, 4] = np.nan
+    elif case == "a NaN scale":
+        fields["scale"] = np.float64(np.nan)
+    elif case == "a negative scale":
+        fields["scale"] = np.float64(-1.0)
+    elif case == "a key past its bits":
+        keys[3, -1] = 64  # still sorted, but no 6-bit query reaches it
+    else:  # the set first in table 2 is gone from it, the next one listed twice
+        ids[2, 0] = ids[2, 1]
+    np.savez(tmp_path / "bad.npz", **fields)
+    return tmp_path / "bad.npz"
+
+
 class TestMips:
     def test_hash_key_checks_dimension(self):
         points, _ = _points(4, 10)
@@ -154,71 +224,20 @@ class TestMips:
         with pytest.raises(ValueError, match="unsupported index format version 2"):
             load_index(tmp_path / "v2.npz")
 
-    @pytest.mark.parametrize("case, message", [
-        ("no scale", "index archive has no field 'scale'"),
-        ("more tables stated", r"index field 'projections' has shape \(4, 6, 25\)"),
-        ("projections of two dimensions", "index field 'projections' has shape"),
-        ("a bit short", "index field 'projections' has shape"),
-        ("a point short of keys", r"index field 'table_keys' is uint64 of shape \(4, 299\)"),
-        ("signed keys", r"index field 'table_keys' is int64 of shape \(4, 300\)"),
-        ("a table short of ids", r"index field 'table_ids' is int32 of shape \(3, 300\)"),
-        ("ids that are not integers", r"index field 'table_ids' is float64 of shape"),
-        ("an id past the points", r"index field 'table_ids' holds ids outside 0\.\.299"),
-        ("a negative id", r"index field 'table_ids' holds ids outside 0\.\.299"),
-        ("unsorted keys", "index field 'table_keys' is not sorted within each table"),
-        ("float32 projections", "index field 'projections' is float32, expected float64"),
-        ("a NaN projection", "index field 'projections' holds non-finite values"),
-        ("a NaN scale", "index field 'scale' is nan, expected positive and finite"),
-        ("a negative scale", "index field 'scale' is -1.0, expected positive and finite"),
-        ("a key past its bits", "index field 'table_keys' holds keys of more than 6 bits"),
-        ("a duplicate id", r"index field 'table_ids' is not a permutation of 0\.\.299")])
+    @pytest.mark.parametrize("case, message", _MALFORMED)
     def test_load_index_rejects_a_malformed_archive(self, case, message, tmp_path):
         # unchecked, each of these archives loads and then fails at its
-        # first query or answers queries; one missing a field raises KeyError
-        points, _ = _points(12, 300)
-        save_index(build_lsh_index(points, seed=0, params=LshParams(6, 4, 20)),
-                   tmp_path / "index.npz")
-        with np.load(tmp_path / "index.npz") as data:
-            fields = {name: data[name].copy() for name in data.files}
-        keys, ids = fields["table_keys"], fields["table_ids"]
-        assert keys.shape == ids.shape == (4, 300) and (keys[1, 0] < keys[1, -1])
-        if case == "no scale":
-            del fields["scale"]
-        elif case == "more tables stated":
-            fields["tables"] = np.int64(5)
-        elif case == "projections of two dimensions":
-            fields["projections"] = fields["projections"][:, :, 0]
-        elif case == "a bit short":
-            fields["projections"] = fields["projections"][:, 1:]
-        elif case == "a point short of keys":
-            fields["table_keys"] = keys[:, 1:]
-        elif case == "signed keys":
-            fields["table_keys"] = keys.astype(np.int64)
-        elif case == "a table short of ids":
-            fields["table_ids"] = ids[1:]
-        elif case == "ids that are not integers":
-            fields["table_ids"] = ids + 0.5
-        elif case == "an id past the points":
-            ids[2, 7] = 10 ** 6
-        elif case == "a negative id":
-            ids[0, 0] = -1
-        elif case == "unsorted keys":
-            keys[1] = keys[1, ::-1]
-        elif case == "float32 projections":
-            fields["projections"] = fields["projections"].astype(np.float32)
-        elif case == "a NaN projection":
-            fields["projections"][2, 3, 4] = np.nan
-        elif case == "a NaN scale":
-            fields["scale"] = np.float64(np.nan)
-        elif case == "a negative scale":
-            fields["scale"] = np.float64(-1.0)
-        elif case == "a key past its bits":
-            keys[3, -1] = 64  # still sorted, but no 6-bit query reaches it
-        else:  # the set first in table 2 is gone from it, the next one listed twice
-            ids[2, 0] = ids[2, 1]
-        np.savez(tmp_path / "bad.npz", **fields)
+        # first query or answers queries; one missing a field raises KeyError.
+        # Their keys are uint64, as every archive stored them before the
+        # build kept keys in the narrowest dtype that holds ``bits``
         with pytest.raises(ValueError, match=message):
-            load_index(tmp_path / "bad.npz")
+            load_index(_malformed_archive(case, tmp_path, np.uint64))
+
+    @pytest.mark.parametrize("case, message", _MALFORMED)
+    def test_load_index_rejects_a_malformed_narrow_archive(self, case, message, tmp_path):
+        # the same archives with the 6-bit keys as save_index writes them now
+        with pytest.raises(ValueError, match=message.replace("uint64", "uint8")):
+            load_index(_malformed_archive(case, tmp_path, np.uint8))
 
     def test_engine_rejects_an_index_of_other_points(self):
         points, inst = _points(4, 10)

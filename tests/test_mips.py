@@ -81,6 +81,9 @@ class _SourceProbe:
     def __getattr__(self, name):
         return getattr(self._source, name)
 
+    def __getitem__(self, i):
+        return self._source[i]
+
     def set_sums(self, values, ids=None):
         self.set_sums_calls += ids is not None
         return self._source.set_sums(values, ids)
@@ -88,13 +91,14 @@ class _SourceProbe:
 
 class _PointsProbe:
     """Embedded-collection stand-in that counts rescoring calls
-    (``scores_at``); its ``source`` counts the sum gathers made outside
-    them."""
+    (``scores_at``) and lists each one's threshold and candidates; its
+    ``source`` counts the sum gathers made outside them."""
 
     def __init__(self, points):
         self._points = points
         self.source = _SourceProbe(points.source)
         self.scores_at_calls = 0
+        self.rescored: list[tuple[float, list]] = []
 
     def __len__(self):
         return len(self._points)
@@ -104,7 +108,23 @@ class _PointsProbe:
 
     def scores_at(self, q, ids):
         self.scores_at_calls += 1
+        self.rescored.append((q.threshold, ids.tolist()))
         return self._points.scores_at(q, ids)
+
+
+class _Thresholds:
+    """Engine wrapper that lists the thresholds a solve asks."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, []
+
+    @property
+    def points(self):
+        return self.inner.points
+
+    def query(self, threshold):
+        self.asked.append(threshold)
+        return self.inner.query(threshold)
 
 
 class _FreshEngine:
@@ -414,8 +434,12 @@ class TestIndex:
         inst, coll = generate_instance(GenSpec(n, num_sets=min(2**n - 1, 4500), seed=n))
         idx = build_lsh_index(embed_collection(coll, inst),
                               LshParams(bits, tables=3, scan_cap=9), seed=11)
+        # the digests were recorded with the keys stored as uint64; the
+        # build now keeps them in the narrowest dtype that holds ``bits``
+        assert idx.table_keys.dtype == np.dtype(
+            f"uint{next(w for w in (8, 16, 32, 64) if bits <= w)}")
         h = hashlib.sha256()
-        for a in (idx.projections, idx.table_keys, idx.table_ids):
+        for a in (idx.projections, idx.table_keys.astype(np.uint64), idx.table_ids):
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == _PINNED_INDEX_SHA256[n, bits]
@@ -517,6 +541,53 @@ class TestIndex:
         back = load_index(tmp_path / "old.npz")
         assert back.params == idx.params
         assert np.array_equal(back.table_keys, idx.table_keys)
+
+
+    @pytest.mark.parametrize("bits", [0, 6, 12, 17, 64])
+    def test_loads_archives_with_uint64_keys(self, tmp_path, bits):
+        # archives written before the build kept keys narrow store them as
+        # uint64: they load narrow, and they and an index handed uint64
+        # keys answer every query as the index saved
+        inst, coll = generate_instance(GenSpec(n=15, num_sets=300, seed=bits))
+        pts = embed_collection(coll, inst)
+        idx = build_lsh_index(pts, LshParams(bits, tables=5, scan_cap=12), seed=bits)
+        save_index(idx, tmp_path / "index.npz")
+        with np.load(tmp_path / "index.npz") as data:
+            fields = dict(data)
+        fields["table_keys"] = fields["table_keys"].astype(np.uint64)
+        np.savez_compressed(tmp_path / "old.npz", **fields)
+        back = load_index(tmp_path / "old.npz")
+        assert back.table_keys.dtype == idx.table_keys.dtype
+        assert idx.table_keys.itemsize < 8 or bits == 64
+        assert np.array_equal(back.table_keys, idx.table_keys)
+        wide = LshIndex(idx.params, idx.seed, idx.scale, idx.projections,
+                        idx.table_keys.astype(np.uint64), idx.table_ids, idx.num_points)
+        engines = [LshMips(index, pts, inst.weights) for index in (idx, back, wide)]
+        answers = [[engine.query(K) for engine in engines]
+                   for K in np.linspace(-0.5 * inst.p1, 1.5 * inst.p1, 61)]
+        assert all(a == row[0] for row in answers for a in row)
+        assert bits > 6 or sum(row[0] is not None for row in answers) > 10
+        # at more bits the queries' buckets are mostly empty: look up every
+        # stored key instead
+        for t in range(5):
+            for key in np.unique(idx.table_keys[t]).tolist():
+                want = idx.bucket(t, key).tolist()
+                assert want and back.bucket(t, key).tolist() == want
+                assert wide.bucket(t, key).tolist() == want
+
+    def test_bucket_takes_a_key_of_any_integer_type(self):
+        # 12-bit keys are stored as uint16; a key that type cannot hold
+        # finds nothing, where a cast would wrap it onto a stored key
+        inst, coll = generate_instance(GenSpec(n=20, num_sets=400, seed=0))
+        idx = build_lsh_index(embed_collection(coll, inst), LshParams(12, 2, 9), seed=0)
+        assert idx.table_keys.dtype == np.uint16
+        key = int(idx.table_keys[1, 0])
+        want = idx.bucket(1, idx.table_keys[1, 0]).tolist()
+        assert want and idx.table_ids[1, 0] in want
+        for same in (key, np.uint64(key), np.int64(key), np.uint8(key) if key < 256 else key):
+            assert idx.bucket(1, same).tolist() == want
+        for outside in (key + 2**16, np.uint64(key + 2**16), -1, np.int64(-1), 2**64):
+            assert idx.bucket(1, outside).size == 0
 
 
 class TestQueryLsh:
@@ -668,6 +739,53 @@ class TestQueryLsh:
                                             inst.weights).query(K)
             assert probe.keys == [] and pts.scores_at_calls == 1
         assert pts.source.set_sums_calls == 1  # the candidates' sums, taken once
+
+    @pytest.mark.parametrize("bits", [3, 6, 12])
+    def test_solves_reach_the_tracers_hooks(self, bits):
+        # the benchmark times bucket lookups and rescoring by wrapping the
+        # index and points an engine is built from, as the probes here do: a
+        # hashed solve must look up one bucket per probed table, in order
+        # until scan_cap ids are retrieved, and rescore each new key
+        # vector's candidates once
+        tables, cap = 6, 20
+        lookups = rescores = repeats = 0
+        for seed in range(3):
+            inst, coll = generate_instance(GenSpec(30, num_sets=2000, price_range=(0, 1),
+                                                   seed=seed))
+            inst = normalize(inst)
+            pts = embed_collection(coll, inst)
+            idx = build_lsh_index(pts, LshParams(bits, tables, cap), seed=seed)
+            traced = _IndexProbe(idx), _PointsProbe(pts)
+            for solve in (lambda lsh: assort_mnl_approx(coll, inst, 0.05, 0.01, lsh=lsh),
+                          lambda lsh: assort_mnl_approx_simple(coll, inst, 1e-4, lsh=lsh)):
+                traced[0].keys.clear()
+                traced[1].rescored.clear()
+                engine = _Thresholds(LshMips(*traced, inst.weights))
+                solve(engine)
+                a = idx.projections[:, :, :pts.n] @ inst.weights
+                b = idx.projections[:, :, pts.n:2 * pts.n] @ inst.weights
+                want_lookups, want_rescored, seen = [], [], set()
+                for K in engine.asked:
+                    signs = a - K * b >= 0.0
+                    if signs.tobytes() in seen:
+                        continue
+                    seen.add(signs.tobytes())
+                    retrieved = []
+                    for t in range(tables):
+                        key = sum(1 << int(j) for j in np.flatnonzero(signs[t]))
+                        ids = idx.bucket(t, key).tolist()
+                        want_lookups.append((t, key))
+                        retrieved += ids[:cap - len(retrieved)]
+                        if len(retrieved) >= cap:
+                            break
+                    if retrieved:
+                        want_rescored.append((K, list(dict.fromkeys(retrieved))))
+                assert traced[0].keys == want_lookups
+                assert traced[1].rescored == want_rescored
+                lookups += len(want_lookups)
+                rescores += len(want_rescored)
+                repeats += len(engine.asked) - len(seen)
+        assert lookups > rescores > 0 and repeats > 0
 
     def test_engines_keep_their_weights_when_the_caller_overwrites_them(self):
         # each threshold is asked before and after the caller overwrites the

@@ -1,17 +1,20 @@
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
 
-from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
-                       LshMips, assort_mnl, assort_mnl_approx,
+from assortmax import (Assortment, AssortmentCollection, ExactMips, GenSpec, Instance,
+                       LshMips, LshParams, assort_mnl, assort_mnl_approx,
                        assort_mnl_approx_simple, assort_mnl_bz,
                        assort_mnl_capacitated, approx_iteration_bound,
                        brute_force_capacitated, build_lsh_index,
                        embed_collection, exhaustive_search,
                        generate_instance, normalize, revenue)
 from assortmax.solvers import compare_step_general
+
+from conftest import random_instance
 
 
 def exact_engine(collection, inst):
@@ -320,3 +323,73 @@ def test_scaling_weights_and_v0_together_changes_no_answer(algo):
         a, b = solve(inst, coll), solve(scaled, coll)
         assert (a.assortment, a.revenue, a.revenue_interval, a.iterations, a.estimate) == (
             b.assortment, b.revenue, b.revenue_interval, b.iterations, b.estimate)
+
+
+# sha256 over repr((lower, upper, sorted best items, iteration)) of every
+# on_iteration state, then repr((sorted items, revenue, revenue_interval,
+# iterations)) of the result, of each solve in _WITNESS_SOLVES in name
+# order, recorded while a solve still built an Assortment for every "yes"
+_PINNED_STATES_SHA256 = (
+    "6c179b09e2e24b23d873d5c1896e920e9ba63a93adc74395c9b919ba8455c3f0")
+
+
+def _witness_cases():
+    """A collection instance with its points and a hashed index over them,
+    and a 20,000-item instance with four blocks, for _WITNESS_SOLVES."""
+    inst, coll = generate_instance(GenSpec(30, num_sets=2000, price_range=(0, 1), seed=4))
+    points = embed_collection(coll, inst)
+    rng = np.random.default_rng(23)
+    cap = random_instance(rng, 20_000, price_hi=1000.0)
+    blocks = np.array_split(rng.permutation(cap.n) + 1, 4)
+    return inst, coll, points, build_lsh_index(points, LshParams(6, 8, 24), seed=4), cap, blocks
+
+
+# Every kind of bisection; "settled" ends on a "yes" that only the top 2C
+# items by price read, so its answer is read in full after the loop.
+_WITNESS_SOLVES = {
+    "exact": lambda c, cb: assort_mnl(c[1], c[0], 1e-4, on_iteration=cb),
+    "approx_simple": lambda c, cb: assort_mnl_approx_simple(
+        c[1], c[0], 1e-4, lsh=LshMips(c[3], c[2], c[0].weights), on_iteration=cb),
+    "approx": lambda c, cb: assort_mnl_approx(
+        c[1], c[0], 0.05, 0.01, params=LshParams(6, 8, 24), seed=4, on_iteration=cb),
+    "topc": lambda c, cb: assort_mnl_capacitated(c[4], 50, 0.1, on_iteration=cb),
+    "settled": lambda c, cb: assort_mnl_capacitated(c[4], 50, c[4].p1 / 8, on_iteration=cb),
+    "lb": lambda c, cb: assort_mnl_capacitated(c[4], 50, 0.1, "lb", c_min=10,
+                                               on_iteration=cb),
+    "partitioned": lambda c, cb: assort_mnl_capacitated(
+        c[4], None, 0.1, "partitioned", blocks=c[5], caps=[20, 5, 15, 10], on_iteration=cb),
+}
+
+
+class TestOneWitness:
+    """A solve carries its witnesses as set ids or item arrays and builds
+    the one Assortment it returns after its loop."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _witness_cases()
+
+    @pytest.mark.parametrize("name", sorted(_WITNESS_SOLVES))
+    def test_a_solve_builds_one_assortment(self, name, cases, monkeypatch):
+        built = []
+        make = Assortment.__post_init__
+        monkeypatch.setattr(Assortment, "__post_init__",
+                            lambda self: built.append(1) or make(self))
+        res = _WITNESS_SOLVES[name](cases, None)
+        assert len(built) == 1 and res.iterations >= 3
+        # with on_iteration, one more for each state
+        built.clear()
+        states = []
+        _WITNESS_SOLVES[name](cases, states.append)
+        assert len(built) == len(states) + 1 == res.iterations + 1
+
+    def test_states_and_answers_are_pinned(self, cases):
+        h = hashlib.sha256()
+        for name in sorted(_WITNESS_SOLVES):
+            states = []
+            res = _WITNESS_SOLVES[name](cases, states.append)
+            for s in states:
+                h.update(repr((s.lower, s.upper, sorted(s.best.items), s.iteration)).encode())
+            h.update(repr((sorted(res.assortment.items), res.revenue, res.revenue_interval,
+                           res.iterations)).encode())
+        assert h.hexdigest() == _PINNED_STATES_SHA256
