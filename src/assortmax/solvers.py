@@ -115,10 +115,11 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
     for all, cap, c_min) per block, and ``by_position`` their
     :func:`_by_position`, taken here when None.
 
-    A solve first asks :func:`_prefix_witness`, which reads only the top
-    t = 2k items by price, k the sum of the caps, and answers "yes" when
-    their selection proves that this comparison would.  The margins w_i are
-    the same floats in both reads, and all positive where they are summed.
+    A solve asking one K at a time first asks :func:`_prefix_witness`,
+    which reads only the top t = 2k items by price, k the sum of the caps,
+    and answers "yes" when their selection proves that this comparison
+    would.  The margins w_i are the same floats in both reads, and all
+    positive where they are summed.
     A block's top cap positive margins among t items sum to no more than
     its top cap among the m > t items priced above K, so the real sums obey
     R_t <= R_m.  Each sum adds at most k terms, in any order, so with u =
@@ -159,7 +160,7 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
     return bool(K <= total / inst.v0), items
 
 
-_SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the prefix's quotients normal
+_SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the bounds' quotients normal
 
 
 def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
@@ -167,13 +168,23 @@ def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
     """A witness, as 0-based items, read from the top 2k items by price
     alone, k the sum of the caps, that proves :func:`_compare_items` would
     answer "yes" at K; None when they prove nothing, or when no more than
-    2k items are priced above K, so the full read is no larger.  A block
-    reads its items among them in ascending order; the accept margin is
-    derived in :func:`_compare_items`."""
+    2k items are priced above K, so the full read is no larger.  The
+    accept margin is derived in :func:`_compare_items`."""
     k = sum(cap for _, cap, _ in blocks)
-    top = 2 * k
-    if not K >= _SMALLEST_K or _priced_above(inst, K) <= top:
+    if not K >= _SMALLEST_K or _priced_above(inst, K) <= 2 * k:
         return None
+    chosen = _prefix_select(inst, blocks, K, by_position, 2 * k)
+    if chosen is None or not K <= chosen[1] / inst.v0 * (1.0 - (k + 2) * 2.0 ** -50) < math.inf:
+        return None
+    return chosen[0]  # K > 0, so some block selected items
+
+
+def _prefix_select(inst: Instance, blocks: Sequence[tuple], K: float,
+                   by_position: Sequence[tuple], top: int) -> tuple[np.ndarray, float] | None:
+    """Per block, the up to cap largest positive margins among its items in
+    the top ``top`` by price, read in ascending order: their 0-based items
+    and the float total of their margins; None when a block has fewer than
+    its c_min positive ones there."""
     chosen, total = [], 0.0
     for (items, cap, lo), (_, ascending) in zip(blocks, by_position):
         ids = slice(top) if items is None else ascending[:ascending.searchsorted(top)]
@@ -183,9 +194,84 @@ def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
             return None
         chosen.append(sel if items is None else ids[sel])
         total += float(w[sel].sum())
-    if not K <= total / inst.v0 * (1.0 - (k + 2) * 2.0 ** -50) < math.inf:
-        return None
-    return np.concatenate(chosen)  # K > 0, so some block selected items
+    return (np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)), total
+
+
+def _certificate(inst: Instance, blocks: Sequence[tuple],
+                 by_position: Sequence[tuple]) -> tuple[float, float, np.ndarray | None]:
+    """(K_lo, K_hi, witness): :func:`_compare_items` answers "yes" at every
+    K <= K_lo and "no" at every K >= K_hi; the witness, as 0-based items
+    (None when no set earns more than 0), is the best set found.
+
+    Dinkelbach's iteration (Dinkelbach 1967, Management Science 13(7))
+    takes the selection S at K, then K = R(S), until R(S) <= K.  It is
+    Newton's method on the convex, falling max_S [A - K (v0 + B)], so it
+    ends at the optimum R* in a few selections: first those of
+    :func:`_prefix_select` over the top 2k items by price, k the sum of the
+    caps, then those of :func:`_compare_items` over the whole catalog.
+
+    The bounds hold for the full read's float answer K <= fl(T / v0), T the
+    float sum of the selected margins w_i = fl(v_i fl(p_i - K)).  No w_i
+    rises with K, so neither does W, the real sum of the selected w_i and
+    the largest such sum over the feasible sets, nor P, that of the
+    selected positive ones.  T adds at most k terms, so with N = P - W, the
+    size of the top-up's part, |T - W| <= gamma_k (P + N) (Higham 2002,
+    sec. 4.2), gamma_k and u as in :func:`_compare_items`; below,
+    s = 1 - 8(k + 2) u and h = 1 + 8(k + 2) u.
+
+    K_lo lies just below the witness's revenue; P* and N* are the float
+    sums of the witness's positive margins at K_lo and of the sizes of its
+    negative ones.  At K <= K_lo the witness's margins are no smaller, and
+    a top-up takes the largest non-positive margins, no more of them than
+    the witness holds, so T >= (1 - gamma_k) W - 2 gamma_k N >=
+    P* (1 - gamma_k) / (1 + gamma_k) - N* (1 + gamma_k) / (1 - gamma_k).
+    K_lo passes K_lo <= fl(fl(fl(P* s) - fl(N* h)) / v0) s) < inf, which
+    puts that bound at K_lo v0 / (1 - u) or more, so fl(T / v0) >= K_lo.
+
+    K_hi: at every K >= K_T, the last K, T <= (1 - gamma_k) W + 2 gamma_k P
+    is at most its value at K_T, <= P_T (1 + gamma_k) / (1 - gamma_k) -
+    N_T (1 - gamma_k) / (1 + gamma_k) with P_T and N_T the float sums of
+    the full read's selection at K_T, so fl(T / v0) < fl(fl(fl(P_T h) -
+    fl(N_T s)) / v0) h).  K_hi is the largest of that, K_T and
+    :data:`_SMALLEST_K`, which keeps each quotient normal or below K.  A
+    bound that proves nothing is -inf or inf.
+    """
+    k = sum(cap for _, cap, _ in blocks)
+
+    def prefix(K: float) -> np.ndarray | None:
+        chosen = _prefix_select(inst, blocks, K, by_position, 2 * k)
+        return None if chosen is None else chosen[0]
+
+    K, best = 0.0, None
+    for select in (prefix, lambda K: _compare_items(inst, blocks, K, by_position)[1]):
+        while (items := select(K)) is not None:
+            r = _revenue_of(inst, items)
+            if not r > K:
+                break
+            K, best = r, items
+    # items is now the full read's selection at K
+    s, h = 1.0 - (k + 2) * 2.0 ** -50, 1.0 + (k + 2) * 2.0 ** -50
+    K_lo = -math.inf
+    if best is not None:
+        below = K * (1.0 - (k + 2) * 2.0 ** -46)
+        P, N = _signed_sums(inst, best, below)
+        if _SMALLEST_K <= below <= (P * s - N * h) / inst.v0 * s < math.inf:
+            K_lo = below
+    P, N = _signed_sums(inst, items, K)
+    return K_lo, max((P * h - N * s) / inst.v0 * h, K, _SMALLEST_K), best
+
+
+def _signed_sums(inst: Instance, items: np.ndarray, K: float) -> tuple[float, float]:
+    """Float sums of the positive margins of 0-based ``items`` at K and of
+    the sizes of their negative ones."""
+    w = inst.weights[items] * (inst.prices[items] - K)
+    return float(w[w > 0].sum()), -float(w[w < 0].sum())
+
+
+def _revenue_of(inst: Instance, items: np.ndarray) -> float:
+    """A / (v0 + B) of 0-based ``items``, summed in any order."""
+    v = inst.weights[items]
+    return float(inst.prices[items] @ v) / (inst.v0 + float(v.sum()))
 
 
 def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
@@ -276,7 +362,8 @@ def _build_items(witness: tuple) -> Assortment:
 
 
 def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
-                      by_position: Sequence[tuple]) -> tuple[StepFn, BuildFn]:
+                      by_position: Sequence[tuple],
+                      certify: bool) -> tuple[StepFn, BuildFn]:
     """The bisection step of one capacity-style solve, and the build of the
     set it returns; a step's witness is that of :func:`_build_items`.  A
     step takes the prefix's witness when :func:`_prefix_witness` proves
@@ -284,7 +371,11 @@ def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
     fall as K rises while K v0 rises, so once it proves nothing at some K,
     it is not asked again at any K at least as high.  When the last "yes"
     came from the prefix, ``finish`` reads that comparison in full, so the
-    solve returns the witness that reading every comparison in full would."""
+    solve returns the witness that reading every comparison in full would.
+
+    With ``certify``, the first step computes :func:`_certificate`, and a
+    step answers every K <= K_lo "yes", with no items, and every K >= K_hi
+    "no"; only a K between them is asked as above."""
     failed = math.inf  # the least threshold at which the prefix proved nothing
 
     def step(K: float):
@@ -297,11 +388,21 @@ def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
         exists, items = _compare_items(inst, blocks, K, by_position)
         return (K, (items, None)) if exists else None
 
+    bounds = None
+
+    def certified(K: float):
+        nonlocal bounds
+        if bounds is None:
+            bounds = _certificate(inst, blocks, by_position)[:2]
+        if K <= bounds[0]:
+            return K, (None, K)
+        return None if K >= bounds[1] else step(K)
+
     def finish(witness: tuple) -> Assortment:
         early = witness[1]
         return (_build_items(witness) if early is None
                 else _compare_blocks(inst, blocks, early, by_position)[1])
-    return step, finish
+    return (certified if certify else step), finish
 
 
 def _bisect(inst: Instance, start: object, step: StepFn, eps: float, build: BuildFn,
@@ -390,7 +491,10 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
         start = np.empty(0, dtype=np.int64)  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    step, finish = _capacitated_step(inst, spec, by_position)
+    # The one fork: a state given to on_iteration needs the witness at its
+    # own K, so a solve with the callback asks every K as its own step; one
+    # without decides the bisection from _certificate.
+    step, finish = _capacitated_step(inst, spec, by_position, on_iteration is None)
     return _bisect(inst, (start, None), step, eps, _build_items, on_iteration, finish)
 
 

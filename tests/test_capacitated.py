@@ -644,3 +644,155 @@ class TestZeroCapBlocks:
                 got = compare_step_partitioned(K, inst, blocks, caps)
                 assert 0 not in selected and len(selected) == np.count_nonzero(caps)
                 assert got == full_margin_compare(inst, spec, K)
+
+
+def solve_spec(inst, C, variant, c_min=0, blocks=None, caps=None):
+    """The comparison blocks and their positions, as a solve of ``variant``
+    builds them."""
+    if variant == "partitioned":
+        return solvers._partitioned_compare(inst, blocks, caps)
+    spec = [(None, C, c_min if variant == "lb" else 0)]
+    return spec, solvers._by_position(spec, inst.n)
+
+
+def record_certificates(monkeypatch):
+    """Patch the certificate to list each (K_lo, K_hi, witness) it returns."""
+    made, certificate = [], solvers._certificate
+    monkeypatch.setattr(solvers, "_certificate",
+                        lambda *args: made.append(certificate(*args)) or made[-1])
+    return made
+
+
+def _thresholds(inst, states):
+    """The threshold each state's comparison was asked at."""
+    brackets = [(0.0, inst.p1)] + [(s.lower, s.upper) for s in states]
+    return [0.5 * (lo + hi) for lo, hi in brackets[:-1]]
+
+
+class TestCertifiedBracket:
+    """A solve with no on_iteration decides its bisection from the bounds of
+    Dinkelbach's optimum: every K <= K_lo is "yes", every K >= K_hi "no"."""
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_certificate_is_the_brute_force_optimum(self, variant):
+        # about criterion 3's shapes: n = 4..15, C = 2..5 with c_min = 1..C,
+        # or three blocks of consecutive items with caps 1..2
+        rng = np.random.default_rng({"topc": 70, "lb": 71, "partitioned": 72}[variant])
+        for _ in range(60):
+            n = int(rng.integers(4, 16))
+            inst = random_instance(rng, n)
+            C = int(rng.integers(2, min(n, 5) + 1))
+            c_min = int(rng.integers(1, C + 1))
+            blocks = [b.tolist() for b in np.array_split(np.arange(1, n + 1), 3)]
+            caps = [int(rng.integers(1, 3)) for _ in blocks]
+            if variant == "topc":
+                opt, size = brute_force_capacitated(inst, C).revenue, (0, C)
+            elif variant == "lb":
+                opt, size = brute_force_size_range(inst, c_min, C)[0], (c_min, C)
+            else:
+                opt, size = brute_force_blocks(inst, blocks, caps)[0], None
+            spec, by_position = solve_spec(inst, C, variant, c_min, blocks, caps)
+            K_lo, K_hi, items = solvers._certificate(inst, spec, by_position)
+            witness = Assortment(items + 1)
+            if size is None:
+                assert _feasible(witness, None, 0, blocks, caps)
+            else:
+                assert _feasible(witness, size[1], size[0], None, None)
+            assert revenue(witness, inst) == pytest.approx(opt, rel=1e-13)
+            assert opt * (1 - 1e-12) <= K_lo < K_hi <= opt * (1 + 1e-12)
+            # the bounds are what the full read answers at them
+            assert solvers._compare_items(inst, spec, K_lo, by_position)[0] is True
+            assert solvers._compare_items(inst, spec, K_hi, by_position)[0] is False
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_solve_brackets_contain_the_certificate_at_scale(self, variant, monkeypatch):
+        made = record_certificates(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, 100_000, price_hi=1000.0)
+            blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
+            made.clear()
+            res = assort_mnl_capacitated(inst, None if variant == "partitioned" else 50,
+                                         0.1, variant, c_min=10, blocks=blocks,
+                                         caps=[20, 5, 15, 10])
+            (K_lo, K_hi, items), = made
+            lower, upper = res.revenue_interval
+            assert lower <= K_lo < K_hi <= upper
+            assert res.revenue >= K_lo - 0.1
+            assert K_hi - K_lo <= 1e-9 * K_lo
+            assert revenue(Assortment(items + 1), inst) >= K_lo
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_certified_answers_equal_full_reads(self, variant, monkeypatch):
+        # the reference asks every K as its own step, read in full
+        rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
+        made, hit = record_certificates(monkeypatch), set()
+        for _ in range(300):
+            inst, args, kwargs, _ = hostile_case(rng, variant)
+            made.clear()
+            res = assort_mnl_capacitated(inst, *args, **kwargs)
+            with monkeypatch.context() as full:
+                full.setattr(solvers, "_prefix_witness", lambda *args: None)
+                states = []
+                want = assort_mnl_capacitated(inst, *args, on_iteration=states.append,
+                                              **kwargs)
+            assert _answer(res) == _answer(want)
+            assert len(made) == (want.iterations > 0)
+            if not made:
+                continue
+            K_lo, K_hi, items = made[0]
+            optimum = -1.0 if items is None else revenue(Assortment(items + 1), inst)
+            for K in _thresholds(inst, states):
+                hit.add("certified yes" if K <= K_lo else
+                        "certified no" if K >= K_hi else "in-band read")
+                hit |= {"K on R*"} if K == optimum else set()
+                hit |= {"K on a price"} if K in inst.prices else set()
+        assert hit == {"certified yes", "certified no", "in-band read", "K on R*",
+                       "K on a price"}
+
+    def test_reads_count_the_certificate_and_one_settling_read(self, monkeypatch):
+        # the margins each selection hands to _largest, as the per-step test
+        # counts them: three from the top 2C items, two full reads, then the
+        # settling read at the last "yes"; with on_iteration the same solves
+        # read 4,340 margins each
+        inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
+        reads, largest = [], solvers._largest
+
+        def counted_largest(w, idx, k):
+            if not any(w is seen for seen in reads):
+                reads.append(w)
+            return largest(w, idx, k)
+
+        monkeypatch.setattr(solvers, "_largest", counted_largest)
+        for variant, c_min in [("topc", 0), ("lb", 10)]:
+            reads.clear()
+            res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min)
+            assert res.iterations == 14
+            assert [w.size for w in reads] == [100, 100, 100, 530, 503, 505]  # 1,838
+
+    def test_wall_time_covers_the_certificate(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
+        compare, calls = solvers._compare_items, []
+        made = record_certificates(monkeypatch)
+
+        def slow_compare(*args):
+            calls.append(len(made))
+            time.sleep(0.02)
+            return compare(*args)
+
+        monkeypatch.setattr(solvers, "_compare_items", slow_compare)
+        res = assort_mnl_capacitated(inst, 50, 0.1)
+        # every read but the settling one is the certificate's, before it returns
+        assert len(made) == 1 and calls.count(0) == len(calls) - 1 >= 1
+        assert res.wall_time >= 0.02 * len(calls)
+
+    def test_no_comparison_computes_no_certificate(self, monkeypatch):
+        made = record_certificates(monkeypatch)
+        inst = random_instance(np.random.default_rng(4), 50)
+        for eps in (inst.p1, 2 * inst.p1):
+            assert assort_mnl_capacitated(inst, 5, eps).iterations == 0
+        free = Instance(np.zeros(4), np.ones(4), 1.0)  # p1 = 0
+        assert assort_mnl_capacitated(free, 2, 0.1, "lb", c_min=1).iterations == 0
+        assert made == []
+        assert assort_mnl_capacitated(inst, 5, 0.99 * inst.p1).iterations == 1
+        assert len(made) == 1
