@@ -114,31 +114,6 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
     than its c_min are positive.  ``blocks`` holds (0-based items or None
     for all, cap, c_min) per block, and ``by_position`` their
     :func:`_by_position`, taken here when None.
-
-    A solve asking one K at a time first asks :func:`_prefix_witness`,
-    which reads only the top t = 2k items by price, k the sum of the caps,
-    and answers "yes" when their selection proves that this comparison
-    would.  The margins w_i are the same floats in both reads, and all
-    positive where they are summed.
-    A block's top cap positive margins among t items sum to no more than
-    its top cap among the m > t items priced above K, so the real sums obey
-    R_t <= R_m.  Each sum adds at most k terms, in any order, so with u =
-    2^-53 and gamma_k = k u / (1 - k u) its float lies within gamma_k of
-    the real one (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, sec. 4.2): T_t <= R_t (1 + gamma_k) and T_m >= R_m (1 - gamma_k).
-    The prefix accepts when K <= fl(fl(T_t / v0) s) with s = 1 - 8(k + 2) u,
-    so T_t / v0 >= K / (s (1 + u)^2), and then
-    fl(T_m / v0) >= (T_m / v0)(1 - u) >= K (1 - gamma_k)(1 - u) /
-    ((1 + gamma_k) s (1 + u)^2) >= K, since the factor there is at least
-    (1 - 2 gamma_k - 3 u) / s >= (1 - 4 k u - 3 u) / s > 1, also after s is
-    rounded: the full read's test K <= total / v0 holds too.  The bounds
-    are relative, so the prefix asks for a finite quotient, which excludes
-    overflow, and for K at least 4 times float64's smallest normal, which
-    keeps both quotients normal.  A block with fewer than its c_min
-    positives among the t items proves nothing; one with c_min or more has
-    as many among the m, so the full read would need no top-up either.
-    The real sum of the prefix's witness exceeds K v0, so its revenue
-    exceeds K.
     """
     if by_position is None:
         by_position = _by_position(blocks, inst.n)
@@ -163,29 +138,12 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
 _SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the bounds' quotients normal
 
 
-def _prefix_witness(inst: Instance, blocks: Sequence[tuple], K: float,
-                    by_position: Sequence[tuple]) -> np.ndarray | None:
-    """A witness, as 0-based items, read from the top 2k items by price
-    alone, k the sum of the caps, that proves :func:`_compare_items` would
-    answer "yes" at K; None when they prove nothing, or when no more than
-    2k items are priced above K, so the full read is no larger.  The
-    accept margin is derived in :func:`_compare_items`."""
-    k = sum(cap for _, cap, _ in blocks)
-    if not K >= _SMALLEST_K or _priced_above(inst, K) <= 2 * k:
-        return None
-    chosen = _prefix_select(inst, blocks, K, by_position, 2 * k)
-    if chosen is None or not K <= chosen[1] / inst.v0 * (1.0 - (k + 2) * 2.0 ** -50) < math.inf:
-        return None
-    return chosen[0]  # K > 0, so some block selected items
-
-
 def _prefix_select(inst: Instance, blocks: Sequence[tuple], K: float,
-                   by_position: Sequence[tuple], top: int) -> tuple[np.ndarray, float] | None:
+                   by_position: Sequence[tuple], top: int) -> np.ndarray | None:
     """Per block, the up to cap largest positive margins among its items in
-    the top ``top`` by price, read in ascending order: their 0-based items
-    and the float total of their margins; None when a block has fewer than
-    its c_min positive ones there."""
-    chosen, total = [], 0.0
+    the top ``top`` by price, read in ascending order, as 0-based items;
+    None when a block has fewer than its c_min positive ones there."""
+    chosen = []
     for (items, cap, lo), (_, ascending) in zip(blocks, by_position):
         ids = slice(top) if items is None else ascending[:ascending.searchsorted(top)]
         w = inst.weights[ids] * (inst.prices[ids] - K)
@@ -193,8 +151,7 @@ def _prefix_select(inst: Instance, blocks: Sequence[tuple], K: float,
         if sel.size < lo:
             return None
         chosen.append(sel if items is None else ids[sel])
-        total += float(w[sel].sum())
-    return (np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)), total
+    return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
 
 
 def _certificate(inst: Instance, blocks: Sequence[tuple],
@@ -215,8 +172,10 @@ def _certificate(inst: Instance, blocks: Sequence[tuple],
     rises with K, so neither does W, the real sum of the selected w_i and
     the largest such sum over the feasible sets, nor P, that of the
     selected positive ones.  T adds at most k terms, so with N = P - W, the
-    size of the top-up's part, |T - W| <= gamma_k (P + N) (Higham 2002,
-    sec. 4.2), gamma_k and u as in :func:`_compare_items`; below,
+    size of the top-up's part, |T - W| <= gamma_k (P + N), with u = 2^-53
+    and gamma_k = k u / (1 - k u), since a float sum of at most k terms, in
+    any order, lies within gamma_k of the real one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 4.2); below,
     s = 1 - 8(k + 2) u and h = 1 + 8(k + 2) u.
 
     K_lo lies just below the witness's revenue; P* and N* are the float
@@ -237,13 +196,9 @@ def _certificate(inst: Instance, blocks: Sequence[tuple],
     bound that proves nothing is -inf or inf.
     """
     k = sum(cap for _, cap, _ in blocks)
-
-    def prefix(K: float) -> np.ndarray | None:
-        chosen = _prefix_select(inst, blocks, K, by_position, 2 * k)
-        return None if chosen is None else chosen[0]
-
     K, best = 0.0, None
-    for select in (prefix, lambda K: _compare_items(inst, blocks, K, by_position)[1]):
+    for select in (lambda K: _prefix_select(inst, blocks, K, by_position, 2 * k),
+                   lambda K: _compare_items(inst, blocks, K, by_position)[1]):
         while (items := select(K)) is not None:
             r = _revenue_of(inst, items)
             if not r > K:
@@ -355,72 +310,44 @@ def _set_builder(collection: AssortmentCollection, mips: MipsOracle) -> BuildFn:
     return lambda set_id: collection[0] if set_id is None else source[set_id]
 
 
-def _build_items(witness: tuple) -> Assortment:
-    """The set of a capacity-style witness: (0-based items, the threshold
-    when only the prefix read it, else None)."""
-    return Assortment(witness[0] + 1)
-
-
 def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
-                      by_position: Sequence[tuple],
-                      certify: bool) -> tuple[StepFn, BuildFn]:
+                      by_position: Sequence[tuple], start: np.ndarray) -> tuple[StepFn, BuildFn]:
     """The bisection step of one capacity-style solve, and the build of the
-    set it returns; a step's witness is that of :func:`_build_items`.  A
-    step takes the prefix's witness when :func:`_prefix_witness` proves
-    "yes", and reads the comparison in full otherwise.  The prefix's margins
-    fall as K rises while K v0 rises, so once it proves nothing at some K,
-    it is not asked again at any K at least as high.  When the last "yes"
-    came from the prefix, ``finish`` reads that comparison in full, so the
-    solve returns the witness that reading every comparison in full would.
-
-    With ``certify``, the first step computes :func:`_certificate`, and a
-    step answers every K <= K_lo "yes", with no items, and every K >= K_hi
-    "no"; only a K between them is asked as above."""
-    failed = math.inf  # the least threshold at which the prefix proved nothing
-
-    def step(K: float):
-        nonlocal failed
-        if K < failed:
-            items = _prefix_witness(inst, blocks, K, by_position)
-            if items is not None:
-                return K, (items, K)
-            failed = K
-        exists, items = _compare_items(inst, blocks, K, by_position)
-        return (K, (items, None)) if exists else None
-
+    set a witness stands for.  The first step computes :func:`_certificate`;
+    a step answers every K <= K_lo "yes" and every K >= K_hi "no", and reads
+    a K between them in full.  A witness is the threshold of its "yes", and
+    its set the full read's selection there; the start, the witness None,
+    is the 0-based items ``start``."""
     bounds = None
 
-    def certified(K: float):
+    def step(K: float):
         nonlocal bounds
         if bounds is None:
             bounds = _certificate(inst, blocks, by_position)[:2]
-        if K <= bounds[0]:
-            return K, (None, K)
-        return None if K >= bounds[1] else step(K)
+        if K <= bounds[0] or (K < bounds[1] and _compare_items(inst, blocks, K, by_position)[0]):
+            return K, K
+        return None
 
-    def finish(witness: tuple) -> Assortment:
-        early = witness[1]
-        return (_build_items(witness) if early is None
-                else _compare_blocks(inst, blocks, early, by_position)[1])
-    return (certified if certify else step), finish
+    def build(K: float | None) -> Assortment:
+        return (Assortment(start + 1) if K is None
+                else _compare_blocks(inst, blocks, K, by_position)[1])
+    return step, build
 
 
-def _bisect(inst: Instance, start: object, step: StepFn, eps: float, build: BuildFn,
-            on_iteration: Callable[[SearchState], None] | None = None,
-            finish: BuildFn | None = None) -> SolverResult:
+def _bisect(inst: Instance, step: StepFn, eps: float, build: BuildFn,
+            on_iteration: Callable[[SearchState], None] | None = None) -> SolverResult:
     """The one search loop: halve [0, p1] until it is within eps.
 
-    ``start`` and each raised bound's witness are carried in the solve's
-    own form; ``start`` must stand for a feasible set, and is returned when
-    no comparison succeeds.  ``build`` makes the set a witness stands for,
-    for each state given to ``on_iteration``; ``finish`` (``build`` when
-    None) makes the one set the solve returns, after the loop and within
-    the timing.
+    Each raised bound's witness is carried in the solve's own form, and the
+    witness None stands for the start, a feasible set returned when no
+    comparison succeeds.  ``build`` makes the set a witness stands for: one
+    for each state given to ``on_iteration``, and the one the solve returns,
+    after the loop and within the timing.
     """
     if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     lower, upper = 0.0, inst.p1
-    best = start
+    best = None
     iteration = 0
     t0 = time.perf_counter()
     while upper - lower > eps:
@@ -433,7 +360,7 @@ def _bisect(inst: Instance, start: object, step: StepFn, eps: float, build: Buil
         iteration += 1
         if on_iteration is not None:
             on_iteration(SearchState(lower, upper, build(best), iteration))
-    chosen = (finish or build)(best)
+    chosen = build(best)
     wall = time.perf_counter() - t0
     return SolverResult(chosen, revenue(chosen, inst), (lower, upper), iteration, wall)
 
@@ -458,7 +385,7 @@ def assort_mnl(collection: AssortmentCollection, inst: Instance, eps: float,
     if mips is None:
         mips = ExactMips(embed_collection(collection, inst), inst.weights)
     _check_embeds(mips, inst, "inst")
-    return _bisect(inst, None, _general_step(mips, inst), eps,
+    return _bisect(inst, _general_step(mips, inst), eps,
                    _set_builder(collection, mips), on_iteration)
 
 
@@ -491,11 +418,8 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
         start = np.empty(0, dtype=np.int64)  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    # The one fork: a state given to on_iteration needs the witness at its
-    # own K, so a solve with the callback asks every K as its own step; one
-    # without decides the bisection from _certificate.
-    step, finish = _capacitated_step(inst, spec, by_position, on_iteration is None)
-    return _bisect(inst, (start, None), step, eps, _build_items, on_iteration, finish)
+    step, build = _capacitated_step(inst, spec, by_position, start)
+    return _bisect(inst, step, eps, build, on_iteration)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,
@@ -566,6 +490,6 @@ def assort_mnl_approx(collection: AssortmentCollection, inst: Instance,
 
     report = None if on_iteration is None else (lambda st: on_iteration(
         replace(st, lower=st.lower * scale, upper=st.upper * scale)))
-    res = _bisect(norm, None, step, eps / scale, _set_builder(collection, lsh), report)
+    res = _bisect(norm, step, eps / scale, _set_builder(collection, lsh), report)
     return replace(res, revenue=revenue(res.assortment, inst),
                    revenue_interval=tuple(b * scale for b in res.revenue_interval))

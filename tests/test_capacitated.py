@@ -52,9 +52,10 @@ _PINNED_PREFIX_SOLVES_SHA256 = (
 
 # sorted items, revenue, bracket and iterations, then every state's
 # (lower, upper, sorted best items, iteration), of the partitioned solves of
-# TestZeroCapBlocks, recorded while every block was read at every comparison
+# TestZeroCapBlocks, recorded with every comparison read in full, so that a
+# state's best is the full read's selection at its lower bound
 _PINNED_ZERO_CAP_SHA256 = (
-    "41610936f0b6cff93f8a4639e8131e4077debb4686f10dd439bf9b0dd23040a5")
+    "8908dda477861aa26752c2cbfa6e0f20c487a2f98da1345e5ceff143978c4a8f")
 
 
 class TestCompareCapacitated:
@@ -484,59 +485,37 @@ def hostile_case(rng, variant):
     return inst, (C, eps, variant), {"c_min": c_min}, has
 
 
-def record_prefix(monkeypatch):
-    """Patch the prefix step to list each threshold it answers "yes"."""
-    proved, prefix = [], solvers._prefix_witness
-
-    def recorded(inst, blocks, K, by_position):
-        witness = prefix(inst, blocks, K, by_position)
-        if witness is not None:
-            proved.append(K)
-        return witness
-
-    monkeypatch.setattr(solvers, "_prefix_witness", recorded)
-    return proved
+def reference_solve(inst, C, eps, variant, c_min=0, blocks=None, caps=None):
+    """The bisection with every comparison its own full read of every
+    block, zero caps included, by :func:`full_margin_compare`: the answer,
+    as :func:`_answer` gives it, and every state's (lower, upper, sorted
+    best items, iteration), best the witness of the last "yes"."""
+    if variant == "partitioned":
+        spec = [(np.array(b) - 1, cap, 0) for b, cap in zip(blocks, caps)]
+        best = Assortment()
+    else:
+        lo = c_min if variant == "lb" else 0
+        spec, best = [(None, C, lo)], Assortment(range(1, max(1, lo) + 1))
+    lower, upper, states = 0.0, inst.p1, []
+    while upper - lower > eps:
+        K = 0.5 * (lower + upper)
+        exists, witness = full_margin_compare(inst, spec, K)
+        if exists:
+            lower, best = K, witness
+        else:
+            upper = K
+        states.append((lower, upper, sorted(best.items), len(states) + 1))
+    return (sorted(best.items), revenue(best, inst), (lower, upper), len(states)), states
 
 
 class TestPrefixAccept:
-    """A capacitated solve answers "yes" from the top 2·sum(caps) items by
-    price when they prove it; every answer must equal the full read's."""
+    """The states a capacitated solve reports, and the read that settles
+    its answer; the certificate reads the top 2·sum(caps) items by price
+    before it reads the whole catalog."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
-    def test_early_accept_never_changes_an_answer(self, variant, monkeypatch):
-        rng = np.random.default_rng({"topc": 60, "lb": 61, "partitioned": 62}[variant])
-        proved, hit = record_prefix(monkeypatch), set()
-        for _ in range(150):
-            inst, args, kwargs, has = hostile_case(rng, variant)
-            proved.clear()
-            early_states = []
-            res = assort_mnl_capacitated(inst, *args, on_iteration=early_states.append,
-                                         **kwargs)
-            if proved:
-                hit |= has | {"prefix"}
-                if proved[-1] == res.revenue_interval[0]:
-                    hit.add("settled")
-                if any(K in inst.prices for K in proved):
-                    hit.add("K on a price")
-            with monkeypatch.context() as full:
-                full.setattr(solvers, "_prefix_witness", lambda *args: None)
-                states = []
-                want = assort_mnl_capacitated(inst, *args, on_iteration=states.append,
-                                              **kwargs)
-            assert _answer(res) == _answer(want)
-            assert [(s.lower, s.upper) for s in early_states] == \
-                [(s.lower, s.upper) for s in states]
-        expected = {"prefix", "settled", "K on a price", "integer", "zero weight",
-                    "scaled"} | {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(
-                        variant, set())
-        assert hit == expected
-
-    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
-    def test_every_state_certifies_its_bound(self, variant, monkeypatch):
-        # an early-accepted state reports the prefix's witness, not the
-        # full read's; it must still be feasible and earn its lower bound
+    def test_every_state_certifies_its_bound(self, variant):
         rng = np.random.default_rng({"topc": 63, "lb": 64, "partitioned": 65}[variant])
-        early = 0
         for _ in range(100):
             inst, args, kwargs, _ = hostile_case(rng, variant)
             states = []
@@ -546,60 +525,34 @@ class TestPrefixAccept:
                 assert _feasible(s.best, C, kwargs.get("c_min", 0),
                                  kwargs.get("blocks"), kwargs.get("caps"))
                 assert revenue(s.best, inst) >= s.lower
-            full_states = []
-            with monkeypatch.context() as full:
-                full.setattr(solvers, "_prefix_witness", lambda *args: None)
-                assort_mnl_capacitated(inst, *args, on_iteration=full_states.append,
-                                       **kwargs)
-            early += sum(s.best != f.best for s, f in zip(states, full_states))
-        assert early > 0
 
-    def test_reads_count_2c_margins_when_the_prefix_answers(self, monkeypatch):
-        # count the margins each comparison hands to the selection: a
-        # comparison the prefix answers reads 2C = 100 of them
-        inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
-        reads, proved, per_step = [], record_prefix(monkeypatch), []
-        largest = solvers._largest
-
-        def counted_largest(w, idx, k):
-            if not any(w is seen for seen in reads):
-                reads.append(w)
-            return largest(w, idx, k)
-
-        def step_done(state):
-            per_step.append((sum(w.size for w in reads), bool(proved)))
-            reads.clear()
-            proved.clear()
-
-        monkeypatch.setattr(solvers, "_largest", counted_largest)
-        totals = {}
-        for variant, c_min in [("topc", 0), ("lb", 10)]:
-            per_step.clear()
-            res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min,
-                                         on_iteration=step_done)
-            settle = sum(w.size for w in reads)
-            reads.clear()
-            early = [count for count, from_prefix in per_step if from_prefix]
-            assert early == [100] * 7
-            assert res.iterations == len(per_step) == 14
-            totals[variant] = sum(count for count, _ in per_step) + settle
-        # measured; reading every comparison in full reads 23,684 in each
-        assert totals == {"topc": 4_340, "lb": 4_340}
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_last_state_is_the_returned_assortment(self, variant):
+        # a state's best is the set the solve would return if it stopped there
+        rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
+        for _ in range(300):
+            inst, args, kwargs, _ = hostile_case(rng, variant)
+            states = []
+            res = assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
+            if states:
+                assert states[-1].best == res.assortment
 
     def test_wall_time_covers_the_settling_read(self, monkeypatch):
-        # eps = p1/8 stops after three comparisons, all answered from the
-        # prefix, so the solve reads the last one in full after the loop
+        # the certificate answers all three comparisons of this untraced
+        # solve, so its one _compare_blocks call is the settling read at the
+        # last "yes", after the loop
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
-        compare, calls, states = solvers._compare_blocks, [], []
+        compare, calls = solvers._compare_blocks, []
+        made = record_certificates(monkeypatch)
 
-        def slow_compare(*args):
-            calls.append(len(states))
+        def slow_compare(inst, blocks, K, by_position):
+            calls.append((len(made), K))
             time.sleep(0.05)
-            return compare(*args)
+            return compare(inst, blocks, K, by_position)
 
         monkeypatch.setattr(solvers, "_compare_blocks", slow_compare)
-        res = assort_mnl_capacitated(inst, 50, inst.p1 / 8, on_iteration=states.append)
-        assert res.iterations == 3 and calls == [3]
+        res = assort_mnl_capacitated(inst, 50, inst.p1 / 8)
+        assert res.iterations == 3 and calls == [(1, res.revenue_interval[0])]
         assert res.wall_time >= 0.05
 
 
@@ -670,8 +623,8 @@ def _thresholds(inst, states):
 
 
 class TestCertifiedBracket:
-    """A solve with no on_iteration decides its bisection from the bounds of
-    Dinkelbach's optimum: every K <= K_lo is "yes", every K >= K_hi "no"."""
+    """A solve decides its bisection from the bounds of Dinkelbach's
+    optimum: every K <= K_lo is "yes", every K >= K_hi "no"."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_certificate_is_the_brute_force_optimum(self, variant):
@@ -724,20 +677,22 @@ class TestCertifiedBracket:
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_certified_answers_equal_full_reads(self, variant, monkeypatch):
-        # the reference asks every K as its own step, read in full
+        # the reference asks every K as its own step, read in full; the
+        # library must match it with and without on_iteration
         rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
         made, hit = record_certificates(monkeypatch), set()
         for _ in range(300):
-            inst, args, kwargs, _ = hostile_case(rng, variant)
+            inst, args, kwargs, has = hostile_case(rng, variant)
+            want, want_states = reference_solve(inst, *args, **kwargs)
             made.clear()
             res = assort_mnl_capacitated(inst, *args, **kwargs)
-            with monkeypatch.context() as full:
-                full.setattr(solvers, "_prefix_witness", lambda *args: None)
-                states = []
-                want = assort_mnl_capacitated(inst, *args, on_iteration=states.append,
-                                              **kwargs)
-            assert _answer(res) == _answer(want)
-            assert len(made) == (want.iterations > 0)
+            states = []
+            traced = assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
+            assert _answer(res) == _answer(traced) == want
+            assert [(s.lower, s.upper, sorted(s.best.items), s.iteration)
+                    for s in states] == want_states
+            assert len(made) == 2 * (res.iterations > 0)
+            hit |= has
             if not made:
                 continue
             K_lo, K_hi, items = made[0]
@@ -747,14 +702,15 @@ class TestCertifiedBracket:
                         "certified no" if K >= K_hi else "in-band read")
                 hit |= {"K on R*"} if K == optimum else set()
                 hit |= {"K on a price"} if K in inst.prices else set()
+        features = {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(variant, set())
         assert hit == {"certified yes", "certified no", "in-band read", "K on R*",
-                       "K on a price"}
+                       "K on a price", "integer", "zero weight", "scaled"} | features
 
     def test_reads_count_the_certificate_and_one_settling_read(self, monkeypatch):
         # the margins each selection hands to _largest, as the per-step test
         # counts them: three from the top 2C items, two full reads, then the
-        # settling read at the last "yes"; with on_iteration the same solves
-        # read 4,340 margins each
+        # settling read at the last "yes"; with on_iteration each of the 14
+        # states adds the full read at its lower bound, 26,009 margins in all
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
         reads, largest = [], solvers._largest
 

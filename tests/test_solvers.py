@@ -328,9 +328,10 @@ def test_scaling_weights_and_v0_together_changes_no_answer(algo):
 # sha256 over repr((lower, upper, sorted best items, iteration)) of every
 # on_iteration state, then repr((sorted items, revenue, revenue_interval,
 # iterations)) of the result, of each solve in _WITNESS_SOLVES in name
-# order, recorded while a solve still built an Assortment for every "yes"
+# order, recorded with every capacitated comparison read in full, so that a
+# capacitated state's best is the full read's selection at its lower bound
 _PINNED_STATES_SHA256 = (
-    "6c179b09e2e24b23d873d5c1896e920e9ba63a93adc74395c9b919ba8455c3f0")
+    "eae850ed9d16f59078af60280ea0eb7a5d5624062aca7e054e17354d80cc7dcb")
 
 
 def _witness_cases():
@@ -344,8 +345,8 @@ def _witness_cases():
     return inst, coll, points, build_lsh_index(points, LshParams(6, 8, 24), seed=4), cap, blocks
 
 
-# Every kind of bisection; "settled" ends on a "yes" that only the top 2C
-# items by price read, so its answer is read in full after the loop.
+# Every kind of bisection; "settled" stops after three comparisons, each a
+# "yes" the certificate answers with no read of its own.
 _WITNESS_SOLVES = {
     "exact": lambda c, cb: assort_mnl(c[1], c[0], 1e-4, on_iteration=cb),
     "approx_simple": lambda c, cb: assort_mnl_approx_simple(
@@ -382,6 +383,12 @@ class TestOneWitness:
         states = []
         _WITNESS_SOLVES[name](cases, states.append)
         assert len(built) == len(states) + 1 == res.iterations + 1
+
+    @pytest.mark.parametrize("name", sorted(_WITNESS_SOLVES))
+    def test_last_state_is_the_returned_assortment(self, name, cases):
+        states = []
+        res = _WITNESS_SOLVES[name](cases, states.append)
+        assert states[-1].best == res.assortment
 
     def test_states_and_answers_are_pinned(self, cases):
         h = hashlib.sha256()
