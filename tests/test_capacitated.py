@@ -514,6 +514,35 @@ class TestPrefixAccept:
     before it reads the whole catalog."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_early_accept_never_changes_an_answer(self, variant, monkeypatch):
+        # a K at or below the certificate's K_lo is answered "yes" with no
+        # read of its own; every answer and bracket must equal the reference's
+        rng = np.random.default_rng({"topc": 60, "lb": 61, "partitioned": 62}[variant])
+        made, hit = record_certificates(monkeypatch), set()
+        for _ in range(150):
+            inst, args, kwargs, has = hostile_case(rng, variant)
+            want, want_states = reference_solve(inst, *args, **kwargs)
+            made.clear()
+            res = assort_mnl_capacitated(inst, *args, **kwargs)
+            states = []
+            assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
+            assert _answer(res) == want
+            assert [(s.lower, s.upper) for s in states] == [w[:2] for w in want_states]
+            if not made:
+                continue
+            proved = [K for K in _thresholds(inst, states) if K <= made[0][0]]
+            if proved:
+                hit |= has | {"early accept"}
+                if proved[-1] == res.revenue_interval[0]:
+                    hit.add("settled")
+                if any(K in inst.prices for K in proved):
+                    hit.add("K on a price")
+        expected = {"early accept", "settled", "K on a price", "integer", "zero weight",
+                    "scaled"} | {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(
+                        variant, set())
+        assert hit == expected
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_every_state_certifies_its_bound(self, variant):
         rng = np.random.default_rng({"topc": 63, "lb": 64, "partitioned": 65}[variant])
         for _ in range(100):
