@@ -85,10 +85,11 @@ def _sample_distinct_subsets(rng: np.random.Generator, n: int,
         keys = packed.view(row).ravel()
         # first occurrences over the rows kept so far, then this chunk's;
         # those falling in this chunk are its new rows
-        _, first = np.unique(np.concatenate([seen, keys]), return_index=True)
+        first = np.unique(np.concatenate([seen, keys]), return_index=True)[1]
         new = np.sort(first[first >= seen.size]) - seen.size
         new = new[packed[new].any(axis=1)][:count - seen.size]
         seen = np.concatenate([seen, keys[new]])
+    del packed, keys  # the last chunk's draws, freed before the decode
     return AssortmentCollection._from_packed(seen.view(np.uint8).reshape(count, -1), n)
 
 

@@ -85,7 +85,7 @@ class EmbeddedCollection(Sequence):
         mem = self.source.member_indices(i)
         vec = np.zeros(self.dim)
         vec[mem] = self.prices[mem]
-        vec[self.n + mem] = 1.0
+        vec[self.n:][mem] = 1.0  # n + mem could wrap in the indices' narrow type
         return vec
 
     def scores_at(self, q: QueryVector, ids: np.ndarray | None = None) -> np.ndarray:

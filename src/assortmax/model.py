@@ -26,6 +26,7 @@ __all__ = [
 
 
 _PACK_ROWS = 512  # rows densified at a time while packing the membership
+_DECODE_ROWS = 256  # packed rows unpacked at a time while decoding them
 _SUM_BLOCK = 1 << 15  # membership entries per block of set_sums
 _SCREEN_LOOKUPS = 1 << 21  # lookups per block of _screen: its sums stay in cache
 _SINGLE_ROUNDOFF = 2.0 ** -24  # of float32, in which the screen adds
@@ -40,6 +41,38 @@ def _pack_rows(mask: np.ndarray) -> np.ndarray:  # the packed_membership layout
 # row b holds the 8 bits of byte b, little bit order, as float32 0/1
 _UNPACK = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                         bitorder="little").astype(np.float32)
+_POPCOUNT = _UNPACK.sum(axis=1).astype(np.uint8)  # bits set in each byte value
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds ``n`` itself, so
+    that a 0-based member index plus one, its item, never wraps."""
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).max)
+
+
+def _decode_rows(packed: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, lengths) of rows packed as :func:`_pack_rows` packs ``width``
+    columns: each row's set columns, sorted and concatenated, in
+    :func:`_index_dtype` of ``width``, and how many each row has.
+
+    The counts come from a byte popcount table, so the flat array is
+    allocated once; then a chunk of rows at a time is unpacked, read as
+    bool and its set positions, modulo the width, written into it.  No
+    whole mask and no int64 index array over every row exists."""
+    lengths = np.empty(len(packed), dtype=np.int64)
+    ends = [0]  # where each chunk's indices end in flat
+    for lo in range(0, len(packed), _DECODE_ROWS):
+        part = lengths[lo:lo + _DECODE_ROWS]
+        _POPCOUNT.take(packed[lo:lo + _DECODE_ROWS]).sum(axis=1, dtype=np.int64, out=part)
+        ends.append(ends[-1] + int(part.sum()))
+    flat = np.empty(ends[-1], dtype=_index_dtype(width))
+    for lo, start, end in zip(range(0, len(packed), _DECODE_ROWS), ends, ends[1:]):
+        # flatnonzero takes half the time on the bool view as on the bytes;
+        # no name holds a chunk's temporaries, so one chunk's are alive at once
+        np.remainder(np.flatnonzero(np.unpackbits(
+            packed[lo:lo + _DECODE_ROWS], axis=1, count=width, bitorder="little").view(bool)),
+            width, out=flat[start:end])
+    return flat, lengths
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -187,7 +220,11 @@ class AssortmentCollection:
     def _init_arrays(self, n: int, flat: np.ndarray, lengths: np.ndarray) -> None:
         """Every constructor ends here, so the collection invariants are
         checked in one place, once.  Members are sorted and unique, so each
-        set's first and last members bound it: the range check is O(sets)."""
+        set's first and last members bound it: the range check is O(sets).
+        It reads the caller's values; only then is ``flat`` stored in
+        :func:`_index_dtype` of n, the narrowest of int16, int32 and int64
+        that holds n itself (an item of 65541 would wrap to 5 in int16).
+        Starts and lengths stay int64."""
         if lengths.size == 0:
             raise ValueError("collection must contain at least one assortment")
         if np.any(lengths == 0):
@@ -201,7 +238,7 @@ class AssortmentCollection:
             mem = flat[starts[bad]:starts[bad] + lengths[bad]]
             item = int(mem[(mem < 0) | (mem >= self.n)][0]) + 1
             raise ValueError(f"set {bad} contains item index {item}, outside 1..{self.n}")
-        self._flat = flat
+        self._flat = flat.astype(_index_dtype(self.n), copy=False)
         self._lengths = lengths
         self._starts = starts
         self._kept: dict[str, tuple] = {}  # see _keep
@@ -214,25 +251,21 @@ class AssortmentCollection:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("membership mask must be a 2-d matrix, one row per set")
-        # row-major flat positions modulo the row width are the column
-        # indices, sorted within each row; fresh int64 arrays need no copy
-        flat = np.flatnonzero(mask)
-        flat %= mask.shape[1]
+        width = mask.shape[1]
         obj = cls.__new__(cls)
-        obj._init_arrays(n if n is not None else mask.shape[1], flat,
-                         mask.sum(axis=1, dtype=np.int64))
+        obj._init_arrays(n if n is not None else width, *_decode_rows(_pack_rows(mask), width))
         return obj
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, n: int) -> "AssortmentCollection":
         """Build from rows in the :attr:`packed_membership` layout, copied
-        to its byte-major storage before the mask and index array exist."""
+        to its byte-major storage, then decoded a chunk at a time."""
         stored = np.empty(packed.shape[::-1], dtype=np.uint8)
         for lo in range(0, len(packed), _PACK_ROWS):
             stored[:, lo:lo + _PACK_ROWS] = packed[lo:lo + _PACK_ROWS].T
         stored.setflags(write=False)
-        obj = cls.from_membership(
-            np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool), n)
+        obj = cls.__new__(cls)
+        obj._init_arrays(n, *_decode_rows(packed, n))
         obj.__dict__["packed_membership"] = stored.T
         return obj
 
@@ -260,7 +293,11 @@ class AssortmentCollection:
 
     @cached_property
     def flat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(concatenated 0-based indices, start offsets, lengths) for reductions."""
+        """(concatenated 0-based indices, start offsets, lengths) for reductions.
+
+        The indices are in the narrowest of int16, int32 and int64 that holds
+        n itself, so 2 bytes each below n = 2^15; offsets and lengths are
+        int64.  Widen the indices before arithmetic that can pass n."""
         return self._flat, self._starts, self._lengths
 
     @cached_property

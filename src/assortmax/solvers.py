@@ -317,20 +317,30 @@ def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
     a step answers every K <= K_lo "yes" and every K >= K_hi "no", and reads
     a K between them in full.  A witness is the threshold of its "yes", and
     its set the full read's selection there; the start, the witness None,
-    is the 0-based items ``start``."""
-    bounds = None
+    is the 0-based items ``start``.  The last full read's (K, selection)
+    is kept, so a build at the K just read, or just built, reads nothing."""
+    bounds = last = None
+
+    def read(K: float) -> bool:
+        nonlocal last
+        exists, items = _compare_items(inst, blocks, K, by_position)
+        last = K, items
+        return exists
 
     def step(K: float):
         nonlocal bounds
         if bounds is None:
             bounds = _certificate(inst, blocks, by_position)[:2]
-        if K <= bounds[0] or (K < bounds[1] and _compare_items(inst, blocks, K, by_position)[0]):
+        if K <= bounds[0] or (K < bounds[1] and read(K)):
             return K, K
         return None
 
     def build(K: float | None) -> Assortment:
-        return (Assortment(start + 1) if K is None
-                else _compare_blocks(inst, blocks, K, by_position)[1])
+        if K is None:
+            return Assortment(start + 1)
+        if last is None or last[0] != K:
+            read(K)
+        return Assortment(last[1] + 1)
     return step, build
 
 

@@ -568,18 +568,19 @@ class TestPrefixAccept:
 
     def test_wall_time_covers_the_settling_read(self, monkeypatch):
         # the certificate answers all three comparisons of this untraced
-        # solve, so its one _compare_blocks call is the settling read at the
-        # last "yes", after the loop
+        # solve, so its one read past the certificate is the settling read
+        # at the last "yes", after the loop
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
-        compare, calls = solvers._compare_blocks, []
+        compare, calls = solvers._compare_items, []
         made = record_certificates(monkeypatch)
 
         def slow_compare(inst, blocks, K, by_position):
-            calls.append((len(made), K))
-            time.sleep(0.05)
+            if made:
+                calls.append((len(made), K))
+                time.sleep(0.05)
             return compare(inst, blocks, K, by_position)
 
-        monkeypatch.setattr(solvers, "_compare_blocks", slow_compare)
+        monkeypatch.setattr(solvers, "_compare_items", slow_compare)
         res = assort_mnl_capacitated(inst, 50, inst.p1 / 8)
         assert res.iterations == 3 and calls == [(1, res.revenue_interval[0])]
         assert res.wall_time >= 0.05
@@ -781,3 +782,22 @@ class TestCertifiedBracket:
         assert made == []
         assert assort_mnl_capacitated(inst, 5, 0.99 * inst.p1).iterations == 1
         assert len(made) == 1
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_no_threshold_is_read_twice(self, variant, monkeypatch):
+        # the last full read is kept: the settling read, and a state's build
+        # at the threshold just read or just built, reuse it
+        rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
+        made, compare, reads = record_certificates(monkeypatch), solvers._compare_items, []
+        monkeypatch.setattr(solvers, "_compare_items",
+                            lambda *args: reads.append((len(made), args[2])) or compare(*args))
+        for _ in range(300):
+            inst, args, kwargs, _ = hostile_case(rng, variant)
+            for trace in (None, []):
+                reads.clear()
+                made.clear()
+                res = assort_mnl_capacitated(inst, *args, **kwargs, on_iteration=(
+                    None if trace is None else trace.append))
+                after = [K for certified, K in reads if certified]  # past the certificate
+                assert len(set(after)) == len(after)
+                assert not trace or trace[-1].best == res.assortment

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from assortmax import (GenSpec, ResultRecord, generate_instance,
                        write_results)
 
 
-# sha256 of the flat index and length arrays of generate_instance's
-# collection for (n, num_sets, seed), recorded from a row-by-row dedupe loop.
+# sha256 of the flat index (as int64, whatever type the collection keeps it
+# in) and length arrays of generate_instance's collection for
+# (n, num_sets, seed), recorded from a row-by-row dedupe loop.
 # n=3 and n=4 draw empty rows and repeats within a chunk; n=9 and n=12 need
 # several chunks and repeat rows of earlier chunks.
 _SUBSET_DIGESTS = [
@@ -37,8 +39,22 @@ class TestGenerate:
         _, coll = generate_instance(GenSpec(n=n, num_sets=count, seed=seed))
         flat, _, lengths = coll.flat_arrays
         assert len(coll) == count
-        assert hashlib.sha256(flat.tobytes()).hexdigest() == flat_sha
+        assert hashlib.sha256(flat.astype(np.int64).tobytes()).hexdigest() == flat_sha
         assert hashlib.sha256(lengths.tobytes()).hexdigest() == lengths_sha
+
+    def test_generation_holds_no_full_mask_or_int64_indices(self):
+        tracemalloc.start()
+        try:
+            _, coll = generate_instance(GenSpec(1000, num_sets=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flat = coll.flat_arrays[0]
+        assert flat.dtype == np.int16 and flat.nbytes > 4_000_000
+        # beside the indices: the packed rows and their byte-major copy,
+        # 0.5 MB each, and one decode chunk's bits and positions, 1.3 MB; a
+        # full bool mask would add 4.1 MB, an int64 index array 16.4 MB
+        assert peak < flat.nbytes + 3_500_000
 
     def test_small_universe_is_exhausted(self):
         inst, coll = generate_instance(GenSpec(n=3, num_sets=7, seed=1))

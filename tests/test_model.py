@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from assortmax import (Assortment, AssortmentCollection, GenSpec, Instance,
-                       SolverResult, collection_revenues, generate_instance,
-                       instance_from_files, normalize, revenue, validate_collection)
+                       SolverResult, collection_revenues, embed_collection,
+                       generate_instance, instance_from_files, normalize, revenue,
+                       validate_collection)
 
 from conftest import all_subsets, random_instance
 
@@ -272,8 +273,9 @@ class TestCollection:
         a = AssortmentCollection.from_membership(mask, n)
         b = AssortmentCollection([np.flatnonzero(row) + 1 for row in mask], n=n)
         assert a.n == b.n == n
-        for x, y in zip(a.flat_arrays, b.flat_arrays):
-            assert x.dtype == y.dtype == np.int64
+        # indices in the narrowest type that holds n, offsets and lengths int64
+        for x, y, dtype in zip(a.flat_arrays, b.flat_arrays, (np.int16, np.int64, np.int64)):
+            assert x.dtype == y.dtype == dtype
             assert np.array_equal(x, y)
             assert not x.flags.writeable
 
@@ -345,6 +347,56 @@ class TestCollection:
         rebuilt = AssortmentCollection._from_arrays(n, flat, lengths)
         assert "packed_membership" not in vars(rebuilt)
         assert np.array_equal(packed, rebuilt.packed_membership)
+
+
+class TestNarrowIndices:
+    """Member indices are kept in the narrowest of int16, int32 and int64
+    that holds n itself, so item n, an index plus one, never wraps."""
+
+    @pytest.mark.parametrize("n, dtype", [(127, np.int16), (128, np.int16), (32767, np.int16),
+                                          (32768, np.int32), (32769, np.int32)])
+    def test_item_n_survives_every_constructor(self, n, dtype):
+        rng = np.random.default_rng(n)
+        sets = [np.array([n]), np.array([1, n]), np.array([n - 1]),
+                np.unique(np.r_[rng.integers(1, n + 1, 300), n])]
+        ref = [s.astype(np.int64) - 1 for s in sets]  # the int64 reference
+        mask = np.zeros((len(sets), n), dtype=bool)
+        for row, idx in zip(mask, ref):
+            row[idx] = True
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        values = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
+        sums = np.array([[np.add.reduceat(v[idx], [0])[0] for idx in ref] for v in values])
+        inst = Instance(np.linspace(2.0, 1.0, n), np.ones(n), 1.0)
+        for coll in (AssortmentCollection(sets, n),
+                     AssortmentCollection.from_membership(mask),
+                     AssortmentCollection._from_arrays(n, np.concatenate(ref),
+                                                       [idx.size for idx in ref]),
+                     AssortmentCollection._from_packed(packed, n)):
+            flat, starts, lengths = coll.flat_arrays
+            assert flat.dtype == dtype and starts.dtype == lengths.dtype == np.int64
+            for i, idx in enumerate(ref):
+                assert np.array_equal(coll.member_indices(i), idx)
+                assert coll[i] == Assortment(idx + 1)
+            assert np.array_equal(coll.set_sums(values), sums)
+            assert np.array_equal(coll.set_sums(values, [3, 0]), sums[:, [3, 0]])
+            assert np.array_equal(coll.packed_membership, packed)
+            # the embedding's second half sits n past each member
+            point = embed_collection(coll, inst)[3]
+            assert np.array_equal(np.flatnonzero(point[n:]), ref[3])
+
+    @pytest.mark.parametrize("item", [0, 1001, 65541])
+    def test_out_of_range_items_are_named_before_narrowing(self, item):
+        # 65541 would wrap to 5 in int16: the range check reads the
+        # caller's values, before the indices are narrowed
+        match = f"set 1 contains item index {item}, outside 1..1000"
+        flat = np.r_[0, 1, np.sort([2, item - 1])]
+        with pytest.raises(ValueError, match=match):
+            AssortmentCollection([[1, 2], [3, item]], n=1000)
+        with pytest.raises(ValueError, match=match):
+            AssortmentCollection._from_arrays(1000, flat, [2, 2])
+        with pytest.raises(ValueError, match=match):
+            AssortmentCollection.__new__(AssortmentCollection)._init_arrays(
+                1000, flat, np.array([2, 2]))
 
 
 class TestSetSums:
