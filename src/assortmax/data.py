@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (AssortmentCollection, Instance, SolverResult, _check_v0,
-                    _pack_rows)
+from .model import (_DECODE_ROWS, AssortmentCollection, Instance, SolverResult,
+                    _check_v0, _index_dtype, _pack_rows)
 
 __all__ = [
     "GenSpec",
@@ -204,12 +204,20 @@ def onto_instance(collection: AssortmentCollection, labels: Sequence[int],
     missing = [label for label in labels if label not in position]
     if missing:
         raise ValueError(f"itemsets name item {missing[0]}, which the instance does not have")
-    new_pos = np.array([position[label] for label in labels], dtype=np.int64)
-    flat, _, lengths = collection.flat_arrays
-    moved = new_pos[flat]
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    moved = moved[np.lexsort((moved, seg))]  # keep each set's indices sorted
-    return AssortmentCollection._from_arrays(inst.n, moved, lengths)
+    new_pos = np.array([position[label] for label in labels], dtype=_index_dtype(inst.n))
+    flat, starts, lengths = collection.flat_arrays
+    # positions are remapped and each set's sorted in the narrow index type,
+    # _DECODE_ROWS sets at a time, so no int64 array spans every entry
+    moved = np.empty(flat.size, dtype=new_pos.dtype)
+    for lo in range(0, lengths.size, _DECODE_ROWS):
+        sizes = lengths[lo:lo + _DECODE_ROWS]
+        first = starts[lo]
+        part = new_pos[flat[first:first + sizes.sum()]]
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        moved[first:first + part.size] = part[np.lexsort((part, seg))]
+    out = AssortmentCollection.__new__(AssortmentCollection)
+    out._init_arrays(inst.n, moved, lengths.copy())
+    return out
 
 
 def save_instance(inst: Instance, path) -> None:

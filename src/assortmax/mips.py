@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 1024  # membership-matrix chunk height for bulk hashing
+_CHUNK_VALUES = _CHUNK_ROWS * 384  # raw products per chunk of a wider hashing pass
 
 
 @dataclass(frozen=True)
@@ -240,27 +241,38 @@ def _projections(params: LshParams, seed: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((params.tables, params.bits, dim))
 
 
-def _hash_keys(points: EmbeddedCollection, projections: np.ndarray,
-               ids: np.ndarray | None = None) -> np.ndarray:
-    """Keys of the points ``ids`` (all when None), in order, under
-    ``projections`` of shape (tables, bits, dim): shape (tables, points), in
-    the narrowest unsigned dtype that holds ``bits`` bits.
+def _key_columns(prices: np.ndarray, projections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 key columns, shape (n, tables * bits), and negated tails,
+    shape (tables * bits,), that :func:`_hash_keys` hashes with under
+    ``projections`` of shape (tables, bits, 2n + 1), one per hyperplane in
+    (table, bit) order: head . z for z = (p o u, u) equals
+    u . (p o head_front + head_back), so a key's raw projection is one
+    membership-row product."""
+    n = prices.size
+    flat = projections.reshape(-1, projections.shape[2])
+    return ((flat[:, :n] * prices + flat[:, n:2 * n]).T.astype(np.float32),
+            -flat[:, 2 * n].astype(np.float32))
 
-    For structured points (p o u, u) the head projection collapses to a
-    membership-matrix product, one float32 matmul per chunk of rows unpacked
-    from the collection's cached :attr:`~AssortmentCollection.packed_membership`.
-    Points are scaled by the largest norm; bit t is set where
-    raw/scale >= -(slack * tail), which equals fl(raw/scale + slack * tail) >= 0
-    exactly, as a nonzero sum of two floats never rounds to zero and rounding
-    is monotone.  A point's key does not depend on which others are hashed
-    with it, up to the BLAS's rounding of its product.
+
+def _hash_keys(points: EmbeddedCollection, columns: np.ndarray, neg_tail: np.ndarray,
+               tables: int, ids: np.ndarray | None = None) -> np.ndarray:
+    """Keys of the points ``ids`` (all when None), in order, under the key
+    ``columns`` and ``neg_tail`` of :func:`_key_columns` for ``tables``
+    tables of columns.shape[1] / tables bits each: shape (tables, points), in
+    the narrowest unsigned dtype that holds the bits.
+
+    One float32 matmul per chunk of membership rows, unpacked from the
+    collection's cached :attr:`~AssortmentCollection.packed_membership`,
+    gives every raw projection.  Points are scaled by the largest norm; bit t
+    is set where raw/scale >= -(slack * tail), which equals
+    fl(raw/scale + slack * tail) >= 0 exactly, as a nonzero sum of two
+    floats never rounds to zero and rounding is monotone.  A point's key
+    does not depend on which others are hashed with it, nor on which other
+    columns are hashed beside its own, up to the BLAS's rounding of its
+    product.
     """
-    tables, bits, dim = projections.shape
+    bits = columns.shape[1] // tables
     n = points.n
-    flat = projections.reshape(tables * bits, dim)
-    # head . z for z = (p o u, u) equals u . (p o head_front + head_back)
-    combined = (flat[:, :n] * points.prices + flat[:, n:2 * n]).T.astype(np.float32)
-    neg_tail = -flat[:, 2 * n].astype(np.float32)
     norms = points.norms
     scale = float(norms.max())
     if ids is not None:
@@ -269,14 +281,17 @@ def _hash_keys(points: EmbeddedCollection, projections: np.ndarray,
     dtype = _key_dtype(bits)
     width = 8 * dtype.itemsize
     keys = np.empty((tables, norms.size), dtype=dtype)
+    # a chunk's raw products stay within _CHUNK_ROWS rows of a build's
+    # columns however many columns are hashed at once
+    step = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // max(1, columns.shape[1])))
     # every chunk is unpacked into one buffer: at noisy-12k, a buffer per
     # chunk let the peak RSS creep up from one bz solve to the next
-    buf = np.empty((min(_CHUNK_ROWS, norms.size), (n + 7) // 8, 8), dtype=np.float32)
-    for lo in range(0, norms.size, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, norms.size)
+    buf = np.empty((min(step, norms.size), (n + 7) // 8, 8), dtype=np.float32)
+    for lo in range(0, norms.size, step):
+        hi = min(lo + step, norms.size)
         mem = points.source._membership_rows(
             slice(lo, hi) if ids is None else ids[lo:hi], buf)
-        raw = mem @ combined
+        raw = mem @ columns
         raw /= np.float32(scale)
         padded = np.zeros((hi - lo, tables, width), dtype=bool)
         padded[:, :, :bits] = (raw >= slack[lo:hi, None] * neg_tail).reshape(hi - lo, tables, bits)
@@ -296,7 +311,7 @@ def build_lsh_index(points: EmbeddedCollection, params: LshParams | None = None,
     if params is None:
         params = default_lsh_params(len(points))
     projections = _projections(params, seed, points.dim + 1)
-    keys = _hash_keys(points, projections)
+    keys = _hash_keys(points, *_key_columns(points.prices, projections), params.tables)
     # numpy radix-sorts integers of 16 bits or fewer, as the narrow keys are
     order = np.argsort(keys, axis=1, kind="stable")
     return LshIndex(params, seed, float(points.norms.max()), projections,

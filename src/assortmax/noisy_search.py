@@ -17,8 +17,8 @@ import numpy as np
 
 from .model import (AssortmentCollection, Instance, SolverResult, _value_rows,
                     normalize, revenue)
-from .mips import (LshParams, _hash_keys, _pack_bits, _projections, _retrieve,
-                   default_lsh_params, embed_collection)
+from .mips import (EmbeddedCollection, LshParams, _hash_keys, _key_columns, _pack_bits,
+                   _projections, _retrieve, default_lsh_params, embed_collection)
 
 __all__ = [
     "bz_rounds_needed",
@@ -164,6 +164,54 @@ def run_noisy_bisection(p1: float, eps: float, rounds: int, alpha: float,
     return post, post.median()
 
 
+def _round_hashes(points: EmbeddedCollection, weights: np.ndarray, params: LshParams,
+                  seeds: list[int]):
+    """What every bz round hashes with, drawn before the first comparison.
+
+    Round r draws the projections ``build_lsh_index(points, params,
+    seeds[r])`` would, once, in order, and keeps its query vectors a_r = H_p w
+    and b_r = H_u w, shape (tables, bits), and its float32 key columns and
+    negated tails (:func:`_key_columns`), written into one (n, rounds *
+    tables * bits) array with the first min(bits, 5) bits of every table of
+    every round first.  One pass over the membership then hashes those
+    prefix bits of every set for every round.  Returns (a, b, heads,
+    full_keys): a and b of shape (rounds, tables, bits), heads of shape
+    (rounds, tables, sets), and ``full_keys(r, t, ids)``, the keys of the
+    sets ``ids`` in table t of round r, hashed from that table's stored
+    columns.  The keys are the built index's up to the BLAS's rounding of
+    the products; no round draws projections or unpacks every set again.
+    """
+    tables, bits, n = params.tables, params.bits, points.n
+    rounds, prefix = len(seeds), min(bits, _PREFIX_BITS)
+    width = rounds * tables * prefix
+    rest = bits - prefix
+    # slots[r, t, j]: the column of bit j of table t in round r
+    slots = np.concatenate(
+        [np.arange(width).reshape(rounds, tables, prefix),
+         width + np.arange(rounds * tables * rest).reshape(rounds, tables, rest)], axis=2)
+    columns = np.empty((n, slots.size), dtype=np.float32)
+    neg_tail = np.empty(slots.size, dtype=np.float32)
+    a = np.empty((rounds, tables, bits))
+    b = np.empty_like(a)
+    for r, seed in enumerate(seeds):
+        proj = _projections(params, seed, points.dim + 1)
+        a[r], b[r] = proj[:, :, :n] @ weights, proj[:, :, n:2 * n] @ weights
+        at = slots[r].ravel()
+        columns[:, at], neg_tail[at] = _key_columns(points.prices, proj)
+        del proj  # one round's float64 projections are alive at a time
+    heads = None
+    if rounds:
+        heads = _hash_keys(points, columns[:, :width], neg_tail[:width],
+                           rounds * tables).reshape(rounds, tables, -1)
+
+    def full_keys(r: int, t: int, ids: np.ndarray) -> np.ndarray:
+        # all the table's bits: a product of one column takes another BLAS path
+        at = slots[r, t]
+        return _hash_keys(points, columns[:, at], neg_tail[at], 1, ids)[0]
+
+    return a, b, heads, full_keys
+
+
 def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
                   rounds: int, alpha: float, params: LshParams | None = None,
                   seed: int = 0) -> SolverResult:
@@ -173,15 +221,18 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
     drawing the hyperplanes of each round from its own seed keeps
     comparison errors independent across rounds.  A round answers as
     ``LshMips(build_lsh_index(points, params, seed_r), points, w).query(K)``
-    would, but builds no index, since it asks only one question: one pass
-    over the membership hashes the first min(bits, 5) key bits of every
-    table for every set, and each table the probe reaches hashes all its
-    bits only for the sets whose prefix is the query's, about N/32 of them.
-    Those keys are the built index's up to the BLAS's rounding of the
-    smaller products.  Returns the best witness seen (the first member of
-    the collection when no round retrieves one), with ``estimate`` =
-    max(posterior median, witness revenue) mapped back to the original
-    price scale.
+    would, but builds no index, since it asks only one question.  Every
+    round's seed is fixed before the first comparison, so
+    :func:`_round_hashes` draws all the rounds' projections first and
+    hashes the first min(bits, 5) key bits of every table of every round
+    for every set in one pass over the membership.  Round r then packs its
+    query key from a_r - K b_r, and each table its probe reaches hashes all
+    its bits, from the columns stored for it, only for the sets whose
+    prefix is the query's, about N/32 of them.  Those keys are the built
+    index's up to the BLAS's rounding of the products.  Returns the best
+    witness seen (the first member of the collection when no round
+    retrieves one), with ``estimate`` = max(posterior median, witness
+    revenue) mapped back to the original price scale.
     """
     inst_n = normalize(inst)  # rejects a top price of 0
     if rounds < 0:
@@ -192,25 +243,26 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
     points = embed_collection(collection, inst_n)
     if params is None:
         params = default_lsh_params(len(points))
-    n, weights = points.n, inst_n.weights
+    weights = inst_n.weights
     rows = _value_rows(inst_n.prices, weights)
     prefix = min(params.bits, _PREFIX_BITS)
     low = np.uint64((1 << prefix) - 1)
     children = np.random.SeedSequence(seed).spawn(rounds + 1)
-    engine_seeds = iter([int(c.generate_state(1)[0]) for c in children[1:]])
+    t0 = time.perf_counter()
+    a, b, heads, full_keys = _round_hashes(
+        points, weights, params, [int(c.generate_state(1)[0]) for c in children[1:]])
+    round_no = iter(range(rounds))
     best, best_rev = collection[0], revenue(collection[0], inst_n)
 
     def compare(K: float) -> int:
         nonlocal best, best_rev
-        proj = _projections(params, next(engine_seeds), points.dim + 1)
-        qkeys = _pack_bits(proj[:, :, :n] @ weights - K * (proj[:, :, n:2 * n] @ weights) >= 0.0)
-        heads = _hash_keys(points, proj[:, :prefix])
+        r = next(round_no)
+        qkeys = _pack_bits(a[r] - K * b[r] >= 0.0)
 
         def bucket(t: int, key: np.uint64) -> np.ndarray:
-            ids = np.flatnonzero(heads[t] == heads.dtype.type(key & low))
+            ids = np.flatnonzero(heads[r, t] == heads.dtype.type(key & low))
             if prefix < params.bits and ids.size:
-                # all the table's bits: a product of one column takes another BLAS path
-                ids = ids[_hash_keys(points, proj[t:t + 1], ids)[0] == key]
+                ids = ids[full_keys(r, t, ids) == key]
             return ids
 
         cand = _retrieve(bucket, qkeys, params)
@@ -225,7 +277,6 @@ def assort_mnl_bz(collection: AssortmentCollection, inst: Instance, eps: float,
             best, best_rev = witness, wrev
         return int(K <= float(scores[at]) / inst_n.v0)
 
-    t0 = time.perf_counter()
     _, median = run_noisy_bisection(inst_n.p1, eps / scale, rounds, alpha, compare,
                                     np.random.default_rng(children[0]))
     wall = time.perf_counter() - t0

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from assortmax import (GenSpec, ResultRecord, generate_instance,
-                       instance_from_files, load_instance, load_itemsets,
-                       load_prices, revenue, save_instance, save_itemsets,
-                       write_results)
+from assortmax import (AssortmentCollection, GenSpec, Instance, ResultRecord,
+                       generate_instance, instance_from_files, load_instance,
+                       load_itemsets, load_prices, revenue, save_instance,
+                       save_itemsets, write_results)
+from assortmax.data import onto_instance
 
 
 # sha256 of the flat index (as int64, whatever type the collection keeps it
@@ -197,6 +198,40 @@ class TestInstanceFromFiles:
         b, _ = instance_from_files(sets, seed=3)
         assert a.prices.tobytes() == b.prices.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
+
+
+class TestOntoInstance:
+    @pytest.mark.parametrize("extra", [0, 40000])  # int16 and int32 positions
+    def test_sets_follow_their_labels(self, extra):
+        # 700 sets span several chunks of the remap
+        _, coll = generate_instance(GenSpec(n=60, num_sets=700, seed=8))
+        total = 60 + extra
+        rng = np.random.default_rng(total)
+        labels = (rng.permutation(total)[:60] + 100).tolist()
+        inst = Instance.from_items(rng.uniform(0.0, 5.0, total), rng.uniform(0.0, 1.0, total),
+                                   1.0, item_ids=(rng.permutation(total) + 100).tolist())
+        got = onto_instance(coll, labels, inst)
+        position = {label: k for k, label in enumerate(inst.labels())}
+        expect = AssortmentCollection(
+            [{position[labels[i - 1]] + 1 for i in s} for s in coll], n=total)
+        for a, b in zip(got.flat_arrays, expect.flat_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_reindexing_holds_no_int64_entries(self):
+        _, coll = generate_instance(GenSpec(1000, num_sets=4096))
+        inst = Instance.from_items(np.linspace(1.0, 2.0, 1000), np.full(1000, 0.5), 1.0,
+                                   item_ids=range(1000, 0, -1))
+        tracemalloc.start()
+        try:
+            out = onto_instance(coll, range(1, 1001), inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flat = out.flat_arrays[0]
+        assert flat.dtype == np.int16 and flat.nbytes > 4_000_000
+        # beside the result: one chunk's positions, int64 segment labels and
+        # sort order, about 2.6 MB; an int64 array over every entry is 16.4 MB
+        assert peak < flat.nbytes + 3_500_000
 
 
 class TestInstanceJson:

@@ -9,8 +9,8 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        assort_mnl_approx, assort_mnl_approx_simple,
                        build_lsh_index, default_lsh_params, embed_collection,
                        generate_instance, load_index, normalize, save_index)
-from assortmax.mips import (_CHUNK_ROWS, QueryVector, _hash_keys, _pack_bits, _projections,
-                            hash_key, simple_lsh_transform)
+from assortmax.mips import (_CHUNK_ROWS, QueryVector, _hash_keys, _key_columns, _pack_bits,
+                            _projections, hash_key, simple_lsh_transform)
 
 from conftest import random_instance
 
@@ -467,11 +467,12 @@ class TestIndex:
             raw /= np.float32(scale)
             raw += slack[lo:hi, None] * tail
             expect[:, lo:hi] = _pack_bits((raw >= 0.0).reshape(hi - lo, tables, bits)).T
-        keys = _hash_keys(pts, proj)
+        columns, neg_tail = _key_columns(pts.prices, proj)
+        keys = _hash_keys(pts, columns, neg_tail, tables)
         assert keys.dtype == np.dtype(f"uint{next(w for w in (8, 16, 32, 64) if bits <= w)}")
         assert np.array_equal(keys.astype(np.uint64), expect)
         ids = np.arange(1, num_sets, 3)
-        assert np.array_equal(_hash_keys(pts, proj, ids), keys[:, ids])
+        assert np.array_equal(_hash_keys(pts, columns, neg_tail, tables, ids), keys[:, ids])
 
     def test_every_point_in_every_table(self, e1, e1_all):
         pts = embed_collection(e1_all, e1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -9,7 +10,8 @@ from assortmax import (AssortmentCollection, BenchConfig, GenSpec, Instance,
                        build_lsh_index, embed_collection, exhaustive_search,
                        generate_instance, normalize, revenue,
                        run_noisy_bisection)
-from assortmax.noisy_search import (Posterior, bz_posterior_update,
+from assortmax import noisy_search
+from assortmax.noisy_search import (Posterior, _round_hashes, bz_posterior_update,
                                     bz_rounds_needed, bz_sample_selection)
 
 
@@ -310,3 +312,79 @@ class TestBzAgainstBuiltIndexes:
         expect, empty = _bz_on_built_indexes(coll, inst, 0.1 * inst.p1, 15, 0.3, params, 7)
         assert 0 < empty < 15
         assert (res.assortment, res.revenue, res.revenue_interval, res.estimate) == expect
+
+
+class TestOnePass:
+    """Every round's seed is fixed before the first comparison, so bz hashes
+    every round's key prefixes in one pass over the membership."""
+
+    @staticmethod
+    def _spy_rows(monkeypatch) -> list:
+        read = []
+        unpack = AssortmentCollection._membership_rows
+
+        def spy(coll, rows, out=None):
+            read.append(rows)
+            return unpack(coll, rows, out)
+
+        monkeypatch.setattr(AssortmentCollection, "_membership_rows", spy)
+        return read
+
+    def test_rounds_unpack_every_set_once(self, monkeypatch):
+        read = self._spy_rows(monkeypatch)
+        # 15 rounds of 6 tables hash 450 prefix columns, in chunks of 582 sets
+        inst, coll = generate_instance(GenSpec(n=60, num_sets=3000, seed=6))
+        params = LshParams(bits=8, tables=6, scan_cap=24)
+        assort_mnl_bz(coll, inst, 0.1 * inst.p1, 15, 0.3, params, seed=4)
+        covered = np.zeros(len(coll), dtype=int)
+        chunks = [rows for rows in read if isinstance(rows, slice)]
+        for rows in chunks:
+            covered[rows] += 1
+        assert len(chunks) > 1 and (covered == 1).all()
+        # the rest are the refinement's id arrays, about N/32 sets a table probed
+        refined = [rows for rows in read if not isinstance(rows, slice)]
+        assert refined and all(isinstance(rows, np.ndarray) for rows in refined)
+
+    def test_no_rounds_unpack_and_draw_nothing(self, monkeypatch):
+        read = self._spy_rows(monkeypatch)
+        draws = []
+        monkeypatch.setattr(noisy_search, "_projections", lambda *a: draws.append(a))
+        inst, coll = generate_instance(GenSpec(n=60, num_sets=800, seed=6))
+        res = assort_mnl_bz(coll, inst, 0.1 * inst.p1, 0, 0.3, seed=4)
+        assert res.iterations == 0 and res.assortment == coll[0]
+        assert read == [] and draws == []
+
+    @pytest.mark.parametrize("n, num_sets, params", [
+        (1000, 12800, BenchConfig().lsh_params(12800)),  # the noisy-12k shape
+        (200, 3000, LshParams(bits=10, tables=20, scan_cap=80)),
+    ])
+    def test_prefix_heads_are_the_built_keys_low_bits(self, n, num_sets, params):
+        inst, coll = generate_instance(GenSpec(n=n, num_sets=num_sets, seed=n))
+        inst_n = normalize(inst)
+        points = embed_collection(coll, inst_n)
+        seeds = np.random.default_rng(num_sets).integers(2**32, size=15).tolist()
+        _, _, heads, full_keys = _round_hashes(points, inst_n.weights, params, seeds)
+        low = (1 << min(params.bits, 5)) - 1
+        ids = np.arange(3, num_sets, 7)
+        for r, seed in enumerate(seeds):
+            index = build_lsh_index(points, params, seed)
+            keys = np.empty_like(index.table_keys)
+            np.put_along_axis(keys, index.table_ids.astype(np.int64), index.table_keys, axis=1)
+            assert np.array_equal(heads[r], keys & low)
+            assert np.array_equal(full_keys(r, r % params.tables, ids),
+                                  keys[r % params.tables, ids])
+
+    def test_one_solve_keeps_key_columns_not_projections(self):
+        inst, coll = generate_instance(GenSpec(n=1000, num_sets=12800, seed=1000))
+        params = BenchConfig().lsh_params(12800)
+        tracemalloc.start()
+        try:
+            assort_mnl_bz(coll, inst, 0.1 * inst.p1, 15, 0.3, params, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 11.3 MB traced when each round hashed on its own, plus the 12 MB of
+        # float32 key columns (n * rounds * tables * bits * 4 bytes); keeping
+        # every round's float64 projections would add 48 MB
+        assert 1000 * 15 * params.tables * params.bits * 4 == 12_000_000
+        assert peak < 24_000_000
