@@ -281,8 +281,8 @@ def _hash_keys(points: EmbeddedCollection, columns: np.ndarray, neg_tail: np.nda
     dtype = _key_dtype(bits)
     width = 8 * dtype.itemsize
     keys = np.empty((tables, norms.size), dtype=dtype)
-    # a chunk's raw products stay within _CHUNK_ROWS rows of a build's
-    # columns however many columns are hashed at once
+    # at most _CHUNK_VALUES raw products a chunk: a build keeps 1024 rows,
+    # bz's one pass over every round's columns takes fewer
     step = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // max(1, columns.shape[1])))
     # every chunk is unpacked into one buffer: at noisy-12k, a buffer per
     # chunk let the peak RSS creep up from one bz solve to the next

@@ -332,7 +332,7 @@ class TestOnePass:
 
     def test_rounds_unpack_every_set_once(self, monkeypatch):
         read = self._spy_rows(monkeypatch)
-        # 15 rounds of 6 tables hash 450 prefix columns, in chunks of 582 sets
+        # 15 rounds of 6 tables hash 450 prefix columns, in chunks of 873 sets
         inst, coll = generate_instance(GenSpec(n=60, num_sets=3000, seed=6))
         params = LshParams(bits=8, tables=6, scan_cap=24)
         assort_mnl_bz(coll, inst, 0.1 * inst.p1, 15, 0.3, params, seed=4)
