@@ -1,13 +1,16 @@
 """Capacity constraints need no collection at all.
 
 When the feasible family is "every assortment of at most C items", the
-threshold comparison collapses to picking the C largest positive margins
-v_i (p_i - K), found by partition, not by a sort.  Only the items priced
-above K can have a positive margin, and a comparison first tries the top
-2C items by price alone, which settle the early, low thresholds.  So each
-comparison is linear in the item count, and a whole solve reads about a
-fifth of the catalog's margins: here we push it to 100,000 items, then
-show the two structured variants (forced minimum size, per-block caps).
+question "which set has the largest margin sum at K?" collapses to picking
+the C largest positive margins v_i (p_i - K), found by partition, not by a
+sort.  Dinkelbach's iteration takes that selection, sets K to its revenue,
+and repeats until the revenue stops rising: it ends at the optimum itself,
+with no eps, in about six selections.  Only the items priced above K can
+have a positive margin, and the first selections read the top 2C items by
+price alone.  So each selection is linear in the item count, and a whole
+solve reads under a tenth of the catalog's margins: here we push it to
+100,000 items, then show the two structured variants (forced minimum size,
+per-block caps).
 """
 
 import time
@@ -21,7 +24,7 @@ res = assort_mnl_capacitated(inst, C=50, eps=0.1)
 elapsed = time.perf_counter() - t0
 print(f"n = {inst.n:,}, C = 50: revenue {res.revenue:.3f} with "
       f"{len(res.assortment)} items in {elapsed * 1e3:.1f} ms "
-      f"({res.iterations} comparisons)")
+      f"({res.iterations} selections)")
 
 # sweep the capacity: diminishing returns as C grows
 print("\ncapacity sweep (n = 100k):")

@@ -1,11 +1,12 @@
-"""Binary-search assortment solvers and the capacitated compare-step family.
+"""Assortment solvers over explicit collections and capacity constraints.
 
-Every solver here answers "find an assortment within eps of the best
-feasible revenue" by bisecting on the revenue value itself: a comparison
-"does any feasible set earn at least K?" either raises the lower bound (and
-records the witness) or lowers the upper bound.  The comparison is answered
-by maximum inner product search for explicit collections, or by top-C
-selection on the per-item margins v_i (p_i - K) for capacity constraints.
+A solver over an explicit collection answers "find an assortment within
+eps of the best feasible revenue" by bisecting on the revenue value itself:
+a comparison "does any feasible set earn at least K?", answered by maximum
+inner product search, either raises the lower bound (and records the
+witness) or lowers the upper bound.  Under capacity-style constraints the
+comparison is a top-C selection on the per-item margins v_i (p_i - K), and
+Dinkelbach's iteration on those selections returns the certified optimum.
 """
 
 import math
@@ -40,7 +41,8 @@ class MipsOracle(Protocol):
 
 @dataclass(frozen=True)
 class SearchState:
-    """Snapshot of the bisection after one iteration."""
+    """Snapshot of a search after one iteration: a bisection step, or one
+    selection of a capacity-style solve."""
 
     lower: float
     upper: float
@@ -95,13 +97,6 @@ def _priced_above(inst: Instance, K: float) -> int:
     return inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
 
 
-def _compare_blocks(inst: Instance, blocks: Sequence[tuple], K: float,
-                    by_position: Sequence[tuple] | None = None) -> tuple[bool, Assortment]:
-    """:func:`_compare_items` with its witness as an :class:`Assortment`."""
-    exists, items = _compare_items(inst, blocks, K, by_position)
-    return exists, Assortment(items + 1)
-
-
 def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
                    by_position: Sequence[tuple] | None = None) -> tuple[bool, np.ndarray]:
     """The one capacity-style comparison, with no sort: the witness, as
@@ -154,11 +149,14 @@ def _prefix_select(inst: Instance, blocks: Sequence[tuple], K: float,
     return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
 
 
-def _certificate(inst: Instance, blocks: Sequence[tuple],
-                 by_position: Sequence[tuple]) -> tuple[float, float, np.ndarray | None]:
-    """(K_lo, K_hi, witness): :func:`_compare_items` answers "yes" at every
-    K <= K_lo and "no" at every K >= K_hi; the witness, as 0-based items
-    (None when no set earns more than 0), is the best set found.
+def _certificate(inst: Instance, blocks: Sequence[tuple], by_position: Sequence[tuple],
+                 on_iteration: Callable[[SearchState], None] | None = None
+                 ) -> tuple[float, float, np.ndarray, int]:
+    """(K_lo, K_hi, witness, selections): K_lo <= R* <= K_hi, and
+    :func:`_compare_items` answers "yes" at every K <= K_lo and "no" at
+    every K >= K_hi; the witness, as 0-based items, is the best set found
+    or, when no set earns more than 0, the last selection, which earns 0
+    as every feasible set then does; ``selections`` counts the selections.
 
     Dinkelbach's iteration (Dinkelbach 1967, Management Science 13(7))
     takes the selection S at K, then K = R(S), until R(S) <= K.  It is
@@ -193,27 +191,48 @@ def _certificate(inst: Instance, blocks: Sequence[tuple],
     the full read's selection at K_T, so fl(T / v0) < fl(fl(fl(P_T h) -
     fl(N_T s)) / v0) h).  K_hi is the largest of that, K_T and
     :data:`_SMALLEST_K`, which keeps each quotient normal or below K.  A
-    bound that proves nothing is -inf or inf.
+    K_lo that proves nothing is -inf.  At any K, R* <= max(K, M(K) / v0),
+    M(K) the largest real margin sum: if R* > K, the optimum's margins sum
+    to R* v0 + (R* - K) B* >= R* v0.  So K_hi, and the same bound taken at
+    any full read, bounds R* from above.
+
+    ``on_iteration`` gets one state per selection, taken at its K: the
+    bracket [K, the upper bound above at K], K shrunk as K_lo is, and the
+    best set so far (the selection itself while there is none).  A prefix
+    selection does not see every item, so its state keeps the bound p1.
     """
     k = sum(cap for _, cap, _ in blocks)
-    K, best = 0.0, None
-    for select in (lambda K: _prefix_select(inst, blocks, K, by_position, 2 * k),
-                   lambda K: _compare_items(inst, blocks, K, by_position)[1]):
+    s, h = 1.0 - (k + 2) * 2.0 ** -50, 1.0 + (k + 2) * 2.0 ** -50
+    shrink = 1.0 - (k + 2) * 2.0 ** -46
+    K, best, selections = 0.0, None, 0
+    for full, select in ((False, lambda K: _prefix_select(inst, blocks, K, by_position, 2 * k)),
+                         (True, lambda K: _compare_items(inst, blocks, K, by_position)[1])):
         while (items := select(K)) is not None:
+            selections += 1
+            if on_iteration is not None:
+                upper = _upper_bound(inst, items, K, s, h) if full else inst.p1
+                on_iteration(SearchState(K * shrink, upper, Assortment(
+                    (items if best is None else best) + 1), selections))
             r = _revenue_of(inst, items)
             if not r > K:
                 break
             K, best = r, items
     # items is now the full read's selection at K
-    s, h = 1.0 - (k + 2) * 2.0 ** -50, 1.0 + (k + 2) * 2.0 ** -50
     K_lo = -math.inf
     if best is not None:
-        below = K * (1.0 - (k + 2) * 2.0 ** -46)
+        below = K * shrink
         P, N = _signed_sums(inst, best, below)
         if _SMALLEST_K <= below <= (P * s - N * h) / inst.v0 * s < math.inf:
             K_lo = below
+    return (K_lo, _upper_bound(inst, items, K, s, h),
+            items if best is None else best, selections)
+
+
+def _upper_bound(inst: Instance, items: np.ndarray, K: float, s: float, h: float) -> float:
+    """The bound above R* that the full read's selection ``items`` at K
+    proves, with :func:`_certificate`'s rounding factors s and h."""
     P, N = _signed_sums(inst, items, K)
-    return K_lo, max((P * h - N * s) / inst.v0 * h, K, _SMALLEST_K), best
+    return max((P * h - N * s) / inst.v0 * h, K, _SMALLEST_K)
 
 
 def _signed_sums(inst: Instance, items: np.ndarray, K: float) -> tuple[float, float]:
@@ -235,27 +254,6 @@ def _check_capacity(inst: Instance, C: int, c_min: int) -> None:
         raise ValueError("c_min must lie in 0..C")
     if not 1 <= C <= inst.n:
         raise ValueError(f"capacity must lie in 1..{inst.n}")
-
-
-def compare_step_capacitated(K: float, inst: Instance, C: int,
-                             c_min: int = 0) -> tuple[bool, Assortment]:
-    """Does some set of c_min..C items earn at least K?  The witness holds
-    the (up to) C largest positive margins, topped up to c_min items.  Only
-    the items priced above K are read, unless the top-up needs the rest."""
-    _check_capacity(inst, C, c_min)
-    return _compare_blocks(inst, [(None, C, c_min)], K)
-
-
-def compare_step_partitioned(K: float, inst: Instance,
-                             blocks: Sequence[Sequence[int]],
-                             caps: Sequence[int]) -> tuple[bool, Assortment]:
-    """Per-block capacitated comparison for partitioned item families.
-
-    ``blocks`` must partition 1..n; block w contributes its top-caps[w]
-    positive margins independently.
-    """
-    spec, by_position = _partitioned_compare(inst, blocks, caps)
-    return _compare_blocks(inst, spec, K, by_position)
 
 
 def _partitioned_compare(inst: Instance, blocks: Sequence[Sequence[int]],
@@ -308,40 +306,6 @@ def _set_builder(collection: AssortmentCollection, mips: MipsOracle) -> BuildFn:
     start, the witness None, as ``collection``'s first set."""
     source = mips.points.source
     return lambda set_id: collection[0] if set_id is None else source[set_id]
-
-
-def _capacitated_step(inst: Instance, blocks: Sequence[tuple],
-                      by_position: Sequence[tuple], start: np.ndarray) -> tuple[StepFn, BuildFn]:
-    """The bisection step of one capacity-style solve, and the build of the
-    set a witness stands for.  The first step computes :func:`_certificate`;
-    a step answers every K <= K_lo "yes" and every K >= K_hi "no", and reads
-    a K between them in full.  A witness is the threshold of its "yes", and
-    its set the full read's selection there; the start, the witness None,
-    is the 0-based items ``start``.  The last full read's (K, selection)
-    is kept, so a build at the K just read, or just built, reads nothing."""
-    bounds = last = None
-
-    def read(K: float) -> bool:
-        nonlocal last
-        exists, items = _compare_items(inst, blocks, K, by_position)
-        last = K, items
-        return exists
-
-    def step(K: float):
-        nonlocal bounds
-        if bounds is None:
-            bounds = _certificate(inst, blocks, by_position)[:2]
-        if K <= bounds[0] or (K < bounds[1] and read(K)):
-            return K, K
-        return None
-
-    def build(K: float | None) -> Assortment:
-        if K is None:
-            return Assortment(start + 1)
-        if last is None or last[0] != K:
-            read(K)
-        return Assortment(last[1] + 1)
-    return step, build
 
 
 def _bisect(inst: Instance, step: StepFn, eps: float, build: BuildFn,
@@ -404,12 +368,17 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
                            blocks: Sequence[Sequence[int]] | None = None,
                            caps: Sequence[int] | None = None,
                            on_iteration=None) -> SolverResult:
-    """eps-optimal assortment under capacity-style constraints.
+    """The certified optimum under capacity-style constraints.
 
     variant "topc" optimizes over all sets of size <= C, "lb" additionally
     forces at least c_min items, and "partitioned" applies per-block caps.
-    C, c_min, blocks and caps are checked once, on entry, so an eps that
-    needs no comparison still rejects them.
+    Dinkelbach's iteration (:func:`_certificate`) ends at the optimum in a
+    few selections, each linear in the item count; the solve returns its
+    witness, that set's exact revenue, the proven bracket (K_lo, K_hi),
+    about 1e-12 wide in relative terms (0 for a K_lo it cannot prove), and
+    the selections made as ``iterations``.  ``on_iteration`` gets one state
+    per selection.  ``eps`` must be positive but shapes nothing.  C, c_min,
+    blocks and caps are checked on entry.
     """
     if variant in ("topc", "lb"):
         lo = c_min if variant == "lb" else 0
@@ -419,17 +388,19 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
         _check_capacity(inst, C, lo)
         spec = [(None, C, lo)]
         by_position = _by_position(spec, inst.n)
-        # the top max(1, lo) items: within 1..C, and at least c_min for lb
-        start = np.arange(max(1, lo))
     elif variant == "partitioned":
         if blocks is None or caps is None:
             raise ValueError("variant 'partitioned' needs blocks and caps")
         spec, by_position = _partitioned_compare(inst, blocks, caps)
-        start = np.empty(0, dtype=np.int64)  # block caps may all be zero
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    step, build = _capacitated_step(inst, spec, by_position, start)
-    return _bisect(inst, step, eps, build, on_iteration)
+    if not eps > 0:  # also rejects NaN
+        raise ValueError("eps must be positive")
+    t0 = time.perf_counter()
+    K_lo, K_hi, items, selections = _certificate(inst, spec, by_position, on_iteration)
+    chosen = Assortment(items + 1)
+    wall = time.perf_counter() - t0
+    return SolverResult(chosen, revenue(chosen, inst), (max(K_lo, 0.0), K_hi), selections, wall)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,

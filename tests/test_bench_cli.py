@@ -18,11 +18,14 @@ from assortmax.cli import main
 # bench.solve, so this pins the dispatch.  Re-recorded when revenue() and
 # brute force began to sum a set as the exact scan does: revenue moved by
 # at most 3 ulps in 9 of the 21 answers, the brute_cap bracket (r, r) with
-# it, and no set or iteration count changed.  Revenue no longer depends on
-# the BLAS; like the index digests in test_mips.py, the hashed answers
-# still hold only for the BLAS the index builds were recorded with.
+# it, and no set or iteration count changed.  Re-recorded when the
+# capacitated solve began to return its certificate's witness: the three
+# capacitated brackets and iteration counts moved, no set or revenue did.
+# Revenue no longer depends on the BLAS; like the index digests in
+# test_mips.py, the hashed answers still hold only for the BLAS the index
+# builds were recorded with.
 _PINNED_DISPATCH_SHA256 = (
-    "1f68b9baa640e84ea2d39291a04dcc4dfb322d1d4f1667ae540e81d864765c19")
+    "e9c283cfa97a5302e3e0be0c386777334375f884333694d4ccbd49e8d5aa88a2")
 
 # sha256 over repr() of every field but wall_time_s of each run_bench row,
 # per-run rows then mean rows, for BenchConfig(GENERAL_ALGOS, runs=3, n=30,

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from assortmax import (Assortment, Instance, assort_mnl_capacitated,
                        brute_force_capacitated, revenue)
 from assortmax import solvers
-from assortmax.solvers import compare_step_capacitated, compare_step_partitioned
 
 from conftest import random_instance
 
@@ -44,39 +44,98 @@ def brute_force_blocks(inst, blocks, caps):
     return best_rev, best
 
 
-# sorted items, revenue, bracket and iterations of 15 solves at n=20000,
-# recorded with the full-margin comparison, before it read only the prefix
+def solve_spec(inst, C, variant, c_min=0, blocks=None, caps=None):
+    """The comparison blocks and their positions, as a solve of ``variant``
+    builds them (a "partitioned" one checks ``blocks`` and ``caps``)."""
+    if variant == "partitioned":
+        return solvers._partitioned_compare(inst, blocks, caps)
+    spec = [(None, C, c_min if variant == "lb" else 0)]
+    return spec, solvers._by_position(spec, inst.n)
+
+
+def compare_spec(inst, spec, K, by_position=None):
+    """The library's one comparison, with its witness as an Assortment."""
+    exists, items = solvers._compare_items(inst, spec, K, by_position)
+    return exists, Assortment(items + 1)
+
+
+def compare(K, inst, C=None, c_min=0, blocks=None, caps=None):
+    """The comparison at K of an "lb" solve over sets of c_min..C items or,
+    given ``blocks``, of a "partitioned" one."""
+    variant = "lb" if blocks is None else "partitioned"
+    spec, by_position = solve_spec(inst, C, variant, c_min, blocks, caps)
+    return compare_spec(inst, spec, K, by_position)
+
+
+def exact_optimum(inst, spec, start):
+    """The optimum as a Fraction, by Dinkelbach's iteration in exact
+    rational arithmetic from the revenue of the feasible 0-based items
+    ``start``: per block of ``spec``, a selection sorts the exact margins
+    v_i (p_i - K) and takes the largest positive ones up to its cap, topped
+    up to its c_min with the largest others, until its revenue is at most K.
+    Exact for any n, where brute force stops at about n = 25."""
+    p = [Fraction(x) for x in inst.prices.tolist()]
+    v = [Fraction(x) for x in inst.weights.tolist()]
+
+    def rev(items):
+        return (sum((p[i] * v[i] for i in items), Fraction(0))
+                / (Fraction(inst.v0) + sum((v[i] for i in items), Fraction(0))))
+
+    K = rev(start)
+    while True:
+        chosen = []
+        for items, cap, lo in spec:
+            ids = range(inst.n) if items is None else items.tolist()
+            if lo == 0:  # only an item priced above K has a positive margin
+                ids = [i for i in ids if p[i] > K]
+            margins = sorted(((v[i] * (p[i] - K), i) for i in ids), reverse=True)
+            top = sum(m > 0 for m, _ in margins[:cap])
+            chosen += [i for _, i in margins[:max(top, lo)]]
+        r = rev(chosen)
+        if r <= K:
+            return K
+        K = r
+
+
+def solve_optimum(inst, res, C, variant, c_min=0, blocks=None, caps=None):
+    """:func:`exact_optimum` of a solve's feasible family, from its answer."""
+    spec = solve_spec(inst, C, variant, c_min, blocks, caps)[0]
+    return exact_optimum(inst, spec, res.assortment.indices())
+
+
+# sorted items, revenue, bracket and iterations of 15 solves at n=20000;
+# re-recorded when a solve began to return its certificate's witness
 _PINNED_PREFIX_SOLVES_SHA256 = (
-    "a9699f15eabd83eaee8ed7c11719c65cc8abd93d2984386358de8b60aab24d34")
+    "24c272f47e1ed657b63278bd88968d42b1fa830af08b83ad9be1f127eb14fe29")
 
 
 # sorted items, revenue, bracket and iterations, then every state's
 # (lower, upper, sorted best items, iteration), of the partitioned solves of
-# TestZeroCapBlocks, recorded with every comparison read in full, so that a
-# state's best is the full read's selection at its lower bound
+# TestZeroCapBlocks; re-recorded when a solve began to return its
+# certificate's witness and report one state per selection
 _PINNED_ZERO_CAP_SHA256 = (
-    "8908dda477861aa26752c2cbfa6e0f20c487a2f98da1345e5ceff143978c4a8f")
+    "60f6aa6f47eb27ae7570cd6ce89b4e56ea8035c5d98ec4bb14b929a94a6df3d8")
 
 
 class TestCompareCapacitated:
     def test_exists_hand_example(self, e1):
-        exists, witness = compare_step_capacitated(3.0, e1, 2)
+        exists, witness = compare(3.0, e1, 2)
         assert exists and witness.items == {1, 2}
 
     def test_not_exists_hand_example(self, e1):
-        exists, witness = compare_step_capacitated(4.0, e1, 2)
+        exists, witness = compare(4.0, e1, 2)
         assert not exists
         assert witness.items == {1, 2}  # top-2 positive margins regardless
 
     def test_threshold_above_top_price(self, e1):
-        exists, witness = compare_step_capacitated(12.0, e1, 2)
+        exists, witness = compare(12.0, e1, 2)
         assert not exists and len(witness) == 0
 
     def test_capacity_bounds_checked(self, e1):
         with pytest.raises(ValueError, match="capacity"):
-            compare_step_capacitated(1.0, e1, 0)
+            assort_mnl_capacitated(e1, 0, 0.1)
         with pytest.raises(ValueError, match="capacity"):
-            compare_step_capacitated(1.0, e1, 4)
+            assort_mnl_capacitated(e1, 4, 0.1)
 
     def test_witness_maximizes_margin_sum(self):
         rng = np.random.default_rng(17)
@@ -84,7 +143,7 @@ class TestCompareCapacitated:
             inst = random_instance(rng, 9)
             C = int(rng.integers(1, 9))
             K = float(rng.uniform(0, inst.p1))
-            _, witness = compare_step_capacitated(K, inst, C)
+            _, witness = compare(K, inst, C)
             w = inst.weights * (inst.prices - K)
             got = w[witness.indices()].sum() if len(witness) else 0.0
             best = max((sum(w[list(c)]) for k in range(0, C + 1)
@@ -140,21 +199,21 @@ class TestPricedAboveK:
             c_min = int(rng.integers(0, C + 1))
             if c_min > np.count_nonzero(inst.weights * (inst.prices - K) > 0):
                 hit.add("top-up")
-            got = compare_step_capacitated(K, inst, C, c_min)
+            got = compare(K, inst, C, c_min)
             assert got == full_margin_compare(inst, [(None, C, c_min)], K)
             # blocks in shuffled order, with their items in shuffled order
             cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)),
                                       replace=False))
             arrs = np.split(rng.permutation(n), cuts)
             caps = [int(rng.integers(0, len(b) + 2)) for b in arrs]
-            got = compare_step_partitioned(K, inst, [b + 1 for b in arrs], caps)
+            got = compare(K, inst, blocks=[b + 1 for b in arrs], caps=caps)
             assert got == full_margin_compare(inst, [(b, cap, 0) for b, cap in
                                                      zip(arrs, caps)], K)
             # no variant gives an explicit block a c_min; the comparison
             # still tops such a block up from its own items
             spec = [(b, cap, int(rng.integers(0, min(cap, b.size) + 1)))
                     for b, cap in zip(arrs, caps)]
-            assert solvers._compare_blocks(inst, spec, K) == full_margin_compare(inst, spec, K)
+            assert compare_spec(inst, spec, K) == full_margin_compare(inst, spec, K)
         assert hit == {"price", "p1", "above", "negative", "nan", "uniform", "top-up"}
 
     def test_one_comparison_stays_in_small_buffers(self):
@@ -164,7 +223,7 @@ class TestPricedAboveK:
         assert 1500 < np.count_nonzero(inst.prices > 980.0) < 2500
         tracemalloc.start()
         try:
-            compare_step_capacitated(980.0, inst, 50)
+            compare(980.0, inst, 50)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -196,7 +255,7 @@ class TestOneSelectionRule:
                 caps = [int(rng.integers(0, len(b) + 2)) for b in blocks]
                 hit |= {"zero cap" for cap in caps if cap == 0}
                 hit |= {"cap >= block" for b, cap in zip(blocks, caps) if cap >= len(b)}
-                exists, witness = compare_step_partitioned(K, inst, blocks, caps)
+                exists, witness = compare(K, inst, blocks=blocks, caps=caps)
                 family = [sum(pick, ()) for pick in itertools.product(
                     *(size_family([i - 1 for i in b], 0, cap)
                       for b, cap in zip(blocks, caps)))]
@@ -207,7 +266,7 @@ class TestOneSelectionRule:
                     hit.add("c_min > positive")
                 if C == n:
                     hit.add("cap >= block")
-                exists, witness = compare_step_capacitated(K, inst, C, c_min)
+                exists, witness = compare(K, inst, C, c_min)
                 family = size_family(range(n), c_min, C)
             assert tuple(witness.indices()) in {tuple(sorted(s)) for s in family}
             best = max(w[list(s)].sum() for s in family)
@@ -220,7 +279,7 @@ class TestOneSelectionRule:
 
 class TestCompareLowerBound:
     def test_forced_inclusion_hand_example(self, e1):
-        exists, witness = compare_step_capacitated(6.0, e1, 2, 2)
+        exists, witness = compare(6.0, e1, 2, 2)
         assert not exists and witness.items == {1, 2}
 
     def test_cmin_zero_reduces_to_plain(self):
@@ -229,19 +288,19 @@ class TestCompareLowerBound:
             inst = random_instance(rng, 8)
             C = int(rng.integers(1, 8))
             K = float(rng.uniform(0, inst.p1))
-            plain = compare_step_capacitated(K, inst, C)
-            lb = compare_step_capacitated(K, inst, C, 0)
+            plain = compare(K, inst, C)
+            lb = compare(K, inst, C, 0)
             assert plain[0] == lb[0] and plain[1] == lb[1]
 
     def test_all_negative_margins_picks_least_negative(self, e1):
-        exists, witness = compare_step_capacitated(20.0, e1, 2, 1)
+        exists, witness = compare(20.0, e1, 2, 1)
         assert not exists
         w = e1.weights * (e1.prices - 20.0)
         assert witness.items == {int(np.argmax(w)) + 1}
 
     def test_cmin_above_capacity_rejected(self, e1):
         with pytest.raises(ValueError, match="c_min"):
-            compare_step_capacitated(1.0, e1, 1, 2)
+            assort_mnl_capacitated(e1, 1, 0.1, "lb", c_min=2)
 
 
 class TestComparePartitioned:
@@ -251,35 +310,35 @@ class TestComparePartitioned:
             inst = random_instance(rng, 7)
             C = int(rng.integers(1, 7))
             K = float(rng.uniform(0, inst.p1))
-            plain = compare_step_capacitated(K, inst, C)
-            part = compare_step_partitioned(K, inst, [range(1, 8)], [C])
+            plain = compare(K, inst, C)
+            part = compare(K, inst, blocks=[range(1, 8)], caps=[C])
             assert plain[0] == part[0] and plain[1] == part[1]
 
     def test_hand_example(self, e1):
-        exists, witness = compare_step_partitioned(3.0, e1, [[1], [2, 3]], [1, 1])
+        exists, witness = compare(3.0, e1, blocks=[[1], [2, 3]], caps=[1, 1])
         assert exists and witness.items == {1, 2}
 
     def test_zero_caps(self, e1):
-        exists, witness = compare_step_partitioned(1.0, e1, [[1], [2, 3]], [0, 0])
+        exists, witness = compare(1.0, e1, blocks=[[1], [2, 3]], caps=[0, 0])
         assert not exists and len(witness) == 0
-        exists, _ = compare_step_partitioned(0.0, e1, [[1], [2, 3]], [0, 0])
+        exists, _ = compare(0.0, e1, blocks=[[1], [2, 3]], caps=[0, 0])
         assert exists  # zero threshold is met by the empty selection
 
     def test_block_item_types(self, e1):
         # whole numbers of any numeric type name items; fractions do not
         blocks = [np.array([1], dtype=np.uint8), (2.0, 3), range(0)]
-        want = compare_step_partitioned(3.0, e1, [[1], [2, 3], []], [1, 1, 0])
-        assert compare_step_partitioned(3.0, e1, blocks, [1, 1, 0]) == want
+        want = compare(3.0, e1, blocks=[[1], [2, 3], []], caps=[1, 1, 0])
+        assert compare(3.0, e1, blocks=blocks, caps=[1, 1, 0]) == want
         with pytest.raises(ValueError, match="non-integer"):
-            compare_step_partitioned(3.0, e1, [[1], [2.5, 3]], [1, 1])
+            compare(3.0, e1, blocks=[[1], [2.5, 3]], caps=[1, 1])
         with pytest.raises(ValueError, match="non-integer"):
-            compare_step_partitioned(3.0, e1, [[1], [np.nan, 2, 3]], [1, 1])
+            compare(3.0, e1, blocks=[[1], [np.nan, 2, 3]], caps=[1, 1])
 
     def test_non_partition_rejected(self, e1):
         with pytest.raises(ValueError, match="partition"):
-            compare_step_partitioned(1.0, e1, [[1], [1, 2, 3]], [1, 1])
+            compare(1.0, e1, blocks=[[1], [1, 2, 3]], caps=[1, 1])
         with pytest.raises(ValueError, match="partition"):
-            compare_step_partitioned(1.0, e1, [[1], [2]], [1, 1])
+            compare(1.0, e1, blocks=[[1], [2]], caps=[1, 1])
 
 
 class TestBracketsContainTheOptimum:
@@ -308,6 +367,51 @@ class TestBracketsContainTheOptimum:
             lo, hi = res.revenue_interval
             assert lo <= opt <= hi
             assert all(s.lower <= opt <= s.upper for s in states)
+            # the exact oracle of the tests past brute force's reach agrees
+            exact = solve_optimum(inst, res, C, variant, **kwargs)
+            assert float(exact) == pytest.approx(opt, rel=1e-14)
+            assert res.revenue == pytest.approx(opt, rel=1e-14)
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_hostile_brackets_hold_the_exact_optimum(self, variant, monkeypatch):
+        # n up to 300, past brute force, so the optimum is exact_optimum's;
+        # the answer is feasible and earns no less than the bisection that
+        # reads every comparison in full, also where the certificate proves
+        # no K_lo and the bracket starts at 0
+        rng = np.random.default_rng(73)
+        made, hit = record_certificates(monkeypatch), set()
+        for _ in range(300):
+            inst, args, kwargs, _ = hostile_case(rng, variant)
+            made.clear()
+            res = assort_mnl_capacitated(inst, *args, **kwargs)
+            C = args[0]
+            assert _feasible(res.assortment, C, kwargs.get("c_min", 0),
+                             kwargs.get("blocks"), kwargs.get("caps"))
+            lo, hi = res.revenue_interval
+            assert lo <= solve_optimum(inst, res, C, variant, **kwargs) <= hi
+            assert res.revenue >= reference_solve(inst, *args, **kwargs)[0][1]
+            hit.add("proves nothing" if made[0][0] == -np.inf else "proven")
+        assert hit == ({"proves nothing", "proven"} if variant == "partitioned"
+                       else {"proven"})
+
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_brackets_are_the_certificate_at_scale(self, variant, monkeypatch):
+        # n = 10^5, C = 50 with c_min = 10, or four blocks
+        made = record_certificates(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, 100_000, price_hi=1000.0)
+            blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
+            C = None if variant == "partitioned" else 50
+            made.clear()
+            res = assort_mnl_capacitated(inst, C, 0.1, variant, c_min=10, blocks=blocks,
+                                         caps=[20, 5, 15, 10])
+            (K_lo, K_hi, items, selections), = made
+            assert res.revenue_interval == (K_lo, K_hi) and res.revenue >= K_lo
+            assert res.assortment == Assortment(items + 1)
+            assert res.iterations == selections
+            assert _feasible(res.assortment, C, 10 if variant == "lb" else 0,
+                             None if C else blocks, [20, 5, 15, 10])
 
 
 class TestCapacitatedSolver:
@@ -324,8 +428,7 @@ class TestCapacitatedSolver:
             C = int(rng.integers(1, min(inst.n, 5) + 1))
             opt = brute_force_capacitated(inst, C)
             res = assort_mnl_capacitated(inst, C, 0.05)
-            assert res.revenue >= opt.revenue - 0.05 - 1e-12
-            assert res.revenue <= opt.revenue + 1e-12
+            assert res.revenue == pytest.approx(opt.revenue, rel=1e-12)
             assert len(res.assortment) <= C
 
     def test_lb_variant_matches_size_range_oracle(self):
@@ -336,7 +439,7 @@ class TestCapacitatedSolver:
             c_min = int(rng.integers(1, C + 1))
             opt_rev, _ = brute_force_size_range(inst, c_min, C)
             res = assort_mnl_capacitated(inst, C, 0.02, variant="lb", c_min=c_min)
-            assert res.revenue >= opt_rev - 0.02 - 1e-12
+            assert res.revenue == pytest.approx(opt_rev, rel=1e-12)
             assert c_min <= len(res.assortment) <= C
 
     def test_partitioned_variant_matches_block_oracle(self):
@@ -350,32 +453,36 @@ class TestCapacitatedSolver:
             opt_rev, _ = brute_force_blocks(inst, blocks, caps)
             res = assort_mnl_capacitated(inst, None, 0.02, variant="partitioned",
                                          blocks=blocks, caps=caps)
-            assert res.revenue >= opt_rev - 0.02 - 1e-12
+            assert res.revenue == pytest.approx(opt_rev, rel=1e-12)
             for b, cap in zip(blocks, caps):
                 assert len(res.assortment.items & set(b)) <= cap
 
     def test_no_success_returns_feasible_start(self):
-        # every revenue is below eps, so no comparison runs; the answer must
-        # still meet the variant's constraints, not fall back to {1}
-        inst = Instance([.01, .005, .004], [.1] * 3, 1.0)
-        res = assort_mnl_capacitated(inst, 3, 1.0, "lb", c_min=2)
-        assert res.assortment.items == {1, 2} and res.iterations == 0
-        assert assort_mnl_capacitated(inst, 3, 1.0).assortment.items == {1}
-        res = assort_mnl_capacitated(inst, None, 1.0, variant="partitioned",
-                                     blocks=[[1, 2, 3]], caps=[0])
-        assert len(res.assortment) == 0 and res.revenue == 0.0
+        # no set earns more than 0, so the certificate has no witness and
+        # proves no K_lo; the answer must still meet the variant's
+        # constraints, and its bracket starts at 0
+        inst = Instance([.01, .005, .004], [0.0] * 3, 1.0)
+        for C, variant, kwargs, size in [(3, "lb", {"c_min": 2}, (2, 3)),
+                                         (3, "topc", {}, (0, 3)),
+                                         (None, "partitioned",
+                                          {"blocks": [[1, 2, 3]], "caps": [0]}, (0, 0))]:
+            res = assort_mnl_capacitated(inst, C, 1.0, variant, **kwargs)
+            assert size[0] <= len(res.assortment) <= size[1] and res.revenue == 0.0
+            assert res.revenue_interval[0] == 0.0 < res.revenue_interval[1]
+            assert res.iterations >= 1
 
     @pytest.mark.parametrize("c_min", [4, 9])
     def test_topc_start_ignores_c_min(self, c_min):
-        # topc has no minimum size, so its start set is {1} whatever c_min
-        # is; {1..c_min} would break |A| <= C or name items beyond n
+        # topc has no minimum size, so it ignores c_min whatever it is; a
+        # minimum of c_min would break |A| <= C or name items beyond n
         inst = Instance([1.0, 0.5, 0.4, 0.3, 0.2], [0.5] * 5, 1.0)
         res = assort_mnl_capacitated(inst, 2, 1.0, "topc", c_min=c_min)
-        assert res.assortment.items == {1} and res.iterations == 0
+        assert res.assortment.items == {1, 2}
+        assert _answer(res) == _answer(assort_mnl_capacitated(inst, 2, 1.0))
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
     def test_bounds_checked_without_comparisons(self, eps):
-        # eps >= p1 runs no comparison; C and c_min must still be rejected
+        # C, c_min, blocks and caps are checked on entry, whatever eps is
         inst = Instance([1.0, 0.5], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError, match="c_min"):
             assort_mnl_capacitated(inst, 1, eps, "lb", c_min=2)
@@ -407,15 +514,15 @@ class TestCapacitatedSolver:
         res = assort_mnl_capacitated(inst, None, 1e-3, variant="partitioned",
                                      blocks=[[1, 2, 3], [4, 5, 6], [7, 8, 9]],
                                      caps=[1, 2, 1])
-        assert res.iterations >= 10 and len(calls) == 1
+        assert res.iterations >= 2 and len(calls) == 1
 
     def test_unknown_variant(self, e1):
         with pytest.raises(ValueError, match="variant"):
             assort_mnl_capacitated(e1, 2, 0.1, variant="bogus")
 
     def test_solves_are_pinned_where_few_items_beat_K(self):
-        # recorded before the comparison read only the items priced above K;
-        # near the optimum (about 0.99 p1) that is about 1% of the catalog
+        # near the optimum (about 0.99 p1) the items priced above K are
+        # about 1% of the catalog
         h = hashlib.sha256()
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -486,8 +593,9 @@ def hostile_case(rng, variant):
 
 
 def reference_solve(inst, C, eps, variant, c_min=0, blocks=None, caps=None):
-    """The bisection with every comparison its own full read of every
-    block, zero caps included, by :func:`full_margin_compare`: the answer,
+    """The eps-optimal bisection on revenue, the reference a certified
+    solve must match or beat, with every comparison its own full read of
+    every block, zero caps included, by :func:`full_margin_compare`: the answer,
     as :func:`_answer` gives it, and every state's (lower, upper, sorted
     best items, iteration), best the witness of the last "yes"."""
     if variant == "partitioned":
@@ -509,14 +617,15 @@ def reference_solve(inst, C, eps, variant, c_min=0, blocks=None, caps=None):
 
 
 class TestPrefixAccept:
-    """The states a capacitated solve reports, and the read that settles
-    its answer; the certificate reads the top 2·sum(caps) items by price
-    before it reads the whole catalog."""
+    """The states a capacitated solve reports, one per selection, and the
+    read that settles its answer; the certificate reads the top
+    2·sum(caps) items by price before it reads the whole catalog."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_early_accept_never_changes_an_answer(self, variant, monkeypatch):
-        # a K at or below the certificate's K_lo is answered "yes" with no
-        # read of its own; every answer and bracket must equal the reference's
+        # at each threshold the reference bisection asks at or below the
+        # certificate's K_lo, its full read says "yes", as the certificate
+        # does; the solve earns at least the reference's revenue
         rng = np.random.default_rng({"topc": 60, "lb": 61, "partitioned": 62}[variant])
         made, hit = record_certificates(monkeypatch), set()
         for _ in range(150):
@@ -524,18 +633,16 @@ class TestPrefixAccept:
             want, want_states = reference_solve(inst, *args, **kwargs)
             made.clear()
             res = assort_mnl_capacitated(inst, *args, **kwargs)
-            states = []
-            assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
-            assert _answer(res) == want
-            assert [(s.lower, s.upper) for s in states] == [w[:2] for w in want_states]
-            if not made:
-                continue
-            proved = [K for K in _thresholds(inst, states) if K <= made[0][0]]
+            assert res.revenue >= want[1]
+            brackets = [w[:2] for w in want_states]
+            proved = [(K, lo) for K, (lo, _) in zip(_thresholds(inst, brackets), brackets)
+                      if K <= made[0][0]]
+            assert all(K == lo for K, lo in proved)  # the reference said "yes"
             if proved:
                 hit |= has | {"early accept"}
-                if proved[-1] == res.revenue_interval[0]:
+                if proved[-1][0] == want[2][0]:
                     hit.add("settled")
-                if any(K in inst.prices for K in proved):
+                if any(K in inst.prices for K, _ in proved):
                     hit.add("K on a price")
         expected = {"early accept", "settled", "K on a price", "integer", "zero weight",
                     "scaled"} | {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(
@@ -544,16 +651,21 @@ class TestPrefixAccept:
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_every_state_certifies_its_bound(self, variant):
+        # each state's set is feasible and earns at least its lower bound,
+        # and its bracket holds the exact optimum
         rng = np.random.default_rng({"topc": 63, "lb": 64, "partitioned": 65}[variant])
         for _ in range(100):
             inst, args, kwargs, _ = hostile_case(rng, variant)
             states = []
-            assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
+            res = assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
             C = args[0]
+            optimum = solve_optimum(inst, res, C, variant, **kwargs)
+            assert [s.iteration for s in states] == list(range(1, res.iterations + 1))
             for s in states:
                 assert _feasible(s.best, C, kwargs.get("c_min", 0),
                                  kwargs.get("blocks"), kwargs.get("caps"))
                 assert revenue(s.best, inst) >= s.lower
+                assert s.lower <= optimum <= s.upper
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_last_state_is_the_returned_assortment(self, variant):
@@ -563,27 +675,24 @@ class TestPrefixAccept:
             inst, args, kwargs, _ = hostile_case(rng, variant)
             states = []
             res = assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
-            if states:
-                assert states[-1].best == res.assortment
+            assert states[-1].best == res.assortment
 
     def test_wall_time_covers_the_settling_read(self, monkeypatch):
-        # the certificate answers all three comparisons of this untraced
-        # solve, so its one read past the certificate is the settling read
-        # at the last "yes", after the loop
+        # the certificate's last full read, at the witness's own revenue,
+        # settles the answer; no read follows it, and wall_time covers it
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
-        compare, calls = solvers._compare_items, []
+        read, calls = solvers._compare_items, []
         made = record_certificates(monkeypatch)
 
-        def slow_compare(inst, blocks, K, by_position):
-            if made:
-                calls.append((len(made), K))
-                time.sleep(0.05)
-            return compare(inst, blocks, K, by_position)
+        def slow_read(inst, blocks, K, by_position):
+            calls.append(K)
+            time.sleep(0.05)
+            return read(inst, blocks, K, by_position)
 
-        monkeypatch.setattr(solvers, "_compare_items", slow_compare)
+        monkeypatch.setattr(solvers, "_compare_items", slow_read)
         res = assort_mnl_capacitated(inst, 50, inst.p1 / 8)
-        assert res.iterations == 3 and calls == [(1, res.revenue_interval[0])]
-        assert res.wall_time >= 0.05
+        assert len(calls) >= 2 and calls[-1] == solvers._revenue_of(inst, made[0][2])
+        assert res.wall_time >= 0.05 * len(calls)
 
 
 class TestZeroCapBlocks:
@@ -610,7 +719,7 @@ class TestZeroCapBlocks:
                 for s in states:
                     h.update(repr((s.lower, s.upper, sorted(s.best.items),
                                    s.iteration)).encode())
-                if not any(caps):  # nothing is ever selected: the empty start
+                if not any(caps):  # nothing is ever selected: the empty set
                     assert res.assortment == Assortment() and res.revenue == 0.0
                     assert res.revenue_interval[0] == 0.0 and res.iterations > 0
                     assert all(len(s.best) == 0 for s in states)
@@ -624,37 +733,29 @@ class TestZeroCapBlocks:
             spec = [(b - 1, cap, 0) for b, cap in zip(blocks, caps)]
             for K in (0.0, 500.0, 900.0, 970.0, float(inst.prices[30]), inst.p1):
                 selected.clear()
-                got = compare_step_partitioned(K, inst, blocks, caps)
+                got = compare(K, inst, blocks=blocks, caps=caps)
                 assert 0 not in selected and len(selected) == np.count_nonzero(caps)
                 assert got == full_margin_compare(inst, spec, K)
 
 
-def solve_spec(inst, C, variant, c_min=0, blocks=None, caps=None):
-    """The comparison blocks and their positions, as a solve of ``variant``
-    builds them."""
-    if variant == "partitioned":
-        return solvers._partitioned_compare(inst, blocks, caps)
-    spec = [(None, C, c_min if variant == "lb" else 0)]
-    return spec, solvers._by_position(spec, inst.n)
-
-
 def record_certificates(monkeypatch):
-    """Patch the certificate to list each (K_lo, K_hi, witness) it returns."""
+    """Patch the certificate to list each (K_lo, K_hi, witness, selections)
+    it returns."""
     made, certificate = [], solvers._certificate
     monkeypatch.setattr(solvers, "_certificate",
                         lambda *args: made.append(certificate(*args)) or made[-1])
     return made
 
 
-def _thresholds(inst, states):
-    """The threshold each state's comparison was asked at."""
-    brackets = [(0.0, inst.p1)] + [(s.lower, s.upper) for s in states]
+def _thresholds(inst, brackets):
+    """The threshold a bisection asked at to reach each (lower, upper)."""
+    brackets = [(0.0, inst.p1)] + list(brackets)
     return [0.5 * (lo + hi) for lo, hi in brackets[:-1]]
 
 
 class TestCertifiedBracket:
-    """A solve decides its bisection from the bounds of Dinkelbach's
-    optimum: every K <= K_lo is "yes", every K >= K_hi "no"."""
+    """A solve returns Dinkelbach's optimum with its proven bounds: the
+    full read answers every K <= K_lo "yes" and every K >= K_hi "no"."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_certificate_is_the_brute_force_optimum(self, variant):
@@ -675,7 +776,7 @@ class TestCertifiedBracket:
             else:
                 opt, size = brute_force_blocks(inst, blocks, caps)[0], None
             spec, by_position = solve_spec(inst, C, variant, c_min, blocks, caps)
-            K_lo, K_hi, items = solvers._certificate(inst, spec, by_position)
+            K_lo, K_hi, items, _ = solvers._certificate(inst, spec, by_position)
             witness = Assortment(items + 1)
             if size is None:
                 assert _feasible(witness, None, 0, blocks, caps)
@@ -688,27 +789,28 @@ class TestCertifiedBracket:
             assert solvers._compare_items(inst, spec, K_hi, by_position)[0] is False
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
-    def test_solve_brackets_contain_the_certificate_at_scale(self, variant, monkeypatch):
-        made = record_certificates(monkeypatch)
+    def test_solve_brackets_contain_the_certificate_at_scale(self, variant):
+        # n = 10^5: the solve's bracket is the certificate's, about 1e-12
+        # wide, and the full read answers "yes" at K_lo and "no" at K_hi
         for seed in range(3):
             rng = np.random.default_rng(seed)
             inst = random_instance(rng, 100_000, price_hi=1000.0)
             blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
-            made.clear()
             res = assort_mnl_capacitated(inst, None if variant == "partitioned" else 50,
                                          0.1, variant, c_min=10, blocks=blocks,
                                          caps=[20, 5, 15, 10])
-            (K_lo, K_hi, items), = made
             lower, upper = res.revenue_interval
-            assert lower <= K_lo < K_hi <= upper
-            assert res.revenue >= K_lo - 0.1
-            assert K_hi - K_lo <= 1e-9 * K_lo
-            assert revenue(Assortment(items + 1), inst) >= K_lo
+            assert 0 < upper - lower <= 1e-9 * lower and res.revenue >= lower
+            spec, by_position = solve_spec(inst, 50, variant, 10, blocks, [20, 5, 15, 10])
+            assert solvers._compare_items(inst, spec, lower, by_position)[0] is True
+            assert solvers._compare_items(inst, spec, upper, by_position)[0] is False
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_certified_answers_equal_full_reads(self, variant, monkeypatch):
-        # the reference asks every K as its own step, read in full; the
-        # library must match it with and without on_iteration
+        # at every threshold the reference bisection asks, the certificate's
+        # answer, where it gives one, is the reference's full read; the solve
+        # answers alike with and without on_iteration, and earns at least
+        # the reference's revenue
         rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
         made, hit = record_certificates(monkeypatch), set()
         for _ in range(300):
@@ -718,18 +820,21 @@ class TestCertifiedBracket:
             res = assort_mnl_capacitated(inst, *args, **kwargs)
             states = []
             traced = assort_mnl_capacitated(inst, *args, on_iteration=states.append, **kwargs)
-            assert _answer(res) == _answer(traced) == want
-            assert [(s.lower, s.upper, sorted(s.best.items), s.iteration)
-                    for s in states] == want_states
-            assert len(made) == 2 * (res.iterations > 0)
+            assert _answer(res) == _answer(traced) and res.revenue >= want[1]
+            assert len(made) == 2 and made[0][:2] == made[1][:2]
             hit |= has
-            if not made:
-                continue
-            K_lo, K_hi, items = made[0]
-            optimum = -1.0 if items is None else revenue(Assortment(items + 1), inst)
-            for K in _thresholds(inst, states):
-                hit.add("certified yes" if K <= K_lo else
-                        "certified no" if K >= K_hi else "in-band read")
+            K_lo, K_hi, items, _ = made[0]
+            optimum = revenue(Assortment(items + 1), inst)
+            brackets = [w[:2] for w in want_states]
+            for K, (lo, _) in zip(_thresholds(inst, brackets), brackets):
+                if K <= K_lo:
+                    assert K == lo
+                    hit.add("certified yes")
+                elif K >= K_hi:
+                    assert K != lo
+                    hit.add("certified no")
+                else:
+                    hit.add("in-band read")
                 hit |= {"K on R*"} if K == optimum else set()
                 hit |= {"K on a price"} if K in inst.prices else set()
         features = {"lb": {"c_min = C"}, "partitioned": {"zero cap"}}.get(variant, set())
@@ -738,9 +843,8 @@ class TestCertifiedBracket:
 
     def test_reads_count_the_certificate_and_one_settling_read(self, monkeypatch):
         # the margins each selection hands to _largest, as the per-step test
-        # counts them: three from the top 2C items, two full reads, then the
-        # settling read at the last "yes"; with on_iteration each of the 14
-        # states adds the full read at its lower bound, 26,009 margins in all
+        # counts them: three from the top 2C items, then two full reads, the
+        # last of which settles the answer; on_iteration adds no read
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
         reads, largest = [], solvers._largest
 
@@ -751,53 +855,63 @@ class TestCertifiedBracket:
 
         monkeypatch.setattr(solvers, "_largest", counted_largest)
         for variant, c_min in [("topc", 0), ("lb", 10)]:
-            reads.clear()
-            res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min)
-            assert res.iterations == 14
-            assert [w.size for w in reads] == [100, 100, 100, 530, 503, 505]  # 1,838
+            for trace in (None, []):
+                reads.clear()
+                res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min,
+                                             on_iteration=None if trace is None
+                                             else trace.append)
+                assert res.iterations == 5
+                assert [w.size for w in reads] == [100, 100, 100, 530, 503]  # 1,333
 
     def test_wall_time_covers_the_certificate(self, monkeypatch):
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
-        compare, calls = solvers._compare_items, []
+        read, calls = solvers._compare_items, []
         made = record_certificates(monkeypatch)
 
-        def slow_compare(*args):
+        def slow_read(*args):
             calls.append(len(made))
             time.sleep(0.02)
-            return compare(*args)
+            return read(*args)
 
-        monkeypatch.setattr(solvers, "_compare_items", slow_compare)
+        monkeypatch.setattr(solvers, "_compare_items", slow_read)
         res = assort_mnl_capacitated(inst, 50, 0.1)
-        # every read but the settling one is the certificate's, before it returns
-        assert len(made) == 1 and calls.count(0) == len(calls) - 1 >= 1
+        # every read is the certificate's, before it returns
+        assert len(made) == 1 and calls.count(0) == len(calls) >= 1
         assert res.wall_time >= 0.02 * len(calls)
 
-    def test_no_comparison_computes_no_certificate(self, monkeypatch):
+    def test_every_solve_computes_one_certificate(self, monkeypatch):
+        # eps shapes nothing: an eps at or above p1, or a top price of 0,
+        # still gets the certified optimum
         made = record_certificates(monkeypatch)
         inst = random_instance(np.random.default_rng(4), 50)
-        for eps in (inst.p1, 2 * inst.p1):
-            assert assort_mnl_capacitated(inst, 5, eps).iterations == 0
-        free = Instance(np.zeros(4), np.ones(4), 1.0)  # p1 = 0
-        assert assort_mnl_capacitated(free, 2, 0.1, "lb", c_min=1).iterations == 0
-        assert made == []
-        assert assort_mnl_capacitated(inst, 5, 0.99 * inst.p1).iterations == 1
-        assert len(made) == 1
+        answers = set()
+        for eps in (inst.p1, 2 * inst.p1, 0.99 * inst.p1, 1e-9):
+            made.clear()
+            res = assort_mnl_capacitated(inst, 5, eps)
+            assert len(made) == 1 and res.iterations == made[0][3] >= 2
+            answers.add(repr(_answer(res)))
+        assert len(answers) == 1
+        free = Instance(np.zeros(4), np.ones(4), 1.0)  # p1 = 0: every set earns 0
+        res = assort_mnl_capacitated(free, 2, 0.1, "lb", c_min=1)
+        assert 1 <= len(res.assortment) <= 2 and res.revenue == 0.0
+        assert res.revenue_interval[0] == 0.0
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_no_threshold_is_read_twice(self, variant, monkeypatch):
-        # the last full read is kept: the settling read, and a state's build
-        # at the threshold just read or just built, reuse it
+        # Newton's iterates rise, so each full read is at a new K, and a
+        # traced solve reads exactly what an untraced one does
         rng = np.random.default_rng({"topc": 73, "lb": 74, "partitioned": 75}[variant])
-        made, compare, reads = record_certificates(monkeypatch), solvers._compare_items, []
+        read, reads = solvers._compare_items, []
         monkeypatch.setattr(solvers, "_compare_items",
-                            lambda *args: reads.append((len(made), args[2])) or compare(*args))
+                            lambda *args: reads.append(args[2]) or read(*args))
         for _ in range(300):
             inst, args, kwargs, _ = hostile_case(rng, variant)
+            seen = []
             for trace in (None, []):
                 reads.clear()
-                made.clear()
                 res = assort_mnl_capacitated(inst, *args, **kwargs, on_iteration=(
                     None if trace is None else trace.append))
-                after = [K for certified, K in reads if certified]  # past the certificate
-                assert len(set(after)) == len(after)
+                assert len(set(reads)) == len(reads) >= 1
+                seen.append(list(reads))
                 assert not trace or trace[-1].best == res.assortment
+            assert seen[0] == seen[1]

@@ -22,8 +22,7 @@ _CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 # read only by tests or by their own module, which import them from there
 _MODULE_ONLY = {
     "mips": ("QueryVector", "simple_lsh_transform", "hash_key"),
-    "solvers": ("SearchState", "compare_step_general", "compare_step_capacitated",
-                "compare_step_partitioned"),
+    "solvers": ("SearchState", "compare_step_general"),
     "noisy_search": ("Posterior", "bz_sample_selection", "bz_posterior_update"),
     "bench": ("_aggregate_records",),
 }
@@ -62,6 +61,10 @@ def test_redundant_names_and_settings_stay_removed():
     assert not hasattr(assortmax.AssortmentCollection, "point_norms")  # see .norms
     assert not hasattr(assortmax.LshMips, "build")  # LshMips(build_lsh_index(...), ...)
     assert not hasattr(assortmax.Assortment, "as_tuple")
+    # the capacitated comparison wrappers only served tests, which now
+    # call solvers._compare_items through a helper of their own
+    for name in ("compare_step_capacitated", "compare_step_partitioned", "_compare_blocks"):
+        assert not hasattr(assortmax.solvers, name), name
     assert "workers" not in {f.name for f in fields(assortmax.BenchConfig)}
     assert "weight_range" not in {f.name for f in fields(assortmax.GenSpec)}
     assert "price_scale" not in {f.name for f in fields(assortmax.Instance)}

@@ -328,10 +328,10 @@ def test_scaling_weights_and_v0_together_changes_no_answer(algo):
 # sha256 over repr((lower, upper, sorted best items, iteration)) of every
 # on_iteration state, then repr((sorted items, revenue, revenue_interval,
 # iterations)) of the result, of each solve in _WITNESS_SOLVES in name
-# order, recorded with every capacitated comparison read in full, so that a
-# capacitated state's best is the full read's selection at its lower bound
+# order; re-recorded when a capacitated solve began to return its
+# certificate's witness and report one state per selection
 _PINNED_STATES_SHA256 = (
-    "eae850ed9d16f59078af60280ea0eb7a5d5624062aca7e054e17354d80cc7dcb")
+    "55cd133c835abe4f0e64f35fd6d66b87def2dc576346f7063793a4a52b6ba6ab")
 
 
 def _witness_cases():
@@ -345,8 +345,8 @@ def _witness_cases():
     return inst, coll, points, build_lsh_index(points, LshParams(6, 8, 24), seed=4), cap, blocks
 
 
-# Every kind of bisection; "settled" stops after three comparisons, each a
-# "yes" the certificate answers with no read of its own.
+# Every kind of search; "settled" is "topc" with an eps of p1 / 8, which
+# shapes no capacitated answer.
 _WITNESS_SOLVES = {
     "exact": lambda c, cb: assort_mnl(c[1], c[0], 1e-4, on_iteration=cb),
     "approx_simple": lambda c, cb: assort_mnl_approx_simple(
