@@ -5,9 +5,9 @@ question "which set has the largest margin sum at K?" collapses to picking
 the C largest positive margins v_i (p_i - K), found by partition, not by a
 sort.  Dinkelbach's iteration takes that selection, sets K to its revenue,
 and repeats until the revenue stops rising: it ends at the optimum itself,
-with no eps, in about six selections.  Only the items priced above K can
-have a positive margin, and the first selections read the top 2C items by
-price alone.  So each selection is linear in the item count, and a whole
+with no eps, in about three or four selections.  Only the items priced
+above K can have a positive margin, and the first selection reads the top
+8C items by price alone.  So each selection is linear in the item count, and a whole
 solve reads under a tenth of the catalog's margins: here we push it to
 100,000 items, then show the two structured variants (forced minimum size,
 per-block caps).

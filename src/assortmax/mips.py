@@ -117,24 +117,6 @@ def embed_collection(collection: AssortmentCollection, inst: Instance) -> Embedd
     return EmbeddedCollection(collection, inst)
 
 
-def simple_lsh_transform(x: np.ndarray, scale: float) -> np.ndarray:
-    """Map x with |x| <= scale to the unit sphere one dimension up.
-
-    Returns [x / scale ; sqrt(1 - |x/scale|^2)], which has unit norm; inner
-    products against unit queries padded with a zero are monotone in the
-    original inner products, so argmaxes are preserved.
-    """
-    x = np.asarray(x, dtype=float)
-    if not 0 < scale < math.inf:  # also rejects NaN
-        raise ValueError("scale must be positive and finite")
-    if not np.isfinite(x).all():
-        raise ValueError("point must be finite")
-    r2 = float(x @ x) / (scale * scale)
-    if r2 > 1.0 + 1e-9:
-        raise ValueError(f"point norm {math.sqrt(r2) * scale:.6g} exceeds scale {scale:.6g}")
-    return np.concatenate([x / scale, [math.sqrt(max(0.0, 1.0 - r2))]])
-
-
 @dataclass(frozen=True)
 class LshParams:
     """Index shape: bits per hash key, number of tables, candidate-scan cap."""
@@ -216,19 +198,6 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (..., bits) boolean array into uint64 keys, bit t at position t;
     query keys are packed here, index keys in bulk by :func:`_hash_keys`."""
     return np.bitwise_or.reduce(bits.astype(np.uint64) << _SHIFTS[:bits.shape[-1]], axis=-1)
-
-
-def hash_key(x_transformed: np.ndarray, table: int, index: LshIndex) -> int:
-    """Key of a unit-norm transformed vector in one table.
-
-    Bit t is 1 exactly when the t-th hyperplane projection is >= 0; a zero
-    projection counts as positive so equal inputs always collide.
-    """
-    x = np.asarray(x_transformed, dtype=float)
-    if x.size != index.dim:
-        raise ValueError(f"vector has dimension {x.size}, expected {index.dim}")
-    raw = index.projections[table] @ x
-    return int(_pack_bits(raw >= 0.0))
 
 
 def _key_dtype(bits: int) -> np.dtype:

@@ -50,19 +50,6 @@ class SearchState:
     iteration: int
 
 
-def compare_step_general(K: float, mips: MipsOracle,
-                         inst: Instance) -> tuple[bool, Assortment | None]:
-    """Does any feasible set have revenue >= K?
-
-    With an exact engine the answer is exact and the witness attains the
-    maximum margin sum.  With a hashed engine a miss can only produce a
-    false negative: the returned candidate's score is its true inner
-    product, so a positive answer is always certified.
-    """
-    raised = _general_step(mips, inst)(K)
-    return (False, None) if raised is None else (True, mips.points.source[raised[1]])
-
-
 def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     """The ``k`` entries of ``idx`` with the largest margins ``w`` (all of
     ``idx`` when it has no more than k), by one O(len(idx)) partition."""
@@ -98,7 +85,8 @@ def _priced_above(inst: Instance, K: float) -> int:
 
 
 def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
-                   by_position: Sequence[tuple] | None = None) -> tuple[bool, np.ndarray]:
+                   by_position: Sequence[tuple] | None = None
+                   ) -> tuple[bool, np.ndarray, float, float]:
     """The one capacity-style comparison, with no sort: the witness, as
     0-based items, is the union of each block's up to cap largest positive
     margins v_i (p_i - K), topped up to c_min with the largest others.
@@ -108,40 +96,49 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
     among them, in its own order, and reads all its margins only when fewer
     than its c_min are positive.  ``blocks`` holds (0-based items or None
     for all, cap, c_min) per block, and ``by_position`` their
-    :func:`_by_position`, taken here when None.
+    :func:`_by_position`, taken here when None.  Returns the answer
+    K <= fl(fl(P - N) / v0), the witness, and P and N, the float sums of
+    its positive margins and of the sizes of its top-up's.
     """
     if by_position is None:
         by_position = _by_position(blocks, inst.n)
     m = _priced_above(inst, K)
-    chosen, total = [], 0.0
+    chosen, P, N = [], 0.0, 0.0
     for (items, cap, lo), (order, ascending) in zip(blocks, by_position):
         ids = slice(m) if items is None else items[np.sort(order[:ascending.searchsorted(m)])]
         w = inst.weights[ids] * (inst.prices[ids] - K)
-        sel = _largest(w, np.flatnonzero(w > 0), cap)
-        if sel.size < lo:  # the top-up reads the whole block
+        sel = pos = _largest(w, np.flatnonzero(w > 0), cap)
+        if pos.size < lo:  # the top-up reads the whole block
             ids = slice(None) if items is None else items
             w = inst.weights[ids] * (inst.prices[ids] - K)
-            sel = _largest(w, np.flatnonzero(w > 0), cap)
-            sel = np.concatenate([sel, _largest(w, np.flatnonzero(w <= 0), lo - sel.size)])
+            pos = _largest(w, np.flatnonzero(w > 0), cap)
+            up = _largest(w, np.flatnonzero(w <= 0), lo - pos.size)
+            N -= float(w[up].sum())
+            sel = np.concatenate([pos, up])
+        P += float(w[pos].sum())
         chosen.append(sel if items is None else ids[sel])
-        total += float(w[sel].sum())
     # no block is left when every cap is 0 (see _partitioned_compare)
     items = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    return bool(K <= total / inst.v0), items
+    return bool(K <= (P - N) / inst.v0), items, P, N
 
 
 _SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the bounds' quotients normal
 
+# The start selection reads the top _START_WIDTH * k items by price, k the
+# sum of the caps (chosen by tools/cap_start_sweep.py).
+_START_WIDTH = 8
 
-def _prefix_select(inst: Instance, blocks: Sequence[tuple], K: float,
-                   by_position: Sequence[tuple], top: int) -> np.ndarray | None:
-    """Per block, the up to cap largest positive margins among its items in
-    the top ``top`` by price, read in ascending order, as 0-based items;
-    None when a block has fewer than its c_min positive ones there."""
+
+def _start_select(inst: Instance, blocks: Sequence[tuple], by_position: Sequence[tuple],
+                  top: int) -> np.ndarray | None:
+    """Per block, the up to cap largest positive margins v_i p_i (at K = 0)
+    among its items in the top ``top`` by price, read in ascending order,
+    as 0-based items; None when a block has fewer than its c_min positive
+    ones there."""
     chosen = []
     for (items, cap, lo), (_, ascending) in zip(blocks, by_position):
         ids = slice(top) if items is None else ascending[:ascending.searchsorted(top)]
-        w = inst.weights[ids] * (inst.prices[ids] - K)
+        w = inst.weights[ids] * inst.prices[ids]
         sel = _largest(w, np.flatnonzero(w > 0), cap)
         if sel.size < lo:
             return None
@@ -161,78 +158,77 @@ def _certificate(inst: Instance, blocks: Sequence[tuple], by_position: Sequence[
     Dinkelbach's iteration (Dinkelbach 1967, Management Science 13(7))
     takes the selection S at K, then K = R(S), until R(S) <= K.  It is
     Newton's method on the convex, falling max_S [A - K (v0 + B)], so it
-    ends at the optimum R* in a few selections: first those of
-    :func:`_prefix_select` over the top 2k items by price, k the sum of the
-    caps, then those of :func:`_compare_items` over the whole catalog.
+    ends at the optimum R* in a few selections: one start selection at
+    K = 0 by :func:`_start_select` over the top :data:`_START_WIDTH` k items
+    by price, k the sum of the caps, then full reads by
+    :func:`_compare_items` over the whole catalog.
 
     The bounds hold for the full read's float answer K <= fl(T / v0), T the
-    float sum of the selected margins w_i = fl(v_i fl(p_i - K)).  No w_i
-    rises with K, so neither does W, the real sum of the selected w_i and
-    the largest such sum over the feasible sets, nor P, that of the
-    selected positive ones.  T adds at most k terms, so with N = P - W, the
-    size of the top-up's part, |T - W| <= gamma_k (P + N), with u = 2^-53
-    and gamma_k = k u / (1 - k u), since a float sum of at most k terms, in
-    any order, lies within gamma_k of the real one (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 4.2); below,
-    s = 1 - 8(k + 2) u and h = 1 + 8(k + 2) u.
+    float difference of P and N, the float sums of the selected positive
+    margins w_i = fl(v_i fl(p_i - K)) and of the sizes of the top-up's.  No
+    w_i rises with K, so neither does W, the real sum of the selected w_i
+    and the largest such sum over the feasible sets, nor the real sum of
+    the selected positive ones.  T adds at most k terms, so with N' the
+    real size of the top-up's part and P' = W + N', |T - W| <=
+    gamma_k (P' + N'), with u = 2^-53 and gamma_k = k u / (1 - k u), since
+    a float sum of at most k terms, in any order and grouping, lies within
+    gamma_k of the real one (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.2); below, s = 1 - 8(k + 2) u and
+    h = 1 + 8(k + 2) u.
 
     K_lo lies just below the witness's revenue; P* and N* are the float
     sums of the witness's positive margins at K_lo and of the sizes of its
     negative ones.  At K <= K_lo the witness's margins are no smaller, and
     a top-up takes the largest non-positive margins, no more of them than
-    the witness holds, so T >= (1 - gamma_k) W - 2 gamma_k N >=
+    the witness holds, so T >= (1 - gamma_k) W - 2 gamma_k N' >=
     P* (1 - gamma_k) / (1 + gamma_k) - N* (1 + gamma_k) / (1 - gamma_k).
     K_lo passes K_lo <= fl(fl(fl(P* s) - fl(N* h)) / v0) s) < inf, which
     puts that bound at K_lo v0 / (1 - u) or more, so fl(T / v0) >= K_lo.
 
-    K_hi: at every K >= K_T, the last K, T <= (1 - gamma_k) W + 2 gamma_k P
+    K_hi: at every K >= K_T, the last K, T <= (1 - gamma_k) W + 2 gamma_k P'
     is at most its value at K_T, <= P_T (1 + gamma_k) / (1 - gamma_k) -
-    N_T (1 - gamma_k) / (1 + gamma_k) with P_T and N_T the float sums of
-    the full read's selection at K_T, so fl(T / v0) < fl(fl(fl(P_T h) -
-    fl(N_T s)) / v0) h).  K_hi is the largest of that, K_T and
-    :data:`_SMALLEST_K`, which keeps each quotient normal or below K.  A
-    K_lo that proves nothing is -inf.  At any K, R* <= max(K, M(K) / v0),
-    M(K) the largest real margin sum: if R* > K, the optimum's margins sum
-    to R* v0 + (R* - K) B* >= R* v0.  So K_hi, and the same bound taken at
-    any full read, bounds R* from above.
+    N_T (1 - gamma_k) / (1 + gamma_k) with P_T and N_T the last full read's
+    own P and N, so fl(T / v0) < fl(fl(fl(P_T h) - fl(N_T s)) / v0) h).
+    K_hi is the largest of that, K_T and :data:`_SMALLEST_K`, which keeps
+    each quotient normal or below K.  A K_lo that proves nothing is -inf.
+    At any K, R* <= max(K, M(K) / v0), M(K) the largest real margin sum: if
+    R* > K, the optimum's margins sum to R* v0 + (R* - K) B* >= R* v0.  So
+    K_hi, and the same bound taken at any full read, bounds R* from above.
 
     ``on_iteration`` gets one state per selection, taken at its K: the
     bracket [K, the upper bound above at K], K shrunk as K_lo is, and the
-    best set so far (the selection itself while there is none).  A prefix
+    best set so far (the selection itself while there is none).  The start
     selection does not see every item, so its state keeps the bound p1.
     """
     k = sum(cap for _, cap, _ in blocks)
     s, h = 1.0 - (k + 2) * 2.0 ** -50, 1.0 + (k + 2) * 2.0 ** -50
     shrink = 1.0 - (k + 2) * 2.0 ** -46
     K, best, selections = 0.0, None, 0
-    for full, select in ((False, lambda K: _prefix_select(inst, blocks, K, by_position, 2 * k)),
-                         (True, lambda K: _compare_items(inst, blocks, K, by_position)[1])):
-        while (items := select(K)) is not None:
-            selections += 1
-            if on_iteration is not None:
-                upper = _upper_bound(inst, items, K, s, h) if full else inst.p1
-                on_iteration(SearchState(K * shrink, upper, Assortment(
-                    (items if best is None else best) + 1), selections))
-            r = _revenue_of(inst, items)
-            if not r > K:
-                break
+    items = _start_select(inst, blocks, by_position, _START_WIDTH * k)
+    if items is not None:
+        selections += 1
+        if on_iteration is not None:
+            on_iteration(SearchState(0.0, inst.p1, Assortment(items + 1), selections))
+        if (r := _revenue_of(inst, items)) > 0:
             K, best = r, items
-    # items is now the full read's selection at K
+    while True:
+        _, items, P, N = _compare_items(inst, blocks, K, by_position)
+        selections += 1
+        upper = max((P * h - N * s) / inst.v0 * h, K, _SMALLEST_K)
+        if on_iteration is not None:
+            on_iteration(SearchState(K * shrink, upper, Assortment(
+                (items if best is None else best) + 1), selections))
+        r = _revenue_of(inst, items)
+        if not r > K:
+            break
+        K, best = r, items
     K_lo = -math.inf
     if best is not None:
         below = K * shrink
         P, N = _signed_sums(inst, best, below)
         if _SMALLEST_K <= below <= (P * s - N * h) / inst.v0 * s < math.inf:
             K_lo = below
-    return (K_lo, _upper_bound(inst, items, K, s, h),
-            items if best is None else best, selections)
-
-
-def _upper_bound(inst: Instance, items: np.ndarray, K: float, s: float, h: float) -> float:
-    """The bound above R* that the full read's selection ``items`` at K
-    proves, with :func:`_certificate`'s rounding factors s and h."""
-    P, N = _signed_sums(inst, items, K)
-    return max((P * h - N * s) / inst.v0 * h, K, _SMALLEST_K)
+    return K_lo, upper, items if best is None else best, selections
 
 
 def _signed_sums(inst: Instance, items: np.ndarray, K: float) -> tuple[float, float]:

@@ -20,9 +20,10 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec,
                        generate_instance, load_itemsets,
                        revenue, run_noisy_bisection)
 from assortmax.bench import BenchConfig
-from assortmax.mips import QueryVector, hash_key
+from assortmax.mips import QueryVector
 from assortmax.solvers import approx_iteration_bound
 
+from reference import hash_key
 from test_capacitated import brute_force_blocks, brute_force_size_range
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from assortmax import (Assortment, Instance, assort_mnl_capacitated,
-                       brute_force_capacitated, revenue)
+from assortmax import (Assortment, GenSpec, Instance, assort_mnl_capacitated,
+                       brute_force_capacitated, generate_instance, revenue)
 from assortmax import solvers
 
 from conftest import random_instance
@@ -55,7 +55,7 @@ def solve_spec(inst, C, variant, c_min=0, blocks=None, caps=None):
 
 def compare_spec(inst, spec, K, by_position=None):
     """The library's one comparison, with its witness as an Assortment."""
-    exists, items = solvers._compare_items(inst, spec, K, by_position)
+    exists, items, _, _ = solvers._compare_items(inst, spec, K, by_position)
     return exists, Assortment(items + 1)
 
 
@@ -73,25 +73,36 @@ def exact_optimum(inst, spec, start):
     ``start``: per block of ``spec``, a selection sorts the exact margins
     v_i (p_i - K) and takes the largest positive ones up to its cap, topped
     up to its c_min with the largest others, until its revenue is at most K.
-    Exact for any n, where brute force stops at about n = 25."""
-    p = [Fraction(x) for x in inst.prices.tolist()]
-    v = [Fraction(x) for x in inst.weights.tolist()]
 
+    Exact for any n, where brute force stops at about n = 25: a float
+    margin fl(v fl(p - fl(K))) lies within 4u v (p + |fl(K)|) of the exact
+    one (u = 2^-53), so a screen 8 times as wide, its own rounding
+    included, keeps every item that can be among a block's max(cap, c_min)
+    largest exact margins, ties included, and only those are sorted in
+    Fractions."""
     def rev(items):
-        return (sum((p[i] * v[i] for i in items), Fraction(0))
-                / (Fraction(inst.v0) + sum((v[i] for i in items), Fraction(0))))
+        p = [Fraction(x) for x in inst.prices[items].tolist()]
+        v = [Fraction(x) for x in inst.weights[items].tolist()]
+        return (sum((a * b for a, b in zip(p, v)), Fraction(0))
+                / (Fraction(inst.v0) + sum(v, Fraction(0))))
 
-    K = rev(start)
+    K = rev(np.asarray(start, dtype=np.int64))
     while True:
+        w = inst.weights * (inst.prices - float(K))
+        err = 2.0 ** -48 * inst.weights * (inst.prices + abs(float(K))) + 2.0 ** -1070
         chosen = []
         for items, cap, lo in spec:
-            ids = range(inst.n) if items is None else items.tolist()
-            if lo == 0:  # only an item priced above K has a positive margin
-                ids = [i for i in ids if p[i] > K]
-            margins = sorted(((v[i] * (p[i] - K), i) for i in ids), reverse=True)
+            ids = np.arange(inst.n) if items is None else items
+            t = min(max(cap, lo), ids.size)
+            if t == 0:
+                continue
+            floor = np.partition(w[ids] - err[ids], ids.size - t)[ids.size - t]
+            screened = ids[w[ids] + err[ids] >= floor].tolist()
+            margins = sorted(((Fraction(inst.weights[i]) * (Fraction(inst.prices[i]) - K), i)
+                              for i in screened), reverse=True)
             top = sum(m > 0 for m, _ in margins[:cap])
             chosen += [i for _, i in margins[:max(top, lo)]]
-        r = rev(chosen)
+        r = rev(np.array(chosen, dtype=np.int64))
         if r <= K:
             return K
         K = r
@@ -104,17 +115,35 @@ def solve_optimum(inst, res, C, variant, c_min=0, blocks=None, caps=None):
 
 
 # sorted items, revenue, bracket and iterations of 15 solves at n=20000;
-# re-recorded when a solve began to return its certificate's witness
+# re-recorded when a solve began to return its certificate's witness, and
+# when the certificate began from one start selection over the top 8k
+# items: 13 iteration counts fell and 5 upper bracket ends moved in their
+# last bits (at most 2.4e-16 relative), no set, revenue or lower end did
 _PINNED_PREFIX_SOLVES_SHA256 = (
-    "24c272f47e1ed657b63278bd88968d42b1fa830af08b83ad9be1f127eb14fe29")
+    "90a3bcac0cb886dd33dbf3d0b8e39956ad1dfc02e9cc52cea0359834322d17d1")
 
 
 # sorted items, revenue, bracket and iterations, then every state's
 # (lower, upper, sorted best items, iteration), of the partitioned solves of
 # TestZeroCapBlocks; re-recorded when a solve began to return its
-# certificate's witness and report one state per selection
+# certificate's witness and report one state per selection, and when the
+# certificate began from one start selection over the top 8k items: the
+# four solves with a non-zero cap make one selection, and so report one
+# state, fewer (5 -> 4, 6 -> 5), and their upper ends moved in the last
+# bits (at most 2.3e-16 relative); no set, revenue or lower end moved
 _PINNED_ZERO_CAP_SHA256 = (
-    "60f6aa6f47eb27ae7570cd6ce89b4e56ea8035c5d98ec4bb14b929a94a6df3d8")
+    "50a005c30ce5b973fb935cc63440df5cef075a9cd7c3c173ba2fd0df1d1fa801")
+
+
+# repr of each solve's revenue in test_hostile_brackets_hold_the_exact_optimum
+# (hostile_case, seed 73), per variant, recorded at the parent of the change
+# that starts the certificate from one selection: no revenue fell (the sets
+# may differ among tied items)
+_PINNED_HOSTILE_REVENUES_SHA256 = {
+    "topc": "94db85cbb11b4a7a37ba47351b9b673d16eb7ac3a845c4faf0a39462d301ad2c",
+    "lb": "c321f5a72fb3895b10c20e7cc5325fb1d4a6951d8d3778cd1896f3ff520182f4",
+    "partitioned": "968dacbf842e17da298a4462b5e04d6635afc54541fc197685561b9946e19448",
+}
 
 
 class TestCompareCapacitated:
@@ -377,9 +406,10 @@ class TestBracketsContainTheOptimum:
         # n up to 300, past brute force, so the optimum is exact_optimum's;
         # the answer is feasible and earns no less than the bisection that
         # reads every comparison in full, also where the certificate proves
-        # no K_lo and the bracket starts at 0
+        # no K_lo and the bracket starts at 0; every revenue is the one pinned
         rng = np.random.default_rng(73)
         made, hit = record_certificates(monkeypatch), set()
+        revenues = hashlib.sha256()
         for _ in range(300):
             inst, args, kwargs, _ = hostile_case(rng, variant)
             made.clear()
@@ -391,8 +421,34 @@ class TestBracketsContainTheOptimum:
             assert lo <= solve_optimum(inst, res, C, variant, **kwargs) <= hi
             assert res.revenue >= reference_solve(inst, *args, **kwargs)[0][1]
             hit.add("proves nothing" if made[0][0] == -np.inf else "proven")
+            revenues.update(repr(res.revenue).encode())
         assert hit == ({"proves nothing", "proven"} if variant == "partitioned"
                        else {"proven"})
+        assert revenues.hexdigest() == _PINNED_HOSTILE_REVENUES_SHA256[variant]
+
+    @pytest.mark.parametrize("C", [10, 200])
+    @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
+    def test_brackets_hold_the_exact_optimum_at_scale(self, variant, C):
+        # n = 10^5 on either side of the benchmark's C = 50: C with
+        # c_min = C // 5, or four blocks whose caps sum to C; the optimum is
+        # exact_optimum's, and every state's bracket holds it too
+        caps = [C * 4 // 10, C // 10, C * 3 // 10, C * 2 // 10]
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            inst = random_instance(rng, 100_000, price_hi=1000.0)
+            blocks = np.array_split(rng.permutation(inst.n) + 1, 4)
+            kwargs = ({"blocks": blocks, "caps": caps} if variant == "partitioned"
+                      else {"c_min": C // 5} if variant == "lb" else {})
+            states = []
+            res = assort_mnl_capacitated(inst, C, 0.1, variant, on_iteration=states.append,
+                                         **kwargs)
+            optimum = solve_optimum(inst, res, C, variant, **kwargs)
+            lo, hi = res.revenue_interval
+            assert 0 < lo <= optimum <= hi
+            assert all(s.lower <= optimum <= s.upper for s in states)
+            assert res.revenue == pytest.approx(float(optimum), rel=1e-14)
+            assert _feasible(res.assortment, C, kwargs.get("c_min", 0),
+                             kwargs.get("blocks"), kwargs.get("caps"))
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_brackets_are_the_certificate_at_scale(self, variant, monkeypatch):
@@ -618,8 +674,9 @@ def reference_solve(inst, C, eps, variant, c_min=0, blocks=None, caps=None):
 
 class TestPrefixAccept:
     """The states a capacitated solve reports, one per selection, and the
-    read that settles its answer; the certificate reads the top
-    2·sum(caps) items by price before it reads the whole catalog."""
+    read that settles its answer; the certificate's start selection reads
+    the top solvers._START_WIDTH · sum(caps) items by price, and every
+    later one the whole catalog."""
 
     @pytest.mark.parametrize("variant", ["topc", "lb", "partitioned"])
     def test_early_accept_never_changes_an_answer(self, variant, monkeypatch):
@@ -753,6 +810,14 @@ def _thresholds(inst, brackets):
     return [0.5 * (lo + hi) for lo, hi in brackets[:-1]]
 
 
+# the most mean selections per solve that test_selections_stay_few allows,
+# per (n, C), as recorded when the certificate began from one start
+# selection over the top 8k items; its parent made 4.54, 5.62, 4.56, 5.70
+# and 5.90 on the same customers
+_MOST_SELECTIONS = {(10_000, 10): 2.96, (10_000, 50): 4.16, (100_000, 10): 3.16,
+                    (100_000, 50): 3.32, (100_000, 200): 4.80}
+
+
 class TestCertifiedBracket:
     """A solve returns Dinkelbach's optimum with its proven bounds: the
     full read answers every K <= K_lo "yes" and every K >= K_hi "no"."""
@@ -843,8 +908,10 @@ class TestCertifiedBracket:
 
     def test_reads_count_the_certificate_and_one_settling_read(self, monkeypatch):
         # the margins each selection hands to _largest, as the per-step test
-        # counts them: three from the top 2C items, then two full reads, the
-        # last of which settles the answer; on_iteration adds no read
+        # counts them: the start selection over the top 8C items, then three
+        # full reads, the last of which settles the answer; on_iteration adds
+        # no read.  The parent of the one-start change made five selections:
+        # three of 100 from the top 2C items, then full reads of 530 and 503
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)
         reads, largest = [], solvers._largest
 
@@ -860,8 +927,22 @@ class TestCertifiedBracket:
                 res = assort_mnl_capacitated(inst, 50, 0.1, variant, c_min=c_min,
                                              on_iteration=None if trace is None
                                              else trace.append)
-                assert res.iterations == 5
-                assert [w.size for w in reads] == [100, 100, 100, 530, 503]  # 1,333
+                assert res.iterations == 4
+                assert [w.size for w in reads] == [400, 591, 506, 503]  # 2,000
+
+    def test_selections_stay_few(self):
+        # tools/cap_start_sweep.py's shapes and customers: one generated
+        # catalog per n, 50 seeded customers, topc and lb with c_min = C // 5
+        for (n, C), most in _MOST_SELECTIONS.items():
+            catalog, _ = generate_instance(GenSpec(n=n, seed=1708))
+            selections = []
+            for i in range(50):
+                weights = np.random.default_rng([1708, i]).uniform(0.0, 1.0, n)
+                inst = Instance(catalog.prices, weights, catalog.v0)
+                selections += [assort_mnl_capacitated(inst, C, 0.1, variant,
+                                                      c_min=C // 5).iterations
+                               for variant in ("topc", "lb")]
+            assert sum(selections) / len(selections) <= most, (n, C)
 
     def test_wall_time_covers_the_certificate(self, monkeypatch):
         inst = random_instance(np.random.default_rng(23), 20_000, price_hi=1000.0)

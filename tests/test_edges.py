@@ -15,9 +15,10 @@ from assortmax import (Assortment, AssortmentCollection, BenchConfig, GenSpec,
                        save_index)
 from assortmax import bench
 from assortmax.cli import main
-from assortmax.mips import hash_key, simple_lsh_transform
 from assortmax.noisy_search import (Posterior, bz_posterior_update,
                                     bz_rounds_needed)
+
+from reference import hash_key, simple_lsh_transform
 
 E1 = Instance([10.0, 8.0, 5.0], [0.2, 0.4, 0.5], 1.0)
 

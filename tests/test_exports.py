@@ -21,8 +21,8 @@ _ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 _CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
 # read only by tests or by their own module, which import them from there
 _MODULE_ONLY = {
-    "mips": ("QueryVector", "simple_lsh_transform", "hash_key"),
-    "solvers": ("SearchState", "compare_step_general"),
+    "mips": ("QueryVector",),
+    "solvers": ("SearchState",),
     "noisy_search": ("Posterior", "bz_sample_selection", "bz_posterior_update"),
     "bench": ("_aggregate_records",),
 }
@@ -65,6 +65,10 @@ def test_redundant_names_and_settings_stay_removed():
     # call solvers._compare_items through a helper of their own
     for name in ("compare_step_capacitated", "compare_step_partitioned", "_compare_blocks"):
         assert not hasattr(assortmax.solvers, name), name
+    # reference code that no solve runs lives in tests/reference.py
+    for module, name in (("mips", "simple_lsh_transform"), ("mips", "hash_key"),
+                         ("solvers", "compare_step_general")):
+        assert not hasattr(getattr(assortmax, module), name), name
     assert "workers" not in {f.name for f in fields(assortmax.BenchConfig)}
     assert "weight_range" not in {f.name for f in fields(assortmax.GenSpec)}
     assert "price_scale" not in {f.name for f in fields(assortmax.Instance)}

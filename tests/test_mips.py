@@ -10,9 +10,10 @@ from assortmax import (AssortmentCollection, ExactMips, GenSpec, Instance,
                        build_lsh_index, default_lsh_params, embed_collection,
                        generate_instance, load_index, normalize, save_index)
 from assortmax.mips import (_CHUNK_ROWS, QueryVector, _hash_keys, _key_columns, _pack_bits,
-                            _projections, hash_key, simple_lsh_transform)
+                            _projections)
 
 from conftest import random_instance
+from reference import hash_key, simple_lsh_transform
 
 # sha256 over the dtype, shape and bytes of projections, table_keys and
 # table_ids of build_lsh_index(LshParams(bits, tables=3, scan_cap=9), seed=11)
