@@ -125,7 +125,7 @@ class Instance:
         # every comparison with NaN is false, so each check asks for what holds
         if not (np.isfinite(prices) & (prices >= 0)).all():
             raise ValueError("prices must be finite and non-negative")
-        if np.any(np.diff(prices) > 0):
+        if (prices[1:] > prices[:-1]).any():
             raise ValueError("prices must be non-increasing; use Instance.from_items to sort")
         if not (np.isfinite(weights) & (weights >= 0)).all():
             raise ValueError("weights must be finite and non-negative")
@@ -525,12 +525,18 @@ def revenue(a: Assortment, inst: Instance) -> float:
     multinomial-logit pick probabilities.  The empty assortment earns 0.
     A set has one revenue, the scan's: its members are summed as
     :meth:`AssortmentCollection.set_sums` sums them, bit for bit."""
-    if len(a) == 0:
-        return 0.0
     idx = a.indices()
-    if idx[0] < 0 or idx[-1] >= inst.n:
+    if idx.size and (idx[0] < 0 or idx[-1] >= inst.n):
         bad = int(idx[0] + 1 if idx[0] < 0 else idx[-1] + 1)
         raise ValueError(f"item index {bad} out of range 1..{inst.n}")
+    return _sorted_revenue(inst, idx)
+
+
+def _sorted_revenue(inst: Instance, idx: np.ndarray) -> float:
+    """:func:`revenue` of the set at ascending 0-based positions ``idx`` of
+    ``inst``, which the caller has checked; 0 for no positions."""
+    if idx.size == 0:
+        return 0.0
     values, revenues = _revenue_terms(inst, idx)
     return revenues(*np.add.reduceat(values, [0], axis=1)[:, 0].tolist())
 

@@ -17,7 +17,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .model import (Assortment, AssortmentCollection, Instance, SolverResult,
-                    _item_array, normalize, revenue)
+                    _item_array, _sorted_revenue, normalize, revenue)
 from .mips import (EmbeddedCollection, ExactMips, LshMips, LshParams,
                    build_lsh_index, embed_collection)
 
@@ -51,11 +51,16 @@ class SearchState:
 
 
 def _largest(w: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` entries of ``idx`` with the largest margins ``w`` (all of
-    ``idx`` when it has no more than k), by one O(len(idx)) partition."""
+    """The ``k`` entries of ``idx``, ascending positions in ``w``, with the
+    largest margins (all of ``idx`` when it has no more than k), by one
+    O(len(idx)) partition.  An ``idx`` as long as ``w`` is 0..len(w)-1, so
+    ``w`` itself is partitioned, with no gather through ``idx`` and no map
+    back: the same partition of the same values gives the same positions."""
     cut = idx.size - k
     if cut <= 0 or k == 0:
         return idx[:k]
+    if idx.size == w.size:
+        return np.argpartition(w, cut)[cut:]
     return idx[np.argpartition(w[idx], cut)[cut:]]
 
 
@@ -81,7 +86,7 @@ def _by_position(blocks: Sequence[tuple], n: int) -> list:
 def _priced_above(inst: Instance, K: float) -> int:
     """How many items are priced above K: prices do not increase, so they
     are the first ones (none for a NaN K)."""
-    return inst.n - int(np.searchsorted(inst.prices[::-1], K, side="right"))
+    return inst.n - int(inst.prices[::-1].searchsorted(K, side="right"))
 
 
 def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
@@ -107,19 +112,23 @@ def _compare_items(inst: Instance, blocks: Sequence[tuple], K: float,
     for (items, cap, lo), (order, ascending) in zip(blocks, by_position):
         ids = slice(m) if items is None else items[np.sort(order[:ascending.searchsorted(m)])]
         w = inst.weights[ids] * (inst.prices[ids] - K)
-        sel = pos = _largest(w, np.flatnonzero(w > 0), cap)
+        sel = pos = _largest(w, (w > 0).nonzero()[0], cap)
         if pos.size < lo:  # the top-up reads the whole block
             ids = slice(None) if items is None else items
             w = inst.weights[ids] * (inst.prices[ids] - K)
-            pos = _largest(w, np.flatnonzero(w > 0), cap)
-            up = _largest(w, np.flatnonzero(w <= 0), lo - pos.size)
+            pos = _largest(w, (w > 0).nonzero()[0], cap)
+            up = _largest(w, (w <= 0).nonzero()[0], lo - pos.size)
             N -= float(w[up].sum())
             sel = np.concatenate([pos, up])
         P += float(w[pos].sum())
         chosen.append(sel if items is None else ids[sel])
-    # no block is left when every cap is 0 (see _partitioned_compare)
-    items = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    return bool(K <= (P - N) / inst.v0), items, P, N
+    return bool(K <= (P - N) / inst.v0), _joined(chosen), P, N
+
+
+def _joined(chosen: list) -> np.ndarray:
+    """The blocks' selections as one array, a single block's as it is (no
+    block is left when every cap is 0, see _partitioned_compare)."""
+    return chosen[0] if len(chosen) == 1 else np.concatenate([np.empty(0, np.int64), *chosen])
 
 
 _SMALLEST_K = 4 * np.finfo(float).tiny  # keeps the bounds' quotients normal
@@ -139,11 +148,11 @@ def _start_select(inst: Instance, blocks: Sequence[tuple], by_position: Sequence
     for (items, cap, lo), (_, ascending) in zip(blocks, by_position):
         ids = slice(top) if items is None else ascending[:ascending.searchsorted(top)]
         w = inst.weights[ids] * inst.prices[ids]
-        sel = _largest(w, np.flatnonzero(w > 0), cap)
+        sel = _largest(w, (w > 0).nonzero()[0], cap)
         if sel.size < lo:
             return None
         chosen.append(sel if items is None else ids[sel])
-    return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    return _joined(chosen)
 
 
 def _certificate(inst: Instance, blocks: Sequence[tuple], by_position: Sequence[tuple],
@@ -396,7 +405,8 @@ def assort_mnl_capacitated(inst: Instance, C: int | None, eps: float,
     K_lo, K_hi, items, selections = _certificate(inst, spec, by_position, on_iteration)
     chosen = Assortment(items + 1)
     wall = time.perf_counter() - t0
-    return SolverResult(chosen, revenue(chosen, inst), (max(K_lo, 0.0), K_hi), selections, wall)
+    return SolverResult(chosen, _sorted_revenue(inst, np.sort(items)),
+                        (max(K_lo, 0.0), K_hi), selections, wall)
 
 
 def assort_mnl_approx_simple(collection: AssortmentCollection, inst: Instance,

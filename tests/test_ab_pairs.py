@@ -24,7 +24,7 @@ def line(correct=True, **values):
             "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}
 
 
-BETTER = {"customers_per_s": "higher", "peak_rss_mb": "lower"}
+BETTER = {"customers_per_s": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
 
 
 def test_medians_quartiles_and_wins(ab):
@@ -144,11 +144,27 @@ BEFORE = [40, 41, 42, 43, 44, 40, 41, 42, 43, 44]  # median 42, IQR 41..43
     ("peak_rss_mb", [100] * 10, [106] * 10, "worse than bound"),
     ("peak_rss_mb", [100 + i % 2 for i in range(10)], [90] * 10, "gain"),
     ("extra", BEFORE, [50] * 10, None),  # no bound: no verdict
+    # a before IQR of 10% against a 5% bound: the medians alone would read
+    # "worse than bound" (110 against 100) and "within bound" (100 against
+    # 100), yet neither can be told from the spread
+    ("peak_rss_mb", [100] * 6 + [110] * 4, [110] * 10, "unresolved"),
+    ("peak_rss_mb", [100] * 6 + [110] * 4, [100] * 10, "unresolved"),
+    # one after run ties the best before run: not every after run beats it
+    ("peak_rss_mb", [100, 110] * 5, [99] * 9 + [100], "unresolved"),
+    # every after run beats every before run, but by less than the IQR:
+    # within bound, not unresolved
+    ("peak_rss_mb", [100, 110] * 5, [99] * 10, "within bound"),
+    ("customers_per_s", [30, 50] * 5, [51] * 10, "within bound"),
+    # a gain stays a gain however wide the before spread
+    ("customers_per_s", [30, 50] * 5, [90] * 10, "gain"),
+    # the bimodal setup_s of capacity-1e5 (about 3.1 or 4.5 ms, 25% bound)
+    ("setup_s", [3.1] * 6 + [4.5] * 4, [4.5] * 6 + [3.1] * 4, "unresolved"),
 ])
 def test_verdicts(ab, name, before, after, verdict):
     results = {"before": [line(**{name: v}) for v in before],
                "after": [line(**{name: v}) for v in after]}
-    summary = ab.summarize(results, BETTER, {"customers_per_s": 0.25, "peak_rss_mb": 0.05})
+    summary = ab.summarize(results, BETTER, {"customers_per_s": 0.25, "peak_rss_mb": 0.05,
+                                             "setup_s": 0.25})
     assert summary["after"][name]["verdict"] == summary["before"][name]["verdict"] == verdict
 
 

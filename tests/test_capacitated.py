@@ -135,6 +135,17 @@ _PINNED_ZERO_CAP_SHA256 = (
     "50a005c30ce5b973fb935cc63440df5cef075a9cd7c3c173ba2fd0df1d1fa801")
 
 
+# per GenSpec seed at n = 10^5, the capacity-1e5 catalog: sorted items,
+# revenue.hex(), bracket ends .hex() and iterations of 20 customers' topc
+# (C = 50), lb (C = 50, c_min = 10) and partitioned (four blocks, caps
+# [20, 5, 15, 10]) solves; recorded at the parent of the change that
+# partitions a full read's margins in place
+_PINNED_BENCHMARK_SOLVES_SHA256 = {
+    1708: "fc655e0b6d58f98c594e3803d3e166f07f0068a6d1e9953d179025a20dc12b5e",
+    1708055: "8dc3a9a81d5478656ebe91379a8d9f9346f35e6a14d1a33b18ecd852112cb14a",
+}
+
+
 # repr of each solve's revenue in test_hostile_brackets_hold_the_exact_optimum
 # (hostile_case, seed 73), per variant, recorded at the parent of the change
 # that starts the certificate from one selection: no revenue fell (the sets
@@ -203,6 +214,43 @@ def full_margin_compare(inst, blocks, K):
               for items, cap, lo in blocks]
     total = sum(float(w[sel].sum()) for sel in chosen)
     return bool(K <= total / inst.v0), Assortment(np.concatenate(chosen) + 1)
+
+
+def gathered_largest(w, idx, k):
+    """solvers._largest through its gathered path: the margins padded by one,
+    so that ``idx`` never covers every position of them."""
+    return solvers._largest(np.append(w, 0.0), idx, k)
+
+
+class TestLargest:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_in_place_path_returns_the_gathered_positions(self, seed):
+        # integer margins, so many ties, some of them at 0
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            w = rng.integers(-3, 4, size).astype(float)
+            for idx in ((w > 0).nonzero()[0], (w <= 0).nonzero()[0], np.arange(size)):
+                for k in {0, 1, idx.size // 2, idx.size, idx.size + 3,
+                          int(rng.integers(0, size + 2))}:
+                    got = solvers._largest(w[idx], np.arange(idx.size), k)
+                    assert np.array_equal(idx[got], gathered_largest(w, idx, k))
+                    # the k largest, whichever ties they take
+                    kept = np.sort(w[idx])[::-1][:k]
+                    assert np.array_equal(np.sort(w[idx][got])[::-1], kept)
+
+    def test_all_non_positive_top_up_reads_in_place(self):
+        # K above every price: no margin is positive, so the lb top-up takes
+        # the c_min largest of all of them, ties among zero weights included
+        inst = Instance([5.0, 4.0, 4.0, 3.0, 2.0, 1.0], [0.0, 2.0, 1.0, 0.0, 3.0, 1.0], 1.0)
+        w = inst.weights * (inst.prices - 6.0)
+        positions = np.arange(inst.n)
+        for c_min in range(inst.n + 1):
+            assert np.array_equal(solvers._largest(w, positions, c_min),
+                                  gathered_largest(w, positions, c_min))
+            _, items, P, N = solvers._compare_items(inst, [(None, c_min, c_min)], 6.0)
+            assert np.array_equal(items, gathered_largest(w, positions, c_min))
+            assert P == 0.0 and N == -float(w[items].sum())
 
 
 class TestPricedAboveK:
@@ -591,6 +639,23 @@ class TestCapacitatedSolver:
                 h.update(repr((sorted(res.assortment.items), res.revenue,
                                res.revenue_interval, res.iterations)).encode())
         assert h.hexdigest() == _PINNED_PREFIX_SOLVES_SHA256
+
+    @pytest.mark.parametrize("seed", sorted(_PINNED_BENCHMARK_SOLVES_SHA256))
+    def test_benchmark_catalog_solves_are_pinned(self, seed):
+        h = hashlib.sha256()
+        catalog, _ = generate_instance(GenSpec(n=100_000, seed=seed))
+        blocks = np.array_split(np.random.default_rng(seed).permutation(catalog.n) + 1, 4)
+        for i in range(20):
+            weights = np.random.default_rng([seed, i]).uniform(0.0, 1.0, catalog.n)
+            inst = Instance(catalog.prices, weights, catalog.v0)
+            for res in (assort_mnl_capacitated(inst, 50, 0.1),
+                        assort_mnl_capacitated(inst, 50, 0.1, "lb", c_min=10),
+                        assort_mnl_capacitated(inst, None, 0.1, "partitioned",
+                                               blocks=blocks, caps=[20, 5, 15, 10])):
+                lo, hi = res.revenue_interval
+                h.update(repr((sorted(res.assortment.items), res.revenue.hex(),
+                               lo.hex(), hi.hex(), res.iterations)).encode())
+        assert h.hexdigest() == _PINNED_BENCHMARK_SOLVES_SHA256[seed]
 
     def test_large_instance_is_fast(self):
         rng = np.random.default_rng(23)

@@ -18,13 +18,15 @@ the after checkout's BENCHMARK.json gives; a tie counts for neither side, and
 a metric BENCHMARK.json does not name has no wins.  Each end-to-end metric
 with a bound there also gets a verdict, printed and recorded on both sides:
 "gain" when the after side won at least 9 of 10 pairs and its median beats
-the before median by more than the before side's interquartile range, else
-"within bound" or "worse than bound" by whether the after median is worse
-than the before median by more than the bound, a fraction of the before
-median.  Under ``solvers`` each file also summarises the report's
-per-solver medians (its ``*.p50`` entries, such as ``scan_ms.p50`` and
-``hashed_ms.p50``) the same way, with no wins, so a change in a result line
-can be traced to the solver that moved.  The command exits 1 when any run
+the before median by more than the before side's interquartile range;
+"unresolved" when the before side's interquartile range is wider than the
+bound, a fraction of the before median, and not every after run beats every
+before run; else "within bound" or "worse than bound" by whether the after
+median is worse than the before median by more than the bound.  Under
+``solvers`` each file also summarises the report's per-solver medians (its
+``*.p50`` entries, such as ``scan_ms.p50`` and ``hashed_ms.p50``) the same
+way, with no wins, so a change in a result line can be traced to the solver
+that moved.  The command exits 1 when any run
 answered wrongly (``"correct": false``), after writing both files.
 
 Only the standard library is used, and the code under test is reached only
@@ -66,16 +68,22 @@ def bounds(benchmark_json: Path) -> dict:
     return {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
 
 
-def verdict(before: dict, after: dict, better: str, bound: float) -> str:
+def verdict(before: dict, after: dict, better: str, bound: float, apart: bool) -> str:
     """The verdict on one metric: "gain" when the after side won at least 9
     of 10 pairs and its median beats the before median by more than the
-    before side's IQR, else "within bound" or "worse than bound", by
-    whether the after median is worse than the before median by more than
-    ``bound`` times the before median."""
+    before side's IQR; "unresolved" when that IQR is wider than ``bound``
+    times the before median and not every after run beats every before run
+    (``apart``), since medians then cannot tell a change from the spread;
+    else "within bound" or "worse than bound", by whether the after median
+    is worse than the before median by more than ``bound`` times it."""
     gap = (after["median"] - before["median"]) * (1 if better == "higher" else -1)
-    if 10 * after["wins"] >= 9 * after["pairs"] and gap > before["q3"] - before["q1"]:
+    spread = before["q3"] - before["q1"]
+    if 10 * after["wins"] >= 9 * after["pairs"] and gap > spread:
         return "gain"
-    return "within bound" if -gap <= bound * abs(before["median"]) else "worse than bound"
+    limit = bound * abs(before["median"])
+    if spread > limit and not apart:
+        return "unresolved"
+    return "within bound" if -gap <= limit else "worse than bound"
 
 
 def summarize(results: dict, better: dict, limits: dict | None = None) -> dict:
@@ -104,8 +112,10 @@ def summarize(results: dict, better: dict, limits: dict | None = None) -> dict:
                 "wins": None if wins is None else wins[side], "pairs": len(vals)}
         found = None
         if wins is not None and name in (limits or {}):
+            apart = min(sign * a for a in values["after"]) > max(
+                sign * b for b in values["before"])
             found = verdict(summary["before"][name], summary["after"][name],
-                            better[name], limits[name])
+                            better[name], limits[name], apart)
         for side in SIDES:
             summary[side][name]["verdict"] = found
     return summary
